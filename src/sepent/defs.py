@@ -16,7 +16,7 @@ Wellformedness enforces the template shape plus:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Literal, Optional
 
@@ -82,15 +82,21 @@ class InductiveDef:
     name: str
     params: tuple[Param, ...]
     rec: RecBranch
+    # First parameter position of each role; the prover and the oracle ask
+    # for role positions on every step.
+    _roles: dict[Role, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        roles: dict[Role, int] = {}
+        for i, p in enumerate(self.params):
+            roles.setdefault(p.role, i)
+        object.__setattr__(self, "_roles", roles)
 
     def param_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.params)
 
     def index_of_role(self, role: Role) -> Optional[int]:
-        for i, p in enumerate(self.params):
-            if p.role == role:
-                return i
-        return None
+        return self._roles.get(role)
 
     @property
     def root_index(self) -> int:

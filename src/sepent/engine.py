@@ -30,7 +30,7 @@ from .defs import (
     rec_instance,
 )
 from .normalize import lbase_site, normalize_step, subst_site
-from .oracle import Cell, HeapModel, bad_model, base_of, holds
+from .oracle import Cell, HeapModel, bad_model, base_of, holds, kinds_of
 from .syntax import (
     ArithEq,
     Entailment,
@@ -63,6 +63,10 @@ class ResourceLimit(RuntimeError):
 
 class SideConditionFailed(ValueError):
     """A rule was applied where its side conditions do not hold."""
+
+
+class UnsoundProof(RuntimeError):
+    """The search closed a pre-proof that the cycle re-check rejects."""
 
 
 # ----------------------------------------------------------------- proof tree
@@ -569,12 +573,10 @@ def _expand(tree: ProofTree, leaf_id: int, choice: RuleChoice) -> list[int]:
         node.status = "valid"
         node.axiom = choice.label
         return []
-    out = []
-    for prem, edge in zip(choice.premises, choice.edges):
-        extra = prem.rhs.fv() - prem.lhs.fv()
-        assert all(is_fresh_name(n) for n in extra), choice.label
-        out.append(tree.add(prem, leaf_id, edge).id)
-    return out
+    return [
+        tree.add(prem, leaf_id, edge).id
+        for prem, edge in zip(choice.premises, choice.edges)
+    ]
 
 
 def apply_rule(
@@ -673,26 +675,34 @@ def link_back(
 ) -> Optional[tuple[int, dict[str, str], dict[int, int]]]:
     """Find the nearest strict ancestor the leaf folds onto: same shape up
     to a renaming of proof-fresh variables and discarded pure conjuncts,
-    with at least one matched occurrence unfolded strictly more often."""
+    with at least one matched occurrence unfolded strictly more often.
+
+    Progress depends only on the two spatial parts, so it is tested before
+    the costlier pure and right-side conditions.  Ancestors reached by
+    pure-only steps share their spatial tuple, and with it the list of
+    progressing unifiers, which is then enumerated once for all of them."""
     ent = tree.node(leaf_id).ent
+    bud = ent.lhs.spatial
     if not any(a.unfold > 0 for _, a in ent.lhs.pred_occs()):
         return None
+    last: Optional[tuple[SpatialAtom, ...]] = None
+    cands: list[tuple[dict[str, str], dict[int, int]]] = []
     for anc in tree.ancestors(leaf_id):
-        for sigma, match in _spatial_unifiers(
-            ent.lhs.spatial, anc.ent.lhs.spatial
-        ):
-            if not _link_conditions(ent, anc.ent, sigma):
-                continue
-            progress = any(
-                isinstance(a, PredOcc)
-                and isinstance(b, PredOcc)
-                and a.unfold > b.unfold
-                for a, b in (
-                    (ent.lhs.spatial[i], anc.ent.lhs.spatial[j])
-                    for i, j in match.items()
+        comp = anc.ent.lhs.spatial
+        if comp is not last:
+            last = comp
+            cands = [
+                (sigma, match)
+                for sigma, match in _spatial_unifiers(bud, comp)
+                if any(
+                    isinstance(a, PredOcc)
+                    and isinstance(b, PredOcc)
+                    and a.unfold > b.unfold
+                    for a, b in ((bud[i], comp[j]) for i, j in match.items())
                 )
-            )
-            if progress:
+            ]
+        for sigma, match in cands:
+            if _link_conditions(ent, anc.ent, sigma):
                 return anc.id, sigma, match
     return None
 
@@ -833,6 +843,18 @@ def _add_peeled(
     return HeapModel(stack, heap, frozenset(ptrs))
 
 
+def _complete_stack(model: HeapModel, ent: Entailment, reg: Registry) -> HeapModel:
+    """Give every variable of the sequent that the stack lacks a fresh value
+    of its kind.  =L and LBase can remove the last left-side mention of a
+    conclusion variable, so models built from the left side may miss it."""
+    missing = sorted(ent.fv() - model.stack.keys())
+    if not missing:
+        return model
+    kinds = {**kinds_of(ent.rhs, reg), **kinds_of(ent.lhs, reg)}
+    stack, ptrs = _fresh_values([(n, kinds[n]) for n in missing], model)
+    return HeapModel(stack, model.heap, frozenset(ptrs))
+
+
 def _lift_counter(
     tree: ProofTree, leaf_id: int, model: HeapModel, reg: Registry
 ) -> Optional[HeapModel]:
@@ -869,6 +891,7 @@ def _lift_counter(
         m.heap,
         frozenset(n for n in m.ptr_vars if n in names),
     )
+    m = _complete_stack(m, root, reg)
     if holds(m, root.lhs, reg) and not holds(m, root.rhs, reg):
         return m
     return None
@@ -882,6 +905,7 @@ def _leaf_witness(
         bad = bad_model(base_of(ent.lhs, reg), reg)
     except ValueError:
         return None
+    bad = _complete_stack(bad, ent, reg)
     if holds(bad, ent.rhs, reg):
         return None  # leaf shape promised refutation but the model agrees
     return _lift_counter(tree, leaf_id, bad, reg)
@@ -936,7 +960,8 @@ def prove(
         status, data = is_closed(tree, reg)
         if status == "valid":
             report = check_cyclic_soundness(tree, reg)
-            assert not report, report
+            if report:
+                raise UnsoundProof("; ".join(report))
             return Verdict(True, tree)
         if status == "invalid":
             assert data is not None

@@ -44,18 +44,19 @@ Step = tuple[str, tuple[Entailment, ...]]
 def nf_failures(heap: SymbolicHeap, reg: Registry) -> tuple[int, ...]:
     """Failed clause numbers of the normal-form definition (empty when NF)."""
     pi = heap.pure
+    have = frozenset(pi)
     fails: set[int] = set()
     for a in heap.spatial:
         if isinstance(a, PredOcc):
             g = guard_of(a, reg)
-            if g is not None and g not in pi:
+            if g is not None and g not in have:
                 fails.add(1)
-        if PtrNeq(atom_root(a), NULL) not in pi:
+        if PtrNeq(atom_root(a), NULL) not in have:
             fails.add(2)
     roots = [atom_root(a) for a in heap.spatial]
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
-            if PtrNeq(roots[i], roots[j]) not in pi:
+            if PtrNeq(roots[i], roots[j]) not in have:
                 fails.add(3)
     for p in pi:
         if isinstance(p, PtrEq):
@@ -171,30 +172,30 @@ def apply_lbase(ent: Entailment, reg: Registry) -> Optional[Step]:
 
 
 def apply_neq_null(ent: Entailment, reg: Registry) -> Optional[Step]:
-    pi = ent.lhs.pure
+    have = frozenset(ent.lhs.pure)
     for a in ent.lhs.spatial:
         if isinstance(a, PredOcc):
             g = guard_of(a, reg)
-            if g is None or g not in pi:
+            if g is None or g not in have:
                 continue  # nonemptiness not yet established
         need = PtrNeq(atom_root(a), NULL)
-        if need not in pi:
+        if need not in have:
             return "NeqNull", (_with_lhs(ent, ent.lhs.add_pure([need])),)
     return None
 
 
 def apply_neq_star(ent: Entailment, reg: Registry) -> Optional[Step]:
-    pi = ent.lhs.pure
+    have = frozenset(ent.lhs.pure)
     atoms = ent.lhs.spatial
     present = [
-        not isinstance(a, PredOcc) or guard_of(a, reg) in pi for a in atoms
+        not isinstance(a, PredOcc) or guard_of(a, reg) in have for a in atoms
     ]
     for i in range(len(atoms)):
         for j in range(i + 1, len(atoms)):
             if not (present[i] and present[j]):
                 continue
             need = PtrNeq(atom_root(atoms[i]), atom_root(atoms[j]))
-            if need not in pi:
+            if need not in have:
                 return "NeqStar", (_with_lhs(ent, ent.lhs.add_pure([need])),)
     return None
 
@@ -213,8 +214,9 @@ def _exm_pairs(heap: SymbolicHeap, reg: Registry) -> list[tuple[Expr, Expr]]:
 
 def apply_exm(ent: Entailment, reg: Registry) -> Optional[Step]:
     pi = ent.lhs.pure
+    have = frozenset(pi)
     for e1, e2 in _exm_pairs(ent.lhs, reg):
-        if e1 == e2 or PtrNeq(e1, e2) in pi or PtrEq(e1, e2) in pi:
+        if e1 == e2 or PtrNeq(e1, e2) in have or PtrEq(e1, e2) in have:
             continue
         if pure_solver.status_of_pair(pi, e1, e2) == "unknown":
             eq = _with_lhs(ent, ent.lhs.add_pure([PtrEq(e1, e2)]))

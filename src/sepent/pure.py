@@ -34,10 +34,6 @@ _ZERO = ("zero",)
 _Node = object  # Expr or _ZERO
 
 
-def _is_ptr_atom(a: PureAtom) -> bool:
-    return isinstance(a, (PtrEq, PtrNeq))
-
-
 # ------------------------------------------------------------------ pointer part
 
 
@@ -85,10 +81,6 @@ def _ptr_consistent(uf: _UnionFind, diseqs: list[tuple[Expr, Expr]]) -> bool:
 Bound = tuple[_Node, _Node, int]
 
 
-def _node(e: Expr) -> _Node:
-    return e
-
-
 def _bounds_of(atoms: Atoms) -> list[Bound]:
     out: list[Bound] = []
     lits: set[int] = set()
@@ -100,11 +92,11 @@ def _bounds_of(atoms: Atoms) -> list[Bound]:
     for a in atoms:
         if isinstance(a, ArithEq):
             note(a.lhs), note(a.rhs)
-            out.append((_node(a.lhs), _node(a.rhs), 0))
-            out.append((_node(a.rhs), _node(a.lhs), 0))
+            out.append((a.lhs, a.rhs, 0))
+            out.append((a.rhs, a.lhs, 0))
         elif isinstance(a, ArithLeq):
             note(a.lhs), note(a.rhs)
-            out.append((_node(a.lhs), _node(a.rhs), 0))
+            out.append((a.lhs, a.rhs, 0))
     for k in lits:
         out.append((_ZERO, IntLit(k), k))
         out.append((IntLit(k), _ZERO, -k))
@@ -134,11 +126,11 @@ def _relax(bounds: list[Bound]) -> Optional[dict[_Node, int]]:
 def _strict_negation(a: PureAtom) -> list[list[Bound]]:
     """Disjunction of bound sets equivalent to the negation of an arith atom."""
     if isinstance(a, ArithLeq):
-        return [[(_node(a.rhs), _node(a.lhs), 1)]]
+        return [[(a.rhs, a.lhs, 1)]]
     if isinstance(a, ArithEq):
         return [
-            [(_node(a.rhs), _node(a.lhs), 1)],
-            [(_node(a.lhs), _node(a.rhs), 1)],
+            [(a.rhs, a.lhs, 1)],
+            [(a.lhs, a.rhs, 1)],
         ]
     raise TypeError(a)
 

@@ -66,21 +66,41 @@ def is_fresh_name(name: str) -> bool:
 
 
 class _SymmetricAtom:
-    """Mixin giving order-insensitive equality/hash over (lhs, rhs)."""
+    """Mixin giving order-insensitive equality/hash over (lhs, rhs).
 
+    The operands keep the order they were written in, so atoms print as
+    given; the hash is computed once at construction because pure parts are
+    probed by hash on every normalization step.
+    """
+
+    __slots__ = ("_hash",)
     lhs: Expr
     rhs: Expr
+    _hash: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_hash", hash(type(self)) ^ hash(self.lhs) ^ hash(self.rhs)
+        )
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return (self.lhs, self.rhs) in ((other.lhs, other.rhs), (other.rhs, other.lhs))
+        if self._hash != other._hash:
+            return False
+        return (self.lhs == other.lhs and self.rhs == other.rhs) or (
+            self.lhs == other.rhs and self.rhs == other.lhs
+        )
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, frozenset((self.lhs, self.rhs))))
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # rebuild rather than restore: string hashes differ between processes
+        return type(self), (self.lhs, self.rhs)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PtrEq(_SymmetricAtom):
     lhs: Expr
     rhs: Expr
@@ -89,7 +109,7 @@ class PtrEq(_SymmetricAtom):
         return f"{self.lhs}={self.rhs}"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PtrNeq(_SymmetricAtom):
     lhs: Expr
     rhs: Expr
@@ -98,7 +118,7 @@ class PtrNeq(_SymmetricAtom):
         return f"{self.lhs}!={self.rhs}"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ArithEq(_SymmetricAtom):
     lhs: Expr
     rhs: Expr
@@ -223,11 +243,12 @@ class SymbolicHeap:
         return tuple(a.root for a in self.spatial)
 
     def has_pure(self, atom: PureAtom) -> bool:
-        return atom in self.pure
+        return atom in frozenset(self.pure)
 
     def add_pure(self, atoms: Iterable[PureAtom]) -> "SymbolicHeap":
         """Append atoms not already present (symmetric-aware), keeping order."""
-        extra = tuple(a for a in atoms if a not in self.pure)
+        have = frozenset(self.pure)
+        extra = tuple(a for a in atoms if a not in have)
         if not extra:
             return self
         return SymbolicHeap(self.spatial, self.pure + extra)

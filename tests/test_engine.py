@@ -10,12 +10,17 @@ import time
 
 import pytest
 
+from conftest import parse_query
+from sepent import engine
 from sepent.engine import (
     Edge,
     ProofTree,
     ResourceLimit,
     SideConditionFailed,
+    UnsoundProof,
     UnsupportedFragment,
+    _link_conditions,
+    _spatial_unifiers,
     apply_rule,
     check_cyclic_soundness,
     is_closed,
@@ -34,6 +39,7 @@ from sepent.syntax import (
     SymbolicHeap,
     Var,
 )
+from suite_cases import SUITE, chain_sequent
 
 x, y, z, E = Var("x"), Var("y"), Var("z"), Var("E")
 mi, ma, u = Var("mi"), Var("ma"), Var("u")
@@ -379,6 +385,48 @@ class TestLinkBack:
         assert link_back(tree, 1, registry) is None
 
 
+def reference_link_back(tree, leaf_id, reg):
+    """The plain ancestor scan: every unifier of every ancestor, conditions
+    before progress."""
+    ent = tree.node(leaf_id).ent
+    if not any(a.unfold > 0 for _, a in ent.lhs.pred_occs()):
+        return None
+    for anc in tree.ancestors(leaf_id):
+        for sigma, match in _spatial_unifiers(ent.lhs.spatial, anc.ent.lhs.spatial):
+            if not _link_conditions(ent, anc.ent, sigma):
+                continue
+            if any(
+                isinstance(a, PredOcc)
+                and isinstance(b, PredOcc)
+                and a.unfold > b.unfold
+                for a, b in (
+                    (ent.lhs.spatial[i], anc.ent.lhs.spatial[j])
+                    for i, j in match.items()
+                )
+            ):
+                return anc.id, sigma, match
+    return None
+
+
+VALID_SUITE = [(name, s) for name, s, valid in SUITE if valid]
+
+
+@pytest.mark.parametrize(
+    "sequent",
+    [chain_sequent(n) for n in range(1, 6)] + [s for _, s in VALID_SUITE],
+    ids=[f"chain{n}" for n in range(1, 6)] + [name for name, _ in VALID_SUITE],
+)
+def test_link_back_matches_reference_scan(sequent, registry):
+    # link_back reads only the node and its ancestors, which never change
+    # once created, so the finished tree replays every call of the search
+    tree = prove(parse_query(sequent), registry).tree
+    for nid, node in tree.nodes.items():
+        found = link_back(tree, nid, registry)
+        assert found == reference_link_back(tree, nid, registry)
+        if node.status == "bud":
+            assert found == (node.companion, node.sigma, node.match)
+
+
 # ------------------------------------------------- certificates, hand-built
 
 
@@ -478,6 +526,24 @@ class TestCounterModelLifting:
         assert verdict.counter is not None
         assert confirm_countermodel(verdict.counter, ent, registry, ORACLE_BOUND)
 
+    def test_conclusion_variable_leaving_the_premise(self, registry):
+        # on the x=y branch LBase drops ll(x, x), the last left-side mention
+        # of x, leaving emp |- llb(x, x, 0); the x!=y branch ends stuck
+        ent = parse_query("ll(x, y) |- llb(x, y, 0)")
+        verdict = prove(ent, registry)
+        assert not verdict.valid
+        assert not oracle_entails(ent, registry, Bound(3, 3, -1, 3)).bounded_valid
+
+    def test_lift_fills_variables_the_branch_eliminated(self, registry):
+        # LBase drops lls(y, y, 1, 1) without a binding for y, so the leaf
+        # model has no value for it; lifting must supply one
+        ent = parse_query("lls(y, y, 1, 1) * ll(x, z) |- emp")
+        verdict = prove(ent, registry)
+        assert not verdict.valid
+        assert verdict.counter is not None
+        assert set(verdict.counter.stack) == {"x", "y", "z"}
+        assert confirm_countermodel(verdict.counter, ent, registry, ORACLE_BOUND)
+
 
 # ----------------------------------------------------------------- frontier
 
@@ -510,3 +576,11 @@ class TestInputValidation:
     def test_node_budget_enforced(self, registry):
         with pytest.raises(ResourceLimit):
             prove(golden_entailment(), registry, node_budget=3)
+
+
+def test_rejected_proof_raises(registry, monkeypatch):
+    monkeypatch.setattr(
+        engine, "check_cyclic_soundness", lambda tree, reg: ["bud 12: forged"]
+    )
+    with pytest.raises(UnsoundProof, match="bud 12: forged"):
+        prove(golden_entailment(), registry)
