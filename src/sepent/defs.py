@@ -1,4 +1,4 @@
-r"""Inductive definitions: the compositional template, wellformedness, unfolding.
+r"""Inductive definitions: the template, wellformedness, unfolding, bases.
 
 A definition has one implicit base branch (emp /\ root=seg [/\ src=tgt]) and one
 recursive branch consisting of a head cell at the root, a matrix of nested
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Literal, Optional
+from typing import Literal, NamedTuple, Optional
 
 from .syntax import (
     ArithEq,
@@ -29,8 +29,10 @@ from .syntax import (
     PtrEq,
     PtrNeq,
     PureAtom,
+    SymbolicHeap,
     Var,
     subst_atom,
+    subst_expr,
 )
 
 
@@ -77,20 +79,66 @@ class RecBranch:
     arith: tuple[PureAtom, ...]
 
 
+class CoverPlan(NamedTuple):
+    """How the oracle matches one nonempty step of a definition against a
+    heap cell, fixed by the definition alone."""
+
+    seg: Optional[int]
+    src: Optional[int]  # None without an order pair
+    tgt: Optional[int]
+    params: tuple[tuple[str, bool], ...]  # (name, is pointer) per parameter
+    sort: str  # of the head cell
+    # Per head field: its expression and the existential the cell's value
+    # binds there, or None when the field is checked against the values
+    # bound so far.
+    head: tuple[tuple[Expr, Optional[str]], ...]
+    unbound: tuple[str, ...]  # existentials no head field binds
+    side: tuple[PureAtom, ...]  # order atom, then the arithmetic atoms
+    pushed: tuple[PredOcc, ...]  # recursive occurrence, then the matrix reversed
+
+
 @dataclass(frozen=True)
 class InductiveDef:
     name: str
     params: tuple[Param, ...]
     rec: RecBranch
-    # First parameter position of each role; the prover and the oracle ask
-    # for role positions on every step.
+    # First parameter position of each role; the prover asks for role
+    # positions on every step.
     _roles: dict[Role, int] = field(init=False, repr=False, compare=False)
+    # None on the parser's stubs, which carry parameters only.
+    plan: Optional[CoverPlan] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         roles: dict[Role, int] = {}
         for i, p in enumerate(self.params):
             roles.setdefault(p.role, i)
         object.__setattr__(self, "_roles", roles)
+        object.__setattr__(self, "plan", self._cover_plan())
+
+    def _cover_plan(self) -> Optional[CoverPlan]:
+        rb = self.rec
+        if rb is None:
+            return None
+        bound = {p.name for p in self.params}
+        ex = set(rb.exists)
+        head: list[tuple[Expr, Optional[str]]] = []
+        for e in rb.head.fields:
+            if isinstance(e, Var) and e.name in ex and e.name not in bound:
+                bound.add(e.name)
+                head.append((e, e.name))
+            else:
+                head.append((e, None))
+        return CoverPlan(
+            seg=self._roles.get(Role.SEG),
+            src=self._roles.get(Role.SRC),
+            tgt=self._roles.get(Role.TGT),
+            params=tuple((p.name, p.kind == "ptr") for p in self.params),
+            sort=rb.head.sort,
+            head=tuple(head),
+            unbound=tuple(w for w in rb.exists if w not in bound),
+            side=(() if rb.order is None else (rb.order,)) + rb.arith,
+            pushed=(rb.rec,) + rb.matrix[::-1],
+        )
 
     def param_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.params)
@@ -134,10 +182,6 @@ class Registry:
         return self.preds[name]
 
 
-class WellformednessError(ValueError):
-    pass
-
-
 def _expr_name(e: Expr) -> Optional[str]:
     return e.name if isinstance(e, Var) else None
 
@@ -149,12 +193,6 @@ def check_wellformed(reg: Registry) -> list[str]:
         out.extend(_check_def(reg, d))
     out.extend(_check_c3(reg))
     return out
-
-
-def assert_wellformed(reg: Registry) -> None:
-    problems = check_wellformed(reg)
-    if problems:
-        raise WellformednessError("; ".join(problems))
 
 
 def _check_def(reg: Registry, d: InductiveDef) -> list[str]:
@@ -356,3 +394,81 @@ def guard_of(atom: SpatialAtom, reg: Registry) -> Optional[PureAtom]:
         return None
     d = reg.pred(atom.pred)
     return PtrNeq(atom.root, atom.args[d.seg_index])
+
+
+# -------------------------------------------------------------- one-step bases
+
+
+def base_of(
+    heap: SymbolicHeap, reg: Registry, fresh: Optional[FreshNames] = None
+) -> SymbolicHeap:
+    """Replace each occurrence by its minimal nonempty materialization.
+
+    The head cell is emitted with the recursive root replaced by the segment
+    argument and the inner order source by the target; matrix occurrences are
+    materialized the same way, except that a matrix occurrence of a predicate
+    already being materialized takes its empty branch (its root collapses to
+    its own segment argument), which keeps the construction finite.
+    """
+    fresh = fresh or FreshNames()
+    spatial: list[PointsTo] = []
+    extra: list[PureAtom] = []
+    for atom in heap.spatial:
+        if isinstance(atom, PointsTo):
+            spatial.append(atom)
+        else:
+            _materialize(atom, reg, fresh, spatial, extra, frozenset())
+    out = SymbolicHeap(tuple(spatial), heap.pure)
+    return out.add_pure(extra)
+
+
+def _materialize(
+    occ: PredOcc,
+    reg: Registry,
+    fresh: FreshNames,
+    spatial: list[PointsTo],
+    pure: list[PureAtom],
+    active: frozenset[str],
+) -> None:
+    d = reg.pred(occ.pred)
+    sub: dict[str, Expr] = dict(zip(d.param_names(), occ.args))
+    rec_root = d.rec.rec.root
+    assert isinstance(rec_root, Var)
+    src_ex = d.src_existential()
+    matrix_roots = {m.root.name for m in d.rec.matrix if isinstance(m.root, Var)}
+    sub[rec_root.name] = occ.args[d.seg_index]
+    if src_ex is not None:
+        ti = d.index_of_role(Role.TGT)
+        sub[src_ex] = occ.args[ti]
+    for w in d.rec.exists:
+        if w not in sub and w not in matrix_roots:
+            sub[w] = Var(fresh.make(w))
+    cyclic = [m for m in d.rec.matrix if m.pred in active or m.pred == d.name]
+    for m in d.rec.matrix:
+        root = m.root
+        assert isinstance(root, Var)
+        if root.name in sub:
+            continue
+        if m in cyclic:
+            target = reg.pred(m.pred)
+            seg_arg = m.args[target.seg_index]
+            if isinstance(seg_arg, Var) and seg_arg.name in matrix_roots:
+                seg_arg = Var(fresh.make(root.name))  # unresolvable chain
+            sub[root.name] = subst_expr(seg_arg, sub)
+        else:
+            sub[root.name] = Var(fresh.make(root.name))
+
+    spatial.append(d.rec.head.subst(sub))
+    pure.append(PtrNeq(occ.root, occ.args[d.seg_index]))
+    if d.rec.order is not None:
+        pure.append(subst_atom(d.rec.order, sub))
+    pure.extend(subst_atom(a, sub) for a in d.rec.arith)
+    for m in d.rec.matrix:
+        mi = m.subst(sub)
+        target = reg.pred(m.pred)
+        if m in cyclic:
+            if target.has_order_pair():
+                si, ti = target.index_of_role(Role.SRC), target.index_of_role(Role.TGT)
+                pure.append(ArithEq(mi.args[si], mi.args[ti]))
+        else:
+            _materialize(mi, reg, fresh, spatial, pure, active | {d.name})

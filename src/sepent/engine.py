@@ -25,12 +25,13 @@ from . import pure as pure_solver
 from .defs import (
     Registry,
     Role,
+    base_of,
     check_wellformed,
     guard_of,
     rec_instance,
 )
 from .normalize import lbase_site, normalize_step, subst_site
-from .oracle import Cell, HeapModel, bad_model, base_of, holds, kinds_of
+from .oracle import Cell, HeapModel, bad_model, holds, kinds_of
 from .syntax import (
     ArithEq,
     Entailment,

@@ -6,29 +6,32 @@ models of the left side up to a bound, checking the right side on each. It
 shares nothing with proof search beyond the formula types, so the two can
 cross-check one another.
 
-Satisfaction of a predicate occurrence needs no quantifier search: in a
-nonempty segment the head cell's fields determine the values of every
-head-field existential, so the only choice point is empty versus nonempty,
-and the heap shrinks on each nonempty step. A non-head-field existential
-(only the inner order source can be one) falls back to enumerating the data
-interval.
+Satisfaction of a predicate occurrence needs no quantifier search: the
+root and segment values decide between the empty and the nonempty branch,
+and in a nonempty segment the head cell's fields determine the values of
+every head-field existential, so the check is a loop that consumes one cell
+per nonempty step. A non-head-field existential (only the inner order source
+can be one) is the one choice point; it ranges over the data values in
+sight.
 
 Model enumeration is canonical: allocated cells take locations 1..n in
 expansion order and dangling values use fresh locations in first-use order,
-which quotients away isomorphic duplicates.
+which quotients away isomorphic duplicates. An unfolding whose equalities
+contradict its own disequalities has no models and is skipped.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 from .defs import (
+    CoverPlan,
     InductiveDef,
     Kind,
     Registry,
-    Role,
     base_instance,
     existential_kinds,
     rec_instance,
@@ -49,8 +52,6 @@ from .syntax import (
     PureAtom,
     SymbolicHeap,
     Var,
-    subst_atom,
-    subst_expr,
 )
 
 
@@ -119,24 +120,24 @@ Env = dict[str, int]
 
 
 def _ptr_val(e: Expr, env: Env) -> int:
-    if isinstance(e, Null):
-        return 0
-    if isinstance(e, Var):
+    if type(e) is Var:
         try:
             return env[e.name]
         except KeyError:
             raise OracleError(f"unbound variable {e.name}") from None
+    if isinstance(e, Null):
+        return 0
     raise OracleError(f"integer literal {e} in pointer position")
 
 
 def _data_val(e: Expr, env: Env) -> int:
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, Var):
+    if type(e) is Var:
         try:
             return env[e.name]
         except KeyError:
             raise OracleError(f"unbound variable {e.name}") from None
+    if isinstance(e, IntLit):
+        return e.value
     raise OracleError("null in arithmetic position")
 
 
@@ -156,7 +157,49 @@ def eval_pure_atom(a: PureAtom, env: Env) -> bool:
     raise TypeError(a)
 
 
+# A pure atom compiled for evaluation: a comparison and its two operands, each
+# a variable name or a constant. An atom holding a constant of the wrong kind
+# compiles to (None, atom, None) and is left to eval_pure_atom, which raises.
+Check = tuple
+
+_COMPARE = {PtrEq: operator.eq, PtrNeq: operator.ne, ArithEq: operator.eq, ArithLeq: operator.le}
+
+
+def _operand(e: Expr, ptr: bool) -> Optional[str | int]:
+    if type(e) is Var:
+        return e.name
+    if ptr:
+        return 0 if isinstance(e, Null) else None
+    return e.value if isinstance(e, IntLit) else None
+
+
+def _compile(a: PureAtom) -> Check:
+    ptr = isinstance(a, (PtrEq, PtrNeq))
+    lhs, rhs = _operand(a.lhs, ptr), _operand(a.rhs, ptr)
+    if lhs is None or rhs is None:
+        return (None, a, None)
+    return (_COMPARE[type(a)], lhs, rhs)
+
+
+def _all_hold(checks: list[Check], env: Env) -> bool:
+    """Are the compiled atoms true?  Every variable they name must be bound."""
+    for op, lhs, rhs in checks:
+        if op is None:
+            if not eval_pure_atom(lhs, env):
+                return False
+        elif not op(
+            env[lhs] if type(lhs) is str else lhs, env[rhs] if type(rhs) is str else rhs
+        ):
+            return False
+    return True
+
+
 # ------------------------------------------------------------------ satisfaction
+
+
+# Pending atoms of the cover check form an immutable cons list of
+# (atom, env, rest) triples, so a choice point keeps its continuation as is.
+Pending = Optional[tuple]
 
 
 def holds(
@@ -166,9 +209,10 @@ def holds(
     env = model.stack
     if not all(eval_pure_atom(a, env) for a in heap.pure):
         return False
-    hint = _data_hint(model, bound)
-    pending = [(a, env) for a in heap.spatial]
-    return _covers(dict(model.heap), pending, reg, hint)
+    pending: Pending = None
+    for a in reversed(heap.spatial):
+        pending = (a, env, pending)
+    return _covers(model, pending, reg, bound)
 
 
 def _data_hint(model: HeapModel, bound: Bound) -> tuple[int, ...]:
@@ -179,160 +223,118 @@ def _data_hint(model: HeapModel, bound: Bound) -> tuple[int, ...]:
     return tuple(sorted(vals))
 
 
-def _covers(
-    cells: dict[int, Cell],
-    pending: list[tuple[PointsTo | PredOcc, Env]],
-    reg: Registry,
-    hint: tuple[int, ...],
-) -> bool:
-    if not pending:
-        return not cells
-    atom, env = pending[0]
-    rest = pending[1:]
-    if isinstance(atom, PointsTo):
-        loc = _ptr_val(atom.root, env)
-        cell = cells.get(loc)
-        if loc == 0 or cell is None or cell.sort != atom.sort:
-            return False
-        decl = reg.sort_of(atom.sort)
-        for (_, ftype), e, v in zip(decl.fields, atom.fields, cell.values):
-            if _field_val(e, ftype, env) != v:
-                return False
-        return _covers({l: c for l, c in cells.items() if l != loc}, rest, reg, hint)
+def _covers(model: HeapModel, pending: Pending, reg: Registry, bound: Bound) -> bool:
+    """Do the pending atoms cover the model's heap exactly?
 
-    d = reg.pred(atom.pred)
-    rootv = _ptr_val(atom.root, env)
-    segv = _ptr_val(atom.args[d.seg_index], env)
-    if rootv == segv:
-        empty_ok = True
-        if d.has_order_pair():
-            si, ti = d.index_of_role(Role.SRC), d.index_of_role(Role.TGT)
-            empty_ok = _data_val(atom.args[si], env) == _data_val(atom.args[ti], env)
-        if empty_ok and _covers(cells, rest, reg, hint):
-            return True
-    cell = cells.get(rootv)
-    if (
-        rootv != segv
-        and rootv != 0
-        and cell is not None
-        and cell.sort == d.rec.head.sort
-    ):
-        benv: Env = {}
-        for p, a in zip(d.params, atom.args):
-            benv[p.name] = _ptr_val(a, env) if p.kind == "ptr" else _data_val(a, env)
-        decl = reg.sort_of(cell.sort)
-        ex = set(d.rec.exists)
+    An occurrence whose root equals its segment can only take its empty
+    branch and any other only its nonempty one, so the walk is a loop. Its
+    only choice points are existentials the head cell leaves unbound; their
+    alternatives wait on an explicit stack, and a failure resumes the latest
+    one after giving back the cells consumed since.
+    """
+    cells = model.heap
+    preds, sorts = reg.preds, reg.sorts
+    used: set[int] = set()
+    trail: list[int] = []  # consumed locations, in order
+    # (alternatives left, head bindings, plan, continuation, trail length)
+    choices: list[tuple[Iterator[Env], Env, CoverPlan, Pending, int]] = []
+    hint: Optional[tuple[int, ...]] = None
+    while True:
         ok = True
-        for (_, ftype), e, v in zip(decl.fields, d.rec.head.fields, cell.values):
-            if isinstance(e, Var) and e.name in ex and e.name not in benv:
-                benv[e.name] = v
-            elif _field_val(e, ftype, benv) != v:
+        while pending is not None:
+            atom, env, pending = pending
+            if type(atom) is PointsTo:
+                loc = _ptr_val(atom.root, env)
+                cell = cells.get(loc)
+                if loc == 0 or cell is None or loc in used or cell.sort != atom.sort:
+                    ok = False
+                    break
+                for (_, ftype), e, v in zip(sorts[atom.sort].fields, atom.fields, cell.values):
+                    if _field_val(e, ftype, env) != v:
+                        ok = False
+                        break
+                if not ok:
+                    break
+                used.add(loc)
+                trail.append(loc)
+                continue
+
+            d = preds[atom.pred]
+            plan = d.plan
+            args = atom.args
+            rootv = _ptr_val(args[0], env)
+            if rootv == _ptr_val(args[plan.seg], env):
+                if plan.src is not None and _data_val(args[plan.src], env) != _data_val(
+                    args[plan.tgt], env
+                ):
+                    ok = False
+                    break
+                continue
+            cell = cells.get(rootv)
+            if rootv == 0 or cell is None or rootv in used or cell.sort != plan.sort:
                 ok = False
                 break
-        if ok:
-            for ext in _ex_choices(d, reg, benv, hint):
-                env2 = benv | ext
-                side = ([] if d.rec.order is None else [d.rec.order]) + list(d.rec.arith)
-                if not all(eval_pure_atom(a, env2) for a in side):
-                    continue
-                sub = [(m, env2) for m in d.rec.matrix] + [(d.rec.rec, env2)]
-                cells2 = {l: c for l, c in cells.items() if l != rootv}
-                if _covers(cells2, sub + rest, reg, hint):
-                    return True
-    return False
+            benv: Env = {}
+            for (name, is_ptr), a in zip(plan.params, args):
+                if type(a) is Var and a.name in env:
+                    benv[name] = env[a.name]
+                else:
+                    benv[name] = _ptr_val(a, env) if is_ptr else _data_val(a, env)
+            for (_, ftype), (e, name), v in zip(sorts[plan.sort].fields, plan.head, cell.values):
+                if name is not None:
+                    benv[name] = v
+                elif _field_val(e, ftype, benv) != v:
+                    ok = False
+                    break
+            if not ok:
+                break
+            used.add(rootv)
+            trail.append(rootv)
+            if plan.unbound:
+                if hint is None:
+                    hint = _data_hint(model, bound)
+                alts = _ex_choices(d, reg, hint)
+                choices.append((alts, benv, plan, pending, len(trail)))
+                ok = False  # the first alternative is taken below
+                break
+            for a in plan.side:
+                if not eval_pure_atom(a, benv):
+                    ok = False
+                    break
+            if not ok:
+                break
+            for m in plan.pushed:
+                pending = (m, benv, pending)
+        if ok and len(used) == len(cells):
+            return True
+
+        while True:
+            if not choices:
+                return False
+            alts, benv, plan, rest, mark = choices[-1]
+            used.difference_update(trail[mark:])
+            del trail[mark:]
+            ext = next(alts, None)
+            if ext is None:
+                choices.pop()
+                continue
+            env2 = benv | ext
+            if all(eval_pure_atom(a, env2) for a in plan.side):
+                pending = rest
+                for m in plan.pushed:
+                    pending = (m, env2, pending)
+                break
 
 
-def _ex_choices(
-    d: InductiveDef, reg: Registry, benv: Env, hint: tuple[int, ...]
-) -> Iterator[Env]:
-    unbound = [w for w in d.rec.exists if w not in benv]
-    if not unbound:
-        yield {}
-        return
+def _ex_choices(d: InductiveDef, reg: Registry, hint: tuple[int, ...]) -> Iterator[Env]:
+    """Every assignment of hint values to the existentials no head field binds."""
+    unbound = d.plan.unbound
     kinds = existential_kinds(d, reg)
     for w in unbound:
         if kinds.get(w, "int") != "int":
             raise OracleError(f"{d.name}: existential {w} not determined by head cell")
     for combo in itertools.product(hint, repeat=len(unbound)):
         yield dict(zip(unbound, combo))
-
-
-# -------------------------------------------------------------- one-step bases
-
-
-def base_of(
-    heap: SymbolicHeap, reg: Registry, fresh: Optional[FreshNames] = None
-) -> SymbolicHeap:
-    """Replace each occurrence by its minimal nonempty materialization.
-
-    The head cell is emitted with the recursive root replaced by the segment
-    argument and the inner order source by the target; matrix occurrences are
-    materialized the same way, except that a matrix occurrence of a predicate
-    already being materialized takes its empty branch (its root collapses to
-    its own segment argument), which keeps the construction finite.
-    """
-    fresh = fresh or FreshNames()
-    spatial: list[PointsTo] = []
-    extra: list[PureAtom] = []
-    for atom in heap.spatial:
-        if isinstance(atom, PointsTo):
-            spatial.append(atom)
-        else:
-            _materialize(atom, reg, fresh, spatial, extra, frozenset())
-    out = SymbolicHeap(tuple(spatial), heap.pure)
-    return out.add_pure(extra)
-
-
-def _materialize(
-    occ: PredOcc,
-    reg: Registry,
-    fresh: FreshNames,
-    spatial: list[PointsTo],
-    pure: list[PureAtom],
-    active: frozenset[str],
-) -> None:
-    d = reg.pred(occ.pred)
-    sub: dict[str, Expr] = dict(zip(d.param_names(), occ.args))
-    rec_root = d.rec.rec.root
-    assert isinstance(rec_root, Var)
-    src_ex = d.src_existential()
-    matrix_roots = {m.root.name for m in d.rec.matrix if isinstance(m.root, Var)}
-    sub[rec_root.name] = occ.args[d.seg_index]
-    if src_ex is not None:
-        ti = d.index_of_role(Role.TGT)
-        sub[src_ex] = occ.args[ti]
-    for w in d.rec.exists:
-        if w not in sub and w not in matrix_roots:
-            sub[w] = Var(fresh.make(w))
-    cyclic = [m for m in d.rec.matrix if m.pred in active or m.pred == d.name]
-    for m in d.rec.matrix:
-        root = m.root
-        assert isinstance(root, Var)
-        if root.name in sub:
-            continue
-        if m in cyclic:
-            target = reg.pred(m.pred)
-            seg_arg = m.args[target.seg_index]
-            if isinstance(seg_arg, Var) and seg_arg.name in matrix_roots:
-                seg_arg = Var(fresh.make(root.name))  # unresolvable chain
-            sub[root.name] = subst_expr(seg_arg, sub)
-        else:
-            sub[root.name] = Var(fresh.make(root.name))
-
-    spatial.append(d.rec.head.subst(sub))
-    pure.append(PtrNeq(occ.root, occ.args[d.seg_index]))
-    if d.rec.order is not None:
-        pure.append(subst_atom(d.rec.order, sub))
-    pure.extend(subst_atom(a, sub) for a in d.rec.arith)
-    for m in d.rec.matrix:
-        mi = m.subst(sub)
-        target = reg.pred(m.pred)
-        if m in cyclic:
-            if target.has_order_pair():
-                si, ti = target.index_of_role(Role.SRC), target.index_of_role(Role.TGT)
-                pure.append(ArithEq(mi.args[si], mi.args[ti]))
-        else:
-            _materialize(mi, reg, fresh, spatial, pure, active | {d.name})
 
 
 def bad_model(heap: SymbolicHeap, reg: Registry) -> HeapModel:
@@ -414,29 +416,65 @@ def models_of(
     stack_names = tuple(sorted(heap.fv()))
     seen: set[tuple] = set()
     for cells, pure_atoms in _expand(heap, reg, bound, fresh):
-        variant = SymbolicHeap(cells, pure_atoms)
-        kinds = _kind_walk(variant, reg)
+        kinds = _kind_walk(SymbolicHeap(cells, pure_atoms), reg)
+        if _refuted(pure_atoms):
+            continue
+        layout = [
+            (i + 1, c.sort, tuple(zip(reg.sort_of(c.sort).fields, c.fields)))
+            for i, c in enumerate(cells)
+        ]
+        ptr_vars = frozenset(n for n in stack_names if kinds.get(n) == "ptr")
         for env in _assignments(cells, pure_atoms, stack_names, kinds, bound):
-            hp: dict[int, Cell] = {}
-            for i, c in enumerate(cells):
-                decl = reg.sort_of(c.sort)
-                hp[i + 1] = Cell(
-                    c.sort,
-                    tuple(
-                        _field_val(e, ftype, env)
-                        for (_, ftype), e in zip(decl.fields, c.fields)
-                    ),
-                )
-            stack = {n: env[n] for n in stack_names}
-            ptr_vars = frozenset(n for n in stack_names if kinds.get(n) == "ptr")
-            model = HeapModel(stack, hp, ptr_vars)
-            key = model.key()
+            hp = tuple(
+                (loc, sort, tuple([_field_val(e, ftype, env) for (_, ftype), e in fields]))
+                for loc, sort, fields in layout
+            )
+            stack = tuple([(n, env[n]) for n in stack_names])
+            key = (stack, hp)  # HeapModel.key() of the model below
             if key in seen:
                 continue
             seen.add(key)
+            model = HeapModel(
+                dict(stack), {loc: Cell(sort, vals) for loc, sort, vals in hp}, ptr_vars
+            )
             if self_check and not holds(model, heap, reg, bound):
                 raise OracleError("enumerator produced a non-model")
             yield model
+
+
+def _refuted(pure_atoms: tuple[PureAtom, ...]) -> bool:
+    """Do the equalities alone force together the two sides of a
+    disequality, or two distinct constants?
+
+    Order atoms are left out. A constant of the wrong kind (an integer in a
+    pointer atom, null in an arithmetic one) answers False, because
+    evaluating that atom raises and skipping its variant would hide it.
+    """
+    for a in pure_atoms:
+        wrong = IntLit if isinstance(a, (PtrEq, PtrNeq)) else Null
+        if isinstance(a.lhs, wrong) or isinstance(a.rhs, wrong):
+            return False
+    parent: dict[Expr, Expr] = {}
+
+    def find(e: Expr) -> Expr:
+        while e in parent:
+            e = parent[e]
+        return e
+
+    for a in pure_atoms:
+        if isinstance(a, (PtrEq, ArithEq)):
+            r1, r2 = find(a.lhs), find(a.rhs)
+            if r1 != r2:
+                parent[r1] = r2
+    constant: dict[Expr, Expr] = {}
+    for a in pure_atoms:
+        if isinstance(a, PtrNeq) and find(a.lhs) == find(a.rhs):
+            return True
+        if isinstance(a, (PtrEq, ArithEq)):
+            for e in (a.lhs, a.rhs):
+                if not isinstance(e, Var) and constant.setdefault(find(e), e) != e:
+                    return True
+    return False
 
 
 def _expand(
@@ -480,6 +518,13 @@ def _assignments(
     kinds: dict[str, Kind],
     bound: Bound,
 ) -> Iterator[Env]:
+    """Every satisfying stack, as one dict updated in place between yields.
+
+    Cell roots take locations 1..n in order. The remaining variables are
+    assigned in first-use order by an odometer; a pointer variable ranges
+    over null, the cells and the next unused fresh location, and an atom is
+    checked as soon as its last variable is assigned.
+    """
     env: Env = {}
     n = len(cells)
     for i, c in enumerate(cells):
@@ -507,38 +552,59 @@ def _assignments(
             order.append(nm)
 
     pos = {nm: i for i, nm in enumerate(order)}
-    ready: list[list[PureAtom]] = [[] for _ in range(len(order) + 1)]
+    ready: list[list[Check]] = [[] for _ in range(len(order) + 1)]
     for a in pure_atoms:
         slot = 0
         for e in (a.lhs, a.rhs):
             if isinstance(e, Var) and e.name in pos:
                 slot = max(slot, pos[e.name] + 1)
-        ready[slot].append(a)
-    if not all(eval_pure_atom(a, env) for a in ready[0]):
+        ready[slot].append(_compile(a))
+    if not _all_hold(ready[0], env):
+        return
+    depth = len(order)
+    if depth == 0:
+        yield env
         return
 
     data_domain = tuple(bound.data_range())
-
-    def bt(i: int, used_fresh: int) -> Iterator[Env]:
-        if i == len(order):
-            yield dict(env)
-            return
-        name = order[i]
-        if kinds.get(name, "ptr") == "int":
-            domain: tuple[int, ...] = data_domain
-        else:
-            dom = list(range(n + 1))
-            top = min(n + used_fresh + 1, bound.max_locs)
-            dom.extend(range(n + 1, top + 1))
-            domain = tuple(dom)
-        for v in domain:
-            env[name] = v
-            uf = used_fresh + (1 if v == n + used_fresh + 1 else 0)
-            if all(eval_pure_atom(a, env) for a in ready[i + 1]):
-                yield from bt(i + 1, uf)
-        del env[name]
-
-    yield from bt(0, 0)
+    # Pointer domains by the number of fresh locations used so far.
+    ptr_domains = [
+        tuple(range(max(n, min(n + used + 1, bound.max_locs)) + 1))
+        for used in range(depth + 1)
+    ]
+    is_int = [kinds.get(nm, "ptr") == "int" for nm in order]
+    # Per level: the values left to try, and the fresh count on entry.
+    # A value equal to the next fresh location advances the count even when
+    # it is data; the canonical model order depends on that.
+    domains: list[tuple[int, ...]] = [data_domain if is_int[0] else ptr_domains[0]]
+    nexts = [0]
+    fresh_in = [0]
+    i = 0
+    while True:
+        k = nexts[i]
+        if k == len(domains[i]):
+            if i == 0:
+                return
+            domains.pop()
+            nexts.pop()
+            fresh_in.pop()
+            i -= 1
+            continue
+        nexts[i] = k + 1
+        v = domains[i][k]
+        env[order[i]] = v
+        used = fresh_in[i]
+        if v == n + used + 1:
+            used += 1
+        if not _all_hold(ready[i + 1], env):
+            continue
+        if i + 1 == depth:
+            yield env
+            continue
+        i += 1
+        domains.append(data_domain if is_int[i] else ptr_domains[used])
+        nexts.append(0)
+        fresh_in.append(used)
 
 
 # -------------------------------------------------------------------- verdicts

@@ -239,9 +239,6 @@ class SymbolicHeap:
             out |= atom_vars(p)
         return out
 
-    def roots(self) -> tuple[Expr, ...]:
-        return tuple(a.root for a in self.spatial)
-
     def has_pure(self, atom: PureAtom) -> bool:
         return atom in frozenset(self.pure)
 

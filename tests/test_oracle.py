@@ -2,36 +2,50 @@
 
 Model counts and counter-models asserted here were produced by this oracle
 and frozen; they pin the enumeration order and the canonical location
-naming, so regressions in either show up as count or witness drift.
+naming, so regressions in either show up as count or witness drift.  The
+recursive satisfaction check and backtracking enumerator at the end of the
+module are the straightforward reading of the semantics; the oracle's
+iterative versions must agree with them model for model.
 """
+
+import itertools
 
 import pytest
 
+from conftest import parse_query
+from suite_cases import SUITE
+from sepent import oracle
+from sepent.defs import Role, base_of, existential_kinds
 from sepent.oracle import (
     Bound,
     Cell,
     HeapModel,
     OracleError,
     bad_model,
-    base_of,
     confirm_countermodel,
     holds,
     models_of,
     oracle_entails,
 )
+from sepent.parser import parse_native
 from sepent.syntax import (
+    ArithEq,
     ArithLeq,
     Entailment,
+    FreshNames,
     IntLit,
     NULL,
+    Null,
     PointsTo,
     PredOcc,
+    PtrEq,
     PtrNeq,
     SymbolicHeap,
     Var,
 )
 
 x, y, B, mi, ma, b = Var("x"), Var("y"), Var("B"), Var("mi"), Var("ma"), Var("b")
+a_ = Var("a")
 
 
 def heap(spatial, pure=()):
@@ -85,6 +99,16 @@ def test_tree_satisfaction(registry):
 def test_unfold_annotation_is_ignored(registry):
     m = HeapModel({"x": 1}, {1: Cell("c1", (0,))}, frozenset({"x"}))
     assert holds(m, heap([PredOcc("ll", (x, NULL), unfold=7)]), registry)
+
+
+def test_deep_list_model(registry):
+    # far deeper than the interpreter's recursion limit
+    n = 5000
+    cells = {i: Cell("c1", (i + 1 if i < n else 0,)) for i in range(1, n + 1)}
+    m = HeapModel({"x": 1}, cells, frozenset({"x"}))
+    assert holds(m, heap([PredOcc("ll", (x, NULL))]), registry)
+    del cells[n // 2]
+    assert not holds(m, heap([PredOcc("ll", (x, NULL))]), registry)
 
 
 # ------------------------------------------------------------------ base_of
@@ -222,6 +246,51 @@ def test_enumeration_is_deterministic(registry):
     assert first == second
 
 
+@pytest.mark.parametrize(
+    "atoms,refuted",
+    [
+        ((PtrEq(x, y), PtrNeq(x, y)), True),
+        ((PtrEq(x, NULL), PtrEq(y, x), PtrNeq(y, NULL)), True),
+        ((ArithEq(a_, IntLit(1)), ArithEq(a_, IntLit(2))), True),
+        ((PtrNeq(x, x),), True),
+        ((ArithLeq(a_, b), ArithLeq(b, a_), PtrNeq(a_, b)), False),
+        ((ArithEq(a_, IntLit(1)), ArithLeq(a_, IntLit(0))), False),
+        ((PtrEq(x, y), PtrNeq(x, y), PtrEq(x, IntLit(1))), False),
+        ((PtrEq(x, y), PtrNeq(x, y), ArithLeq(a_, NULL)), False),
+    ],
+    ids=[
+        "eq-neq",
+        "null-chain",
+        "two-constants",
+        "self-neq",
+        "order-only",
+        "leq-ignored",
+        "int-in-ptr-atom",
+        "null-in-arith-atom",
+    ],
+)
+def test_refuted_variants(atoms, refuted):
+    assert oracle._refuted(atoms) is refuted
+
+
+def test_ill_kinded_atom_still_raises(registry):
+    h = heap([], [PtrEq(x, y), PtrNeq(x, y), PtrEq(x, IntLit(1))])
+    with pytest.raises(OracleError, match="integer literal 1 in pointer position"):
+        list(models_of(h, registry))
+
+
+def test_tree_premise_with_contradicted_segment(registry):
+    # 25 of the 37 unfoldings of the premise contradict a disequality, 22 of
+    # them through v=y against y!=v; the oracle must not enumerate them
+    e = parse_query(
+        "lls(v, y, b, b) * tree(w, z) /\\ b<=2 /\\ w!=null /\\ y!=v /\\ z!=w"
+        " /\\ w!=y /\\ v!=null /\\ b<=3 |- z->c1(w)"
+    )
+    v = oracle_entails(e, registry, Bound(3, 4))
+    assert not v.bounded_valid
+    assert confirm_countermodel(v.counter, e, registry, Bound(3, 4))
+
+
 # ------------------------------------------------------------------ entailment
 
 
@@ -284,3 +353,283 @@ def test_invalidity_persists_at_larger_bound(registry):
     large = oracle_entails(e, registry, Bound(max_unfold=5, max_locs=6))
     assert not small.bounded_valid and not large.bounded_valid
     assert confirm_countermodel(small.counter, e, registry)
+
+
+# ------------------------------------------------- reference implementations
+#
+# The oracle's earlier recursive satisfaction check and backtracking
+# enumerator, kept verbatim as the specification the iterative ones must
+# match: the same verdicts, the same errors and the same models in the same
+# order.
+
+
+def _ref_ptr_val(e, env):
+    if isinstance(e, Null):
+        return 0
+    if isinstance(e, Var):
+        try:
+            return env[e.name]
+        except KeyError:
+            raise OracleError(f"unbound variable {e.name}") from None
+    raise OracleError(f"integer literal {e} in pointer position")
+
+
+def _ref_data_val(e, env):
+    if isinstance(e, IntLit):
+        return e.value
+    if isinstance(e, Var):
+        try:
+            return env[e.name]
+        except KeyError:
+            raise OracleError(f"unbound variable {e.name}") from None
+    raise OracleError("null in arithmetic position")
+
+
+def _ref_field_val(e, ftype, env):
+    return _ref_data_val(e, env) if ftype == "int" else _ref_ptr_val(e, env)
+
+
+def _ref_eval(a, env):
+    if isinstance(a, PtrEq):
+        return _ref_ptr_val(a.lhs, env) == _ref_ptr_val(a.rhs, env)
+    if isinstance(a, PtrNeq):
+        return _ref_ptr_val(a.lhs, env) != _ref_ptr_val(a.rhs, env)
+    if isinstance(a, ArithEq):
+        return _ref_data_val(a.lhs, env) == _ref_data_val(a.rhs, env)
+    if isinstance(a, ArithLeq):
+        return _ref_data_val(a.lhs, env) <= _ref_data_val(a.rhs, env)
+    raise TypeError(a)
+
+
+def ref_holds(model, heap, reg, bound=oracle.DEFAULT_BOUND):
+    env = model.stack
+    if not all(_ref_eval(a, env) for a in heap.pure):
+        return False
+    vals = set(bound.data_range())
+    vals.update(model.stack.values())
+    for c in model.heap.values():
+        vals.update(c.values)
+    hint = tuple(sorted(vals))
+    pending = [(a, env) for a in heap.spatial]
+    return _ref_covers(dict(model.heap), pending, reg, hint)
+
+
+def _ref_covers(cells, pending, reg, hint):
+    if not pending:
+        return not cells
+    atom, env = pending[0]
+    rest = pending[1:]
+    if isinstance(atom, PointsTo):
+        loc = _ref_ptr_val(atom.root, env)
+        cell = cells.get(loc)
+        if loc == 0 or cell is None or cell.sort != atom.sort:
+            return False
+        decl = reg.sort_of(atom.sort)
+        for (_, ftype), e, v in zip(decl.fields, atom.fields, cell.values):
+            if _ref_field_val(e, ftype, env) != v:
+                return False
+        return _ref_covers({l: c for l, c in cells.items() if l != loc}, rest, reg, hint)
+
+    d = reg.pred(atom.pred)
+    rootv = _ref_ptr_val(atom.root, env)
+    segv = _ref_ptr_val(atom.args[d.seg_index], env)
+    if rootv == segv:
+        empty_ok = True
+        if d.has_order_pair():
+            si, ti = d.index_of_role(Role.SRC), d.index_of_role(Role.TGT)
+            empty_ok = _ref_data_val(atom.args[si], env) == _ref_data_val(atom.args[ti], env)
+        if empty_ok and _ref_covers(cells, rest, reg, hint):
+            return True
+    cell = cells.get(rootv)
+    if rootv != segv and rootv != 0 and cell is not None and cell.sort == d.rec.head.sort:
+        benv = {}
+        for p, a in zip(d.params, atom.args):
+            benv[p.name] = _ref_ptr_val(a, env) if p.kind == "ptr" else _ref_data_val(a, env)
+        decl = reg.sort_of(cell.sort)
+        ex = set(d.rec.exists)
+        ok = True
+        for (_, ftype), e, v in zip(decl.fields, d.rec.head.fields, cell.values):
+            if isinstance(e, Var) and e.name in ex and e.name not in benv:
+                benv[e.name] = v
+            elif _ref_field_val(e, ftype, benv) != v:
+                ok = False
+                break
+        if ok:
+            for ext in _ref_ex_choices(d, reg, benv, hint):
+                env2 = benv | ext
+                side = ([] if d.rec.order is None else [d.rec.order]) + list(d.rec.arith)
+                if not all(_ref_eval(a, env2) for a in side):
+                    continue
+                sub = [(m, env2) for m in d.rec.matrix] + [(d.rec.rec, env2)]
+                cells2 = {l: c for l, c in cells.items() if l != rootv}
+                if _ref_covers(cells2, sub + rest, reg, hint):
+                    return True
+    return False
+
+
+def _ref_ex_choices(d, reg, benv, hint):
+    unbound = [w for w in d.rec.exists if w not in benv]
+    if not unbound:
+        yield {}
+        return
+    kinds = existential_kinds(d, reg)
+    for w in unbound:
+        if kinds.get(w, "int") != "int":
+            raise OracleError(f"{d.name}: existential {w} not determined by head cell")
+    for combo in itertools.product(hint, repeat=len(unbound)):
+        yield dict(zip(unbound, combo))
+
+
+def ref_models_of(heap, reg, bound):
+    stack_names = tuple(sorted(heap.fv()))
+    seen = set()
+    for cells, pure_atoms in oracle._expand(heap, reg, bound, FreshNames()):
+        kinds = oracle._kind_walk(SymbolicHeap(cells, pure_atoms), reg)
+        for env in _ref_assignments(cells, pure_atoms, stack_names, kinds, bound):
+            hp = {}
+            for i, c in enumerate(cells):
+                decl = reg.sort_of(c.sort)
+                hp[i + 1] = Cell(
+                    c.sort,
+                    tuple(
+                        _ref_field_val(e, ftype, env)
+                        for (_, ftype), e in zip(decl.fields, c.fields)
+                    ),
+                )
+            stack = {n: env[n] for n in stack_names}
+            ptr_vars = frozenset(n for n in stack_names if kinds.get(n) == "ptr")
+            model = HeapModel(stack, hp, ptr_vars)
+            key = model.key()
+            if key in seen:
+                continue
+            seen.add(key)
+            yield model
+
+
+def _ref_assignments(cells, pure_atoms, stack_names, kinds, bound):
+    env = {}
+    n = len(cells)
+    for i, c in enumerate(cells):
+        if not isinstance(c.root, Var) or c.root.name in env:
+            return
+        env[c.root.name] = i + 1
+
+    order = []
+    placed = set(env)
+
+    def add(e):
+        if isinstance(e, Var) and e.name not in placed:
+            placed.add(e.name)
+            order.append(e.name)
+
+    for c in cells:
+        for e in c.fields:
+            add(e)
+    for a in pure_atoms:
+        add(a.lhs)
+        add(a.rhs)
+    for nm in stack_names:
+        if nm not in placed:
+            placed.add(nm)
+            order.append(nm)
+
+    pos = {nm: i for i, nm in enumerate(order)}
+    ready = [[] for _ in range(len(order) + 1)]
+    for a in pure_atoms:
+        slot = 0
+        for e in (a.lhs, a.rhs):
+            if isinstance(e, Var) and e.name in pos:
+                slot = max(slot, pos[e.name] + 1)
+        ready[slot].append(a)
+    if not all(_ref_eval(a, env) for a in ready[0]):
+        return
+
+    data_domain = tuple(bound.data_range())
+
+    def bt(i, used_fresh):
+        if i == len(order):
+            yield dict(env)
+            return
+        name = order[i]
+        if kinds.get(name, "ptr") == "int":
+            domain = data_domain
+        else:
+            dom = list(range(n + 1))
+            top = min(n + used_fresh + 1, bound.max_locs)
+            dom.extend(range(n + 1, top + 1))
+            domain = tuple(dom)
+        for v in domain:
+            env[name] = v
+            uf = used_fresh + (1 if v == n + used_fresh + 1 else 0)
+            if all(_ref_eval(a, env) for a in ready[i + 1]):
+                yield from bt(i + 1, uf)
+        del env[name]
+
+    yield from bt(0, 0)
+
+
+# ------------------------------------------------ agreement with the reference
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except OracleError as e:
+        return ("OracleError", str(e))
+
+
+def _assert_agrees(ent, reg, bound):
+    """Same model sequence on each side, same holds verdict of every model
+    of either side against each side."""
+    models = []
+    for side in (ent.lhs, ent.rhs):
+        got = _outcome(lambda: [m.key() for m in models_of(side, reg, bound)])
+        want = _outcome(lambda: list(ref_models_of(side, reg, bound)))
+        if isinstance(want, list):
+            assert got == [m.key() for m in want]
+            models.extend(want)
+        else:
+            assert got == want
+    for m in models:
+        for side in (ent.lhs, ent.rhs):
+            assert _outcome(lambda: holds(m, side, reg, bound)) == _outcome(
+                lambda: ref_holds(m, side, reg, bound)
+            )
+    return models
+
+
+SMALL = Bound(3, 3, -1, 3)
+
+
+@pytest.mark.parametrize("case", SUITE, ids=[c[0] for c in SUITE])
+def test_suite_agrees_with_reference(registry, case):
+    _, sequent, _ = case
+    _assert_agrees(parse_query(sequent), registry, SMALL)
+
+
+# A sorted list over one-field cells: the order source m1 is no head field,
+# so every nonempty step chooses its value among the data hint.
+LSX = """\
+data c1 { c1 next; }
+
+pred lsx(root r, seg F, src mi, tgt ma) :=
+     emp /\\ r=F /\\ mi=ma
+  \\/ exists X, m1. r->c1(X) * lsx(X, F, m1, ma) /\\ r!=F /\\ mi<=m1;
+"""
+
+
+@pytest.mark.parametrize(
+    "sequent",
+    [
+        "lsx(x, null, mi, ma) |- lsx(x, null, mi, ma) /\\ mi<=ma",
+        "x->c1(y) * y->c1(null) |- lsx(x, null, 1, 2)",
+        "lsx(x, y, 0, 2) * y->c1(null) |- lsx(x, null, 0, 2)",
+        "lsx(x, y, a, b) * lsx(y, null, b, c) |- lsx(x, null, a, c)",
+    ],
+)
+def test_unbound_existential_agrees_with_reference(sequent):
+    pf = parse_native(LSX + f"\ncheck {sequent}\n")
+    assert pf.registry.pred("lsx").plan.unbound == ("m1",)
+    models = _assert_agrees(pf.query, pf.registry, SMALL)
+    assert models
+    assert any(ref_holds(m, pf.query.rhs, pf.registry, SMALL) for m in models)
