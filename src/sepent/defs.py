@@ -379,15 +379,6 @@ def rec_instance(
 SpatialAtom = PointsTo | PredOcc
 
 
-def unfold(
-    occ: PredOcc, reg: Registry, fresh: FreshNames
-) -> tuple[tuple[PureAtom, ...], tuple[tuple[SpatialAtom, ...], tuple[PureAtom, ...]]]:
-    """Both branches of an occurrence: (base pure, (rec spatial, rec pure))."""
-    d = reg.pred(occ.pred)
-    spatial, pure, _ = rec_instance(occ, d, fresh)
-    return base_instance(occ, d), (spatial, pure)
-
-
 def guard_of(atom: SpatialAtom, reg: Registry) -> Optional[PureAtom]:
     """Guard formula: true (None) for cells, root != seg for occurrences."""
     if isinstance(atom, PointsTo):

@@ -1,13 +1,22 @@
 """Cyclic entailment prover.
 
 The search keeps a single proof tree and repeatedly inspects its leftmost
-open leaf.  A leaf is first rewritten towards normal form one step at a
-time, then closed by an axiom, reported stuck through one of the four
-invalidity cases, or expanded by a reduction.  Before a selected rule is
-applied the engine tries to link the leaf back to a structurally identical
-ancestor under a renaming of proof-fresh variables; the resulting cyclic
-structure is re-verified by an independent pass that follows one predicate
-occurrence along every cycle and demands that it was unfolded on the way.
+open leaf.  One selector, `_select`, decides what happens there, always in
+this order:
+
+1. a normalization step (=L, Subst, LBase, NeqNull, NeqStar, ExM);
+2. an axiom (Inconsistency, Emp, Id);
+3. a stuck check, reporting invalidity case 2b, 2c or 2d;
+4. a reduction (=R, RBase, Hypothesis, RInd, Frame, Star, LInd);
+5. a case split (ExM) on an undecided pair of a right occurrence;
+6. otherwise stuck case 2a.
+
+The order fixes the rule at every leaf, so the search never backtracks.
+Before a selected rule is applied the engine tries to link the leaf back to
+a structurally identical ancestor under a renaming of proof-fresh
+variables; the resulting cyclic structure is re-verified by an independent
+pass that follows one predicate occurrence along every cycle and demands
+that it was unfolded on the way.
 
 Invalid verdicts at stuck leaves come with a concrete countermodel whenever
 the leaf shape guarantees one; the model is rebuilt bottom-up through the
@@ -31,9 +40,10 @@ from .defs import (
     rec_instance,
 )
 from .normalize import lbase_site, normalize_step, subst_site
-from .oracle import Cell, HeapModel, bad_model, holds, kinds_of
+from .oracle import Cell, HeapModel, OracleError, holds, kinds_of
 from .syntax import (
     ArithEq,
+    ArithLeq,
     Entailment,
     Expr,
     FreshNames,
@@ -433,10 +443,8 @@ def _star(ent: Entailment, reg: Registry, fresh: FreshNames) -> Optional[RuleCho
         return None
     if not SymbolicHeap(kp, ent.rhs.pure).fv() <= fv_k:
         return None
-    p1 = Entailment(SymbolicHeap(k1, ent.lhs.pure), SymbolicHeap(k2), k)
-    p2 = Entailment(
-        SymbolicHeap(k, ent.lhs.pure), SymbolicHeap(kp, ent.rhs.pure), k1
-    )
+    p1 = Entailment(SymbolicHeap(k1, ent.lhs.pure), SymbolicHeap(k2))
+    p2 = Entailment(SymbolicHeap(k, ent.lhs.pure), SymbolicHeap(kp, ent.rhs.pure))
     n = len(ent.lhs.spatial)
     fwd1: list[Optional[int]] = [None] * n
     for rank, i in enumerate(li):
@@ -488,7 +496,7 @@ def _rhs_exm(ent: Entailment, reg: Registry, fresh: FreshNames) -> Optional[Rule
     return None
 
 
-_REDUCTIONS = (_eq_r, _rbase, _hypothesis, _rind, _frame, _star, _lind)
+_REDUCTIONS = (_eq_r, _rbase, _hypothesis, _rind, _frame, _star, _lind, _rhs_exm)
 
 
 def _norm_choice(ent: Entailment, reg: Registry) -> Optional[RuleChoice]:
@@ -515,20 +523,26 @@ def _norm_choice(ent: Entailment, reg: Registry) -> Optional[RuleChoice]:
     return RuleChoice(label, tuple(premises), edges)
 
 
-def _choose(ent: Entailment, reg: Registry, fresh: FreshNames) -> Optional[RuleChoice]:
-    """Rule selection order: normalization, axioms, reductions, and a final
-    case split enabling the right-side base cases."""
+def _select(
+    ent: Entailment, reg: Registry, fresh: FreshNames
+) -> Union[RuleChoice, str]:
+    """The rule the search applies at a leaf, or the leaf's stuck case:
+    normalization, axioms, stuck cases 2b-2d, reductions ending with the
+    right-side case split, and otherwise 2a."""
     choice = _norm_choice(ent, reg)
     if choice is not None:
         return choice
     choice = _axiom(ent, reg)
     if choice is not None:
         return choice
+    case = _stuck_case(ent, reg)
+    if case is not None:
+        return case
     for fn in _REDUCTIONS:
         choice = fn(ent, reg, fresh)
         if choice is not None:
             return choice
-    return _rhs_exm(ent, reg, fresh)
+    return "2a"
 
 
 # ------------------------------------------------------------------ is_closed
@@ -545,24 +559,8 @@ def is_closed(tree: ProofTree, reg: Registry) -> IsClosedResult:
     leaf = tree.open_leaf()
     if leaf is None:
         return "valid", None
-    ent = leaf.ent
-    choice = _norm_choice(ent, reg)
-    if choice is not None:
-        return "unknown", (leaf.id, choice)
-    choice = _axiom(ent, reg)
-    if choice is not None:
-        return "unknown", (leaf.id, choice)
-    case = _stuck_case(ent, reg)
-    if case is not None:
-        return "invalid", (leaf.id, case)
-    for fn in _REDUCTIONS:
-        choice = fn(ent, reg, tree.fresh)
-        if choice is not None:
-            return "unknown", (leaf.id, choice)
-    choice = _rhs_exm(ent, reg, tree.fresh)
-    if choice is not None:
-        return "unknown", (leaf.id, choice)
-    return "invalid", (leaf.id, "2a")
+    choice = _select(leaf.ent, reg, tree.fresh)
+    return ("invalid" if isinstance(choice, str) else "unknown"), (leaf.id, choice)
 
 
 # ------------------------------------------------------------------ expansion
@@ -585,16 +583,17 @@ def apply_rule(
 ) -> list[Entailment]:
     """Apply the named rule at an open leaf, growing the tree in place.
 
-    The rule must be the one the selection strategy picks there; anything
-    else fails its side conditions by definition of the strategy.
+    The rule must be the one the search selects there; anything else,
+    and any rule at a stuck leaf, fails its side conditions by definition
+    of the strategy.
     """
     node = tree.node(leaf_id)
     if node.status != "open" or not node.is_leaf():
         raise SideConditionFailed(f"node {leaf_id} is not an open leaf")
     label = rule.label if isinstance(rule, RuleChoice) else str(rule)
-    choice = _choose(node.ent, reg, tree.fresh)
-    if choice is None:
-        raise SideConditionFailed(f"no rule applies at node {leaf_id}")
+    choice = _select(node.ent, reg, tree.fresh)
+    if isinstance(choice, str):
+        raise SideConditionFailed(f"node {leaf_id} is stuck (case {choice})")
     if choice.label != label:
         raise SideConditionFailed(
             f"{label} does not apply at node {leaf_id}; selection is {choice.label}"
@@ -787,6 +786,41 @@ def check_cyclic_soundness(tree: ProofTree, reg: Registry) -> list[str]:
 # ------------------------------------------------------- countermodel lifting
 
 
+def _val(e: Expr, stack: dict[str, int]) -> int:
+    """Value of a term on a stack: null is location 0."""
+    if isinstance(e, Null):
+        return 0
+    if isinstance(e, IntLit):
+        return e.value
+    return stack[e.name]
+
+
+def bad_model(heap: SymbolicHeap, reg: Registry) -> HeapModel:
+    """A concrete model of a base formula in normal form: pointer variables
+    get pairwise-distinct non-null locations (modulo nothing: NF has no
+    equalities), data variables get a satisfying assignment."""
+    if any(isinstance(a, PredOcc) for a in heap.spatial):
+        raise OracleError("bad_model needs a base formula")
+    kinds = kinds_of(heap, reg)
+    ptr_names = tuple(sorted(n for n, k in kinds.items() if k == "ptr"))
+    int_names = tuple(sorted(n for n, k in kinds.items() if k == "int"))
+    ptr_atoms = tuple(a for a in heap.pure if isinstance(a, (PtrEq, PtrNeq)))
+    arith_atoms = tuple(a for a in heap.pure if isinstance(a, (ArithEq, ArithLeq)))
+    stack = dict(pure_solver.pointer_model(ptr_atoms, ptr_names))
+    stack.update(pure_solver.arith_model(arith_atoms, int_names))
+    cells: dict[int, Cell] = {}
+    for atom in heap.spatial:
+        assert isinstance(atom, PointsTo)
+        loc = _val(atom.root, stack)
+        if loc == 0 or loc in cells:
+            raise OracleError("input is not a separated base formula in NF")
+        cells[loc] = Cell(atom.sort, tuple(_val(f, stack) for f in atom.fields))
+    model = HeapModel(stack, cells, frozenset(ptr_names))
+    if not holds(model, heap, reg):
+        raise OracleError("bad_model construction failed its own check")
+    return model
+
+
 def _fresh_values(
     needed: list[tuple[str, str]], model: HeapModel
 ) -> tuple[dict[str, int], set[str]]:
@@ -826,21 +860,13 @@ def _add_peeled(
             if isinstance(f, Var):
                 needed.append((f.name, "int" if ft == "int" else "ptr"))
     stack, ptrs = _fresh_values(needed, model)
-
-    def val(e: Expr) -> int:
-        if isinstance(e, Null):
-            return 0
-        if isinstance(e, IntLit):
-            return e.value
-        return stack[e.name]
-
     heap = dict(model.heap)
     for atom in cells:
         assert isinstance(atom, PointsTo)
-        loc = val(atom.root)
+        loc = _val(atom.root, stack)
         if loc == 0 or loc in heap:
             return None
-        heap[loc] = Cell(atom.sort, tuple(val(f) for f in atom.fields))
+        heap[loc] = Cell(atom.sort, tuple(_val(f, stack) for f in atom.fields))
     return HeapModel(stack, heap, frozenset(ptrs))
 
 
@@ -868,16 +894,13 @@ def _lift_counter(
         assert edge is not None
         if edge.sub is not None:
             name, repl = edge.sub
-            if isinstance(repl, Null):
-                v, is_ptr = 0, True
-            elif isinstance(repl, IntLit):
-                v, is_ptr = repl.value, False
-            elif repl.name in m.stack:
-                v, is_ptr = m.stack[repl.name], repl.name in m.ptr_vars
-            else:
+            if isinstance(repl, Var) and repl.name not in m.stack:
                 return None
+            is_ptr = isinstance(repl, Null) or (
+                isinstance(repl, Var) and repl.name in m.ptr_vars
+            )
             stack = dict(m.stack)
-            stack[name] = v
+            stack[name] = _val(repl, m.stack)
             ptrs = set(m.ptr_vars) | ({name} if is_ptr else set())
             m = HeapModel(stack, m.heap, frozenset(ptrs))
         if edge.peeled:

@@ -9,6 +9,8 @@ way proof figures annotate them.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .engine import ProofNode, ProofTree
 
 
@@ -27,17 +29,22 @@ def _suffix(n: ProofNode) -> str:
     return ""
 
 
-def _text(tree: ProofTree) -> str:
-    lines: list[str] = []
-
-    def visit(nid: int, depth: int) -> None:
+def _preorder(tree: ProofTree) -> Iterator[tuple[ProofNode, int]]:
+    """Nodes in export order with their depth; a loop, so proof depth sets
+    no recursion limit."""
+    stack = [(tree.root, 0)]
+    while stack:
+        nid, depth = stack.pop()
         n = tree.node(nid)
+        yield n, depth
+        stack.extend((c, depth + 1) for c in reversed(n.children))
+
+
+def _text(tree: ProofTree) -> str:
+    lines = []
+    for n, depth in _preorder(tree):
         rule = f"[{n.edge.rule}] " if n.edge is not None else ""
         lines.append("  " * depth + f"{rule}e{n.id}: {n.ent}{_suffix(n)}")
-        for c in n.children:
-            visit(c, depth + 1)
-
-    visit(tree.root, 0)
     return "\n".join(lines) + "\n"
 
 
@@ -51,20 +58,12 @@ def _dot(tree: ProofTree) -> str:
         "  rankdir=TB;",
         '  node [shape=box, fontname="monospace"];',
     ]
-    order: list[int] = []
-
-    def visit(nid: int) -> None:
-        order.append(nid)
-        for c in tree.node(nid).children:
-            visit(c)
-
-    visit(tree.root)
-    for nid in order:
-        n = tree.node(nid)
-        lines.append(f"  e{nid} [label={_quote(f'e{n.id}: {n.ent}{_suffix(n)}')}];")
-    for nid in order:
-        for c in tree.node(nid).children:
-            lines.append(f"  e{nid} -> e{c} [label={_quote(tree.node(c).edge.rule)}];")
+    order = [n for n, _ in _preorder(tree)]
+    for n in order:
+        lines.append(f"  e{n.id} [label={_quote(f'e{n.id}: {n.ent}{_suffix(n)}')}];")
+    for n in order:
+        for c in n.children:
+            lines.append(f"  e{n.id} -> e{c} [label={_quote(tree.node(c).edge.rule)}];")
     for comp, bud, sigma in tree.backlinks():
         lines.append(
             f"  e{bud} -> e{comp} [style=dashed, label={_quote(_sigma_text(sigma))}];"

@@ -15,6 +15,7 @@ is_nf or have an unsatisfiable left side (closed by Inconsistency later).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Optional
 
 from . import pure as pure_solver
@@ -84,14 +85,10 @@ def is_nf_entailment(ent: Entailment, reg: Registry) -> bool:
 # -------------------------------------------------------------- rule appliers
 
 
-def _with_lhs(ent: Entailment, lhs: SymbolicHeap) -> Entailment:
-    return Entailment(lhs, ent.rhs, ent.frame)
-
-
 def apply_eq_l(ent: Entailment, reg: Registry) -> Optional[Step]:
     for i, a in enumerate(ent.lhs.pure):
         if isinstance(a, (PtrEq, ArithEq)) and a.lhs == a.rhs:
-            return "=L", (_with_lhs(ent, ent.lhs.drop_pure_at(i)),)
+            return "=L", (replace(ent, lhs=ent.lhs.drop_pure_at(i)),)
     return None
 
 
@@ -126,7 +123,7 @@ def apply_subst(ent: Entailment, reg: Registry) -> Optional[Step]:
     if site is None:
         return None
     i, name, repl = site
-    stripped = _with_lhs(ent, ent.lhs.drop_pure_at(i))
+    stripped = replace(ent, lhs=ent.lhs.drop_pure_at(i))
     return "Subst", (stripped.subst({name: repl}),)
 
 
@@ -158,13 +155,13 @@ def apply_lbase(ent: Entailment, reg: Registry) -> Optional[Step]:
     a = ent.lhs.spatial[i]
     assert isinstance(a, PredOcc)
     d = reg.pred(a.pred)
-    out = _with_lhs(ent, ent.lhs.replace_spatial(i, ()))
+    out = replace(ent, lhs=ent.lhs.replace_spatial(i, ()))
     if d.has_order_pair():
         sc = a.args[d.index_of_role(Role.SRC)]
         tg = a.args[d.index_of_role(Role.TGT)]
         if sc != tg:
             if oriented is None:
-                out = _with_lhs(out, out.lhs.add_pure([ArithEq(sc, tg)]))
+                out = replace(out, lhs=out.lhs.add_pure([ArithEq(sc, tg)]))
             else:
                 name, repl = oriented
                 out = out.subst({name: repl})
@@ -180,7 +177,7 @@ def apply_neq_null(ent: Entailment, reg: Registry) -> Optional[Step]:
                 continue  # nonemptiness not yet established
         need = PtrNeq(atom_root(a), NULL)
         if need not in have:
-            return "NeqNull", (_with_lhs(ent, ent.lhs.add_pure([need])),)
+            return "NeqNull", (replace(ent, lhs=ent.lhs.add_pure([need])),)
     return None
 
 
@@ -196,7 +193,7 @@ def apply_neq_star(ent: Entailment, reg: Registry) -> Optional[Step]:
                 continue
             need = PtrNeq(atom_root(atoms[i]), atom_root(atoms[j]))
             if need not in have:
-                return "NeqStar", (_with_lhs(ent, ent.lhs.add_pure([need])),)
+                return "NeqStar", (replace(ent, lhs=ent.lhs.add_pure([need])),)
     return None
 
 
@@ -219,8 +216,8 @@ def apply_exm(ent: Entailment, reg: Registry) -> Optional[Step]:
         if e1 == e2 or PtrNeq(e1, e2) in have or PtrEq(e1, e2) in have:
             continue
         if pure_solver.status_of_pair(pi, e1, e2) == "unknown":
-            eq = _with_lhs(ent, ent.lhs.add_pure([PtrEq(e1, e2)]))
-            ne = _with_lhs(ent, ent.lhs.add_pure([PtrNeq(e1, e2)]))
+            eq = replace(ent, lhs=ent.lhs.add_pure([PtrEq(e1, e2)]))
+            ne = replace(ent, lhs=ent.lhs.add_pure([PtrNeq(e1, e2)]))
             return "ExM", (eq, ne)
     return None
 

@@ -3,8 +3,8 @@
 This is the ground-truth side of the tool. It evaluates symbolic heaps
 against finite stack/heap models and decides entailments by enumerating all
 models of the left side up to a bound, checking the right side on each. It
-shares nothing with proof search beyond the formula types, so the two can
-cross-check one another.
+imports only `syntax` and `defs` from this package, none of the prover or
+its pure solver, so the two can cross-check one another.
 
 Satisfaction of a predicate occurrence needs no quantifier search: the
 root and segment values decide between the empty and the nonempty branch,
@@ -36,7 +36,6 @@ from .defs import (
     existential_kinds,
     rec_instance,
 )
-from . import pure as pure_solver
 from .syntax import (
     ArithEq,
     ArithLeq,
@@ -337,45 +336,8 @@ def _ex_choices(d: InductiveDef, reg: Registry, hint: tuple[int, ...]) -> Iterat
         yield dict(zip(unbound, combo))
 
 
-def bad_model(heap: SymbolicHeap, reg: Registry) -> HeapModel:
-    """A concrete model of a base formula in normal form: pointer variables
-    get pairwise-distinct non-null locations (modulo nothing: NF has no
-    equalities), data variables get a satisfying assignment."""
-    if any(isinstance(a, PredOcc) for a in heap.spatial):
-        raise OracleError("bad_model needs a base formula")
-    kinds = _kind_walk(heap, reg)
-    ptr_names = tuple(sorted(n for n, k in kinds.items() if k == "ptr"))
-    int_names = tuple(sorted(n for n, k in kinds.items() if k == "int"))
-    ptr_atoms = tuple(a for a in heap.pure if isinstance(a, (PtrEq, PtrNeq)))
-    arith_atoms = tuple(a for a in heap.pure if isinstance(a, (ArithEq, ArithLeq)))
-    env: Env = dict(pure_solver.pointer_model(ptr_atoms, ptr_names))
-    env.update(pure_solver.arith_model(arith_atoms, int_names))
-    cells: dict[int, Cell] = {}
-    for atom in heap.spatial:
-        assert isinstance(atom, PointsTo)
-        loc = _ptr_val(atom.root, env)
-        decl = reg.sort_of(atom.sort)
-        if loc == 0 or loc in cells:
-            raise OracleError("input is not a separated base formula in NF")
-        cells[loc] = Cell(
-            atom.sort,
-            tuple(
-                _field_val(e, ftype, env)
-                for (_, ftype), e in zip(decl.fields, atom.fields)
-            ),
-        )
-    model = HeapModel(env, cells, frozenset(ptr_names))
-    if not holds(model, heap, reg):
-        raise OracleError("bad_model construction failed its own check")
-    return model
-
-
 def kinds_of(heap: SymbolicHeap, reg: Registry) -> dict[str, Kind]:
     """Variable kinds inferred from use sites; raises on conflicting use."""
-    return _kind_walk(heap, reg)
-
-
-def _kind_walk(heap: SymbolicHeap, reg: Registry) -> dict[str, Kind]:
     kinds: dict[str, Kind] = {}
 
     def note(e: Expr, k: Kind) -> None:
@@ -416,7 +378,7 @@ def models_of(
     stack_names = tuple(sorted(heap.fv()))
     seen: set[tuple] = set()
     for cells, pure_atoms in _expand(heap, reg, bound, fresh):
-        kinds = _kind_walk(SymbolicHeap(cells, pure_atoms), reg)
+        kinds = kinds_of(SymbolicHeap(cells, pure_atoms), reg)
         if _refuted(pure_atoms):
             continue
         layout = [

@@ -300,14 +300,9 @@ EMP = SymbolicHeap()
 class Entailment:
     lhs: SymbolicHeap
     rhs: SymbolicHeap
-    frame: tuple[SpatialAtom, ...] = ()
 
     def subst(self, sub: Subst) -> "Entailment":
-        return Entailment(
-            self.lhs.subst(sub),
-            self.rhs.subst(sub),
-            tuple(a.subst(sub) for a in self.frame),
-        )
+        return Entailment(self.lhs.subst(sub), self.rhs.subst(sub))
 
     def fv(self) -> frozenset[str]:
         return self.lhs.fv() | self.rhs.fv()

@@ -9,9 +9,10 @@ from sepent.defs import (
     Registry,
     Role,
     SortDecl,
+    base_instance,
     check_wellformed,
     existential_kinds,
-    unfold,
+    rec_instance,
 )
 from sepent.syntax import FreshNames, PointsTo, PredOcc, PtrEq, PtrNeq, NULL, Var
 
@@ -90,7 +91,9 @@ def test_matrix_root_must_be_head_field(registry):
 
 def test_unfold_numbers(registry):
     occ = PredOcc("nll", (Var("x"), NULL, Var("B")), unfold=1)
-    base, (spatial, pure) = unfold(occ, registry, FreshNames())
+    d = registry.pred("nll")
+    base = base_instance(occ, d)
+    spatial, pure, _ = rec_instance(occ, d, FreshNames())
     assert base == (PtrEq(Var("x"), NULL),)
     head, matrix, rec = spatial
     assert isinstance(head, PointsTo) and head.root == Var("x")
@@ -102,15 +105,15 @@ def test_unfold_numbers(registry):
 def test_unfold_freshens_existentials(registry):
     occ = PredOcc("ll", (Var("x"), Var("y")))
     fresh = FreshNames()
-    _, (sp1, _) = unfold(occ, registry, fresh)
-    _, (sp2, _) = unfold(occ, registry, fresh)
+    sp1, _, _ = rec_instance(occ, registry.pred("ll"), fresh)
+    sp2, _, _ = rec_instance(occ, registry.pred("ll"), fresh)
     assert sp1[0].fields[0] != sp2[0].fields[0]
     assert "#" in sp1[0].fields[0].name
 
 
 def test_lls_base_branch_equates_order_pair(registry):
     occ = PredOcc("lls", (Var("x"), Var("y"), Var("mi"), Var("ma")))
-    base, _ = unfold(occ, registry, FreshNames())
+    base = base_instance(occ, registry.pred("lls"))
     assert len(base) == 2  # x=y plus mi=ma
 
 

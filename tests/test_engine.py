@@ -32,6 +32,7 @@ from sepent.syntax import (
     NULL,
     ArithLeq,
     Entailment,
+    FreshNames,
     IntLit,
     PointsTo,
     PredOcc,
@@ -354,6 +355,37 @@ class TestApplyRule:
         leaf_id, choice = data
         assert leaf_id == 0
         assert choice.label == "LInd"
+
+    def test_stuck_leaf_rejects_star(self, registry):
+        # extra_cell's stuck leaf has an identical cell pair, so Star's own
+        # conditions hold there; the stuck check comes first and refuses it.
+        sequent = next(s for name, s, _ in SUITE if name == "extra_cell")
+        verdict = prove(parse_query(sequent), registry)
+        assert verdict.case == "2b"
+        tree = ProofTree.new(verdict.tree.node(verdict.node).ent)
+        assert is_closed(tree, registry) == ("invalid", (0, "2b"))
+        with pytest.raises(SideConditionFailed):
+            apply_rule(tree, 0, "Star", registry)
+        assert tree.node(0).is_leaf()
+
+
+@pytest.mark.parametrize(
+    "sequent",
+    [s for _, s, _ in SUITE] + [chain_sequent(n) for n in range(1, 6)],
+)
+def test_selector_names_every_step(sequent, registry):
+    """At every node of a finished search, the selector names what the
+    search did there: the rule on the child edges, the axiom that closed
+    the leaf, or the stuck case."""
+    tree = prove(parse_query(sequent), registry).tree
+    for n in tree.nodes.values():
+        sel = engine._select(n.ent, registry, FreshNames())
+        if n.children:
+            assert {tree.node(c).edge.rule for c in n.children} == {sel.label}
+        elif n.status == "valid":
+            assert sel.label == n.axiom
+        elif n.status == "invalid":
+            assert sel == n.case
 
 
 # ---------------------------------------------------------------- back-links

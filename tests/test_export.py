@@ -5,8 +5,9 @@ import re
 import pytest
 
 from conftest import make_registry, parse_query
-from sepent.engine import prove
+from sepent.engine import Edge, ProofTree, prove
 from sepent.export import export_proof
+from sepent.syntax import EMP, Entailment
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +77,32 @@ class TestDot:
         out = export_proof(proof_of("emp |- emp", reg), "dot")
         assert out.count("->") == 0
         assert out.count("label=") == 1
+
+
+class TestDeepTree:
+    DEPTH = 5000
+
+    @pytest.fixture(scope="class")
+    def tree(self):
+        ent = Entailment(EMP, EMP)
+        tree = ProofTree.new(ent)
+        for nid in range(1, self.DEPTH):
+            tree.add(ent, nid - 1, Edge("NeqNull", ()))
+        leaf = tree.node(self.DEPTH - 1)
+        leaf.status, leaf.axiom = "valid", "Emp"
+        return tree
+
+    def test_text(self, tree):
+        lines = export_proof(tree, "text").splitlines()
+        assert len(lines) == self.DEPTH
+        assert lines[0] == "e0: emp |- emp"
+        assert lines[-1] == "  " * 4999 + "[NeqNull] e4999: emp |- emp (Emp)"
+
+    def test_dot(self, tree):
+        lines = export_proof(tree, "dot").splitlines()
+        assert len(lines) == 3 + self.DEPTH + (self.DEPTH - 1) + 1
+        assert lines[3 + self.DEPTH - 1] == '  e4999 [label="e4999: emp |- emp (Emp)"];'
+        assert lines[-2] == '  e4998 -> e4999 [label="NeqNull"];'
 
 
 class TestDeterminism:

@@ -8,7 +8,9 @@ module are the straightforward reading of the semantics; the oracle's
 iterative versions must agree with them model for model.
 """
 
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -16,12 +18,12 @@ from conftest import parse_query
 from suite_cases import SUITE
 from sepent import oracle
 from sepent.defs import Role, base_of, existential_kinds
+from sepent.engine import bad_model
 from sepent.oracle import (
     Bound,
     Cell,
     HeapModel,
     OracleError,
-    bad_model,
     confirm_countermodel,
     holds,
     models_of,
@@ -168,6 +170,35 @@ def test_base_underapproximates(registry, occ):
         ent(lhs, heap([occ], [PtrNeq(x, NULL)])), registry, Bound(max_unfold=3)
     )
     assert verdict.bounded_valid
+
+
+# ------------------------------------------------------------ independence
+
+
+def _package_imports(path):
+    """Modules of the sepent package that the source file imports."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out.update(
+                a.name.split(".")[1] for a in node.names if a.name.startswith("sepent.")
+            )
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "sepent":
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                out.add(module.split(".")[0])
+            else:
+                out.update(a.name for a in node.names)
+    return out
+
+
+def test_oracle_imports_only_syntax_and_defs():
+    path = Path(__file__).resolve().parents[1] / "src" / "sepent" / "oracle.py"
+    assert _package_imports(path) == {"syntax", "defs"}
 
 
 # ------------------------------------------------------------------ bad_model
@@ -484,7 +515,7 @@ def ref_models_of(heap, reg, bound):
     stack_names = tuple(sorted(heap.fv()))
     seen = set()
     for cells, pure_atoms in oracle._expand(heap, reg, bound, FreshNames()):
-        kinds = oracle._kind_walk(SymbolicHeap(cells, pure_atoms), reg)
+        kinds = oracle.kinds_of(SymbolicHeap(cells, pure_atoms), reg)
         for env in _ref_assignments(cells, pure_atoms, stack_names, kinds, bound):
             hp = {}
             for i, c in enumerate(cells):
