@@ -137,26 +137,22 @@ def _check_dir(root: Path, args: argparse.Namespace, out) -> int:
         name = path.relative_to(root)
         try:
             pf = _parse_file(path, args.format)
+            verdict = prove(pf.query, pf.registry, node_budget=args.node_budget)
+            agrees = not args.oracle_check or _oracle_agrees(pf, verdict, bound)[0]
         except (UnsupportedConstruct, RoleAnnotationMissing) as e:
             print(f"{name}: SKIPPED ({e})", file=out)
             continue
-        except ValueError as e:
-            print(f"{name}: ERROR ({e})", file=out)
-            errors += 1
-            continue
-        try:
-            verdict = prove(pf.query, pf.registry, node_budget=args.node_budget)
-        except ResourceLimit as e:
+        except (ValueError, ResourceLimit) as e:
+            # parse errors and prover rejections (outside the fragment,
+            # node budget, oracle limits)
             print(f"{name}: ERROR ({e})", file=out)
             errors += 1
             continue
         got = "valid" if verdict.valid else "invalid"
         expect = pf.expect or args.expect
-        if args.oracle_check:
-            agrees, _ = _oracle_agrees(pf, verdict, bound)
-            if not agrees:
-                print(f"{name}: {got.upper()} ORACLE-DISAGREES", file=out)
-                return 4
+        if not agrees:
+            print(f"{name}: {got.upper()} ORACLE-DISAGREES", file=out)
+            return 4
         if expect is None:
             print(f"{name}: {got.upper()}", file=out)
         elif expect == got:

@@ -79,6 +79,14 @@ class RecBranch:
     arith: tuple[PureAtom, ...]
 
 
+def role_positions(params: tuple[Param, ...]) -> dict[Role, int]:
+    """First parameter position of each role present."""
+    roles: dict[Role, int] = {}
+    for i, p in enumerate(params):
+        roles.setdefault(p.role, i)
+    return roles
+
+
 class CoverPlan(NamedTuple):
     """How the oracle matches one nonempty step of a definition against a
     heap cell, fixed by the definition alone."""
@@ -105,20 +113,14 @@ class InductiveDef:
     # First parameter position of each role; the prover asks for role
     # positions on every step.
     _roles: dict[Role, int] = field(init=False, repr=False, compare=False)
-    # None on the parser's stubs, which carry parameters only.
-    plan: Optional[CoverPlan] = field(init=False, repr=False, compare=False)
+    plan: CoverPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        roles: dict[Role, int] = {}
-        for i, p in enumerate(self.params):
-            roles.setdefault(p.role, i)
-        object.__setattr__(self, "_roles", roles)
+        object.__setattr__(self, "_roles", role_positions(self.params))
         object.__setattr__(self, "plan", self._cover_plan())
 
-    def _cover_plan(self) -> Optional[CoverPlan]:
+    def _cover_plan(self) -> CoverPlan:
         rb = self.rec
-        if rb is None:
-            return None
         bound = {p.name for p in self.params}
         ex = set(rb.exists)
         head: list[tuple[Expr, Optional[str]]] = []
@@ -195,14 +197,21 @@ def check_wellformed(reg: Registry) -> list[str]:
     return out
 
 
+def role_problem(name: str, params: tuple[Param, ...]) -> Optional[str]:
+    """The fault in a parameter list's roles, if any."""
+    roles = [p.role for p in params]
+    if roles.count(Role.ROOT) != 1 or roles.count(Role.SEG) != 1:
+        return f"{name}: needs exactly one root and one seg parameter"
+    if roles.count(Role.SRC) != roles.count(Role.TGT) or roles.count(Role.SRC) > 1:
+        return f"{name}: src/tgt must appear as a pair, at most once"
+    return None
+
+
 def _check_def(reg: Registry, d: InductiveDef) -> list[str]:
     out: list[str] = []
-    roles = [p.role for p in d.params]
-    if roles.count(Role.ROOT) != 1 or roles.count(Role.SEG) != 1:
-        out.append(f"{d.name}: needs exactly one root and one seg parameter")
-        return out
-    if roles.count(Role.SRC) != roles.count(Role.TGT) or roles.count(Role.SRC) > 1:
-        out.append(f"{d.name}: src/tgt must appear as a pair, at most once")
+    problem = role_problem(d.name, d.params)
+    if problem is not None:
+        out.append(problem)
         return out
     names = d.param_names()
     if len(set(names)) != len(names):

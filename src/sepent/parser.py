@@ -15,18 +15,28 @@ optional expected status:
 
 Comments run from // to end of line.  Every name must be declared before
 use; a definition body must consist of the base branch followed by one
-recursive branch.  Pointer and integer uses are kept disjoint: variable
-kinds are inferred from field sorts, parameter roles, and literals, and
-any mixed use is reported with its position.  Disequality is pointer-only.
+recursive branch.  Pointer and integer uses are kept disjoint, and any
+mixed use is reported with its position.  Disequality is pointer-only.
 Cells may list fields positionally, r->c4(X, m1), or by name,
 r->c4{val: m1, next: X}; named input is normalized to declaration order.
+
+Kinds are inferred in one pass over each definition and one over the
+query.  Roles make root and seg parameters pointers and src and tgt
+parameters integers.  Cell fields take the kinds their sort declares, and
+the arguments of a declared predicate the kinds of its parameters.  <= and
+>= make both operands integers, != makes both pointers.  An equality gives
+both operands one kind, and each argument of a self-occurrence shares the
+kind of the parameter at its position; both are propagated to a fixpoint.
+Whatever is still unconstrained, border and trans parameters included, is a
+pointer.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .defs import (
     InductiveDef,
@@ -36,6 +46,8 @@ from .defs import (
     Role,
     SortDecl,
     check_wellformed,
+    role_positions,
+    role_problem,
 )
 from .syntax import (
     NULL,
@@ -76,64 +88,39 @@ class ProblemFile:
 # ------------------------------------------------------------------- lexing
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "int" | "punct" | "eof"
     text: str
     line: int
     col: int
 
 
-_PUNCT = (":=", "|-", "->", "/\\", "\\/", "!=", "<=", ">=",
-          "=", "(", ")", "{", "}", ",", ";", ".", "*", ":")
+# Unnamed alternatives are blanks and comments; "bad" catches any other
+# character.  Punctuation is tried longest first.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|[ \t\r]+|//[^\n]*"
+    r"|(?P<ident>[^\W\d]\w*'*)|(?P<int>-?\d+)"
+    r"|(?P<punct>:=|\|-|->|/\\|\\/|!=|<=|>=|[=(){},;.*:])"
+    r"|(?P<bad>.)"
+)
 
 
 def _lex(text: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-
-    def err(msg: str) -> ParseError:
-        return ParseError(msg, line, col)
-
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
+    line, start = 1, 0  # start: offset of the current line
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if c in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if text.startswith("//", i):
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            while j < len(text) and text[j] == "'":
-                j += 1
-            toks.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit() or (c == "-" and i + 1 < len(text) and text[i + 1].isdigit()):
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(Token("punct", p, line, col))
-                col += len(p)
-                i += len(p)
-                break
+        if kind == "newline":
+            line, start = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError(
+                f"unexpected character {m.group()!r}", line, m.start() - start + 1
+            )
         else:
-            raise err(f"unexpected character {c!r}")
-    toks.append(Token("eof", "", line, col))
+            toks.append(Token(kind, m.group(), line, m.start() - start + 1))
+    toks.append(Token("eof", "", line, len(text) - start + 1))
     return toks
 
 
@@ -153,7 +140,8 @@ class RawPure:
 
 
 class Kinds:
-    """Variable kind table with conflict positions."""
+    """Variable kind table of one definition or query, with conflict
+    positions."""
 
     def __init__(self) -> None:
         self.kind: dict[str, str] = {}
@@ -180,62 +168,80 @@ class Kinds:
             return "int"
         return self.kind.get(e.name)
 
-
-def _constrain_spatial(
-    atoms: list[tuple[SpatialAtom, int, int]], kinds: Kinds, reg: Registry
-) -> None:
-    for a, line, col in atoms:
-        if isinstance(a, PointsTo):
-            kinds.expr(a.root, "ptr", line, col)
-            decl = reg.sorts[a.sort]
-            for (_, ft), f in zip(decl.fields, a.fields):
-                kinds.expr(f, "int" if ft == "int" else "ptr", line, col)
-        else:
-            d = reg.preds[a.pred]
-            for p, f in zip(d.params, a.args):
-                kinds.expr(f, p.kind, line, col)
-
-
-def _classify_pures(raw: list[RawPure], kinds: Kinds) -> list[PureAtom]:
-    for r in raw:
-        if r.op in ("<=", ">="):
-            kinds.expr(r.lhs, "int", r.line, r.col)
-            kinds.expr(r.rhs, "int", r.line, r.col)
-        elif r.op == "!=":
-            kinds.expr(r.lhs, "ptr", r.line, r.col)
-            kinds.expr(r.rhs, "ptr", r.line, r.col)
-    # equalities relate kinds across their operands; propagate to fixpoint
-    changed = True
-    while changed:
-        changed = False
+    def uses(
+        self,
+        satoms: list[tuple[SpatialAtom, int, int]],
+        raw: list[RawPure],
+        reg: Registry,
+    ) -> None:
+        """Constrain by the cells, the occurrences of declared predicates
+        and the comparisons of one formula."""
+        for a, line, col in satoms:
+            if isinstance(a, PointsTo):
+                self.expr(a.root, "ptr", line, col)
+                for (_, ft), f in zip(reg.sorts[a.sort].fields, a.fields):
+                    self.expr(f, "int" if ft == "int" else "ptr", line, col)
+            elif a.pred in reg.preds:  # else a self-occurrence, see classify
+                for p, f in zip(reg.preds[a.pred].params, a.args):
+                    self.expr(f, p.kind, line, col)
         for r in raw:
             if r.op != "=":
-                continue
-            kl, kr = kinds.of(r.lhs), kinds.of(r.rhs)
-            if kl is not None and kr is None:
-                kinds.expr(r.rhs, kl, r.line, r.col)
-                changed = True
-            elif kr is not None and kl is None:
-                kinds.expr(r.lhs, kr, r.line, r.col)
-                changed = True
-            elif kl is not None and kr is not None and kl != kr:
-                raise ParseError(
-                    "equality mixes pointer and integer operands", r.line, r.col
+                kind = "ptr" if r.op == "!=" else "int"
+                self.expr(r.lhs, kind, r.line, r.col)
+                self.expr(r.rhs, kind, r.line, r.col)
+
+    def classify(
+        self,
+        raw: list[RawPure],
+        ties: Sequence[tuple[str, Expr, int, int]] = (),
+    ) -> list[PureAtom]:
+        """Propagate equalities and ties (a parameter name, the
+        self-occurrence argument at its position, the occurrence's
+        position) to a fixpoint, then commit the pure atoms; an equality
+        left unconstrained is between pointers."""
+        changed = True
+        while changed:
+            changed = False
+            for name, arg, line, col in ties:
+                kp, ka = self.kind.get(name), self.of(arg)
+                if kp is not None:
+                    changed |= ka is None
+                    self.expr(arg, kp, line, col)
+                elif ka is not None:
+                    self.kind[name] = ka
+                    changed = True
+            for r in raw:
+                if r.op != "=":
+                    continue
+                kl, kr = self.of(r.lhs), self.of(r.rhs)
+                if kl is not None and kr is None:
+                    self.expr(r.rhs, kl, r.line, r.col)
+                    changed = True
+                elif kr is not None and kl is None:
+                    self.expr(r.lhs, kr, r.line, r.col)
+                    changed = True
+                elif kl is not None and kr is not None and kl != kr:
+                    raise ParseError(
+                        "equality mixes pointer and integer operands",
+                        r.line,
+                        r.col,
+                    )
+        out: list[PureAtom] = []
+        for r in raw:
+            if r.op == "<=":
+                out.append(ArithLeq(r.lhs, r.rhs))
+            elif r.op == ">=":
+                out.append(ArithLeq(r.rhs, r.lhs))
+            elif r.op == "!=":
+                out.append(PtrNeq(r.lhs, r.rhs))
+            else:
+                kl = self.of(r.lhs) or self.of(r.rhs) or "ptr"
+                self.expr(r.lhs, kl, r.line, r.col)
+                self.expr(r.rhs, kl, r.line, r.col)
+                out.append(
+                    PtrEq(r.lhs, r.rhs) if kl == "ptr" else ArithEq(r.lhs, r.rhs)
                 )
-    out: list[PureAtom] = []
-    for r in raw:
-        if r.op == "<=":
-            out.append(ArithLeq(r.lhs, r.rhs))
-        elif r.op == ">=":
-            out.append(ArithLeq(r.rhs, r.lhs))
-        elif r.op == "!=":
-            out.append(PtrNeq(r.lhs, r.rhs))
-        else:
-            kl = kinds.of(r.lhs) or kinds.of(r.rhs) or "ptr"
-            kinds.expr(r.lhs, kl, r.line, r.col)
-            kinds.expr(r.rhs, kl, r.line, r.col)
-            out.append(PtrEq(r.lhs, r.rhs) if kl == "ptr" else ArithEq(r.lhs, r.rhs))
-    return out
+        return out
 
 
 # --------------------------------------------------- template decomposition
@@ -248,17 +254,20 @@ def assemble_base(
     pures: list[PureAtom],
     err: Callable[[str], Exception],
 ) -> None:
-    r"""Check the base branch is exactly emp /\ root=seg [/\ src=tgt]."""
+    r"""Check the roles, and that the base branch is exactly
+    emp /\ root=seg [/\ src=tgt]."""
+    problem = role_problem(name, params)
+    if problem is not None:
+        raise err(problem)
     if satoms:
         raise err(f"{name}: base branch must be spatially empty")
-    d = InductiveDef(name, params, None)  # role lookups only
-    root = Var(params[d.root_index].name)
-    seg = Var(params[d.seg_index].name)
-    want: list[PureAtom] = [PtrEq(root, seg)]
-    si, ti = d.index_of_role(Role.SRC), d.index_of_role(Role.TGT)
-    if si is not None:
-        assert ti is not None
-        want.append(ArithEq(Var(params[si].name), Var(params[ti].name)))
+    roles = role_positions(params)
+    want: list[PureAtom] = [
+        PtrEq(Var(params[roles[Role.ROOT]].name), Var(params[roles[Role.SEG]].name))
+    ]
+    if Role.SRC in roles:
+        src, tgt = params[roles[Role.SRC]], params[roles[Role.TGT]]
+        want.append(ArithEq(Var(src.name), Var(tgt.name)))
     if Counter(pures) != Counter(want):
         raise err(
             f"{name}: base branch must be emp /\\ "
@@ -275,10 +284,11 @@ def assemble_rec(
     err: Callable[[str], Exception],
 ) -> RecBranch:
     """Split a recursive branch body into head cell, matrix, designated
-    recursive occurrence, guard, order atom, and arithmetic side."""
-    d = InductiveDef(name, params, None)
-    root = Var(params[d.root_index].name)
-    seg = Var(params[d.seg_index].name)
+    recursive occurrence, guard, order atom, and arithmetic side.  The
+    roles must have passed assemble_base."""
+    roles = role_positions(params)
+    root = Var(params[roles[Role.ROOT]].name)
+    seg = Var(params[roles[Role.SEG]].name)
 
     cells = [a for a in satoms if isinstance(a, PointsTo)]
     if len(cells) != 1 or cells[0].root != root:
@@ -297,10 +307,9 @@ def assemble_rec(
     rest = [a for a in pures if a != guard]
 
     order: Optional[PureAtom] = None
-    si = d.index_of_role(Role.SRC)
-    if si is not None:
-        src = Var(params[si].name)
-        inner = rec.args[si]
+    if Role.SRC in roles:
+        src = Var(params[roles[Role.SRC]].name)
+        inner = rec.args[roles[Role.SRC]]
         hits = [
             a
             for a in rest
@@ -324,6 +333,10 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _lex(text)
         self.pos = 0
+        self.reg = Registry(sorts={}, preds={})
+        # Arity of every predicate declared so far, the one whose body is
+        # being read included.
+        self.arity: dict[str, int] = {}
 
     # token plumbing
 
@@ -366,21 +379,20 @@ class _Parser:
     # file structure
 
     def file(self) -> ProblemFile:
-        reg = Registry(sorts={}, preds={})
         pred_pos: dict[str, Token] = {}
         query: Optional[Entailment] = None
         expect: Optional[str] = None
         while self.peek().kind != "eof":
             t = self.peek()
             if t.text == "data":
-                self.sort_decl(reg)
+                self.sort_decl()
             elif t.text == "pred":
-                pred_pos[self.pred_def(reg)] = t
+                pred_pos[self.pred_def()] = t
             elif t.text == "check":
                 if query is not None:
                     raise self.err("a file holds exactly one check query")
                 self.next()
-                query = self.query(reg)
+                query = self.query()
             elif t.text == "expect":
                 self.next()
                 w = self.next()
@@ -396,16 +408,17 @@ class _Parser:
         if query is None:
             t = self.peek()
             raise ParseError("missing check query", t.line, t.col)
-        for problem in check_wellformed(reg):
+        for problem in check_wellformed(self.reg):
             pname = problem.split(":", 1)[0]
             at = pred_pos.get(pname, self.peek())
             raise ParseError(problem, at.line, at.col)
-        return ProblemFile(reg, query, expect)
+        return ProblemFile(self.reg, query, expect)
 
-    def sort_decl(self, reg: Registry) -> None:
+    def sort_decl(self) -> None:
+        sorts = self.reg.sorts
         self.expect("data")
         name = self.ident("sort name")
-        if name.text in reg.sorts:
+        if name.text in sorts:
             raise ParseError(f"sort {name.text} redeclared", name.line, name.col)
         self.expect("{")
         fields: list[tuple[str, str]] = []
@@ -415,7 +428,7 @@ class _Parser:
                 self.next()
             else:
                 target = self.ident("field sort")
-                if target.text not in reg.sorts and target.text != name.text:
+                if target.text not in sorts and target.text != name.text:
                     raise ParseError(
                         f"unknown sort {target.text!r}", target.line, target.col
                     )
@@ -426,12 +439,12 @@ class _Parser:
                 )
             fields.append((fname.text, target.text))
             self.expect(";")
-        reg.sorts[name.text] = SortDecl(name.text, tuple(fields))
+        sorts[name.text] = SortDecl(name.text, tuple(fields))
 
-    def pred_def(self, reg: Registry) -> str:
+    def pred_def(self) -> str:
         self.expect("pred")
         name = self.ident("predicate name")
-        if name.text in reg.preds:
+        if name.text in self.arity:
             raise ParseError(
                 f"predicate {name.text} redeclared", name.line, name.col
             )
@@ -451,10 +464,11 @@ class _Parser:
                 break
         self.expect(")")
         self.expect(":=")
+        self.arity[name.text] = len(raw_params)
 
-        branches = [self.branch(reg)]
+        branches = [self.branch()]
         while self.accept("\\/"):
-            branches.append(self.branch(reg))
+            branches.append(self.branch())
         semi = self.expect(";")
         if len(branches) != 2:
             raise ParseError(
@@ -466,112 +480,45 @@ class _Parser:
         def fail(msg: str) -> Exception:
             return ParseError(msg, name.line, name.col)
 
-        roles = [r for r, _ in raw_params]
-        if roles.count(Role.ROOT) != 1 or roles.count(Role.SEG) != 1:
-            raise fail(f"{name.text}: needs exactly one root and one seg parameter")
-        if roles.count(Role.SRC) != roles.count(Role.TGT) or roles.count(Role.SRC) > 1:
-            raise fail(f"{name.text}: src/tgt must appear as a pair, at most once")
-
-        params = self.infer_params(name, raw_params, branches, reg)
-        # the registry entry must exist while classifying self-occurrences,
-        # so install a stub carrying the params first
-
-        reg.preds[name.text] = InductiveDef(name.text, params, None)
-        try:
-            (b_ex, b_sp, b_raw), (r_ex, r_sp, r_raw) = branches
-            if b_ex:
-                raise fail(f"{name.text}: base branch takes no existentials")
-            kinds = self.seed_kinds(params)
-            _constrain_spatial(b_sp + r_sp, kinds, reg)
-            base_pure = _classify_pures(b_raw, kinds)
-            rec_pure = _classify_pures(r_raw, kinds)
-            assemble_base(
-                name.text, params, [a for a, _, _ in b_sp], base_pure, fail
-            )
-            rec = assemble_rec(
-                name.text,
-                params,
-                r_ex,
-                [a for a, _, _ in r_sp],
-                rec_pure,
-                fail,
-            )
-        except Exception:
-            del reg.preds[name.text]
-            raise
-        reg.preds[name.text] = InductiveDef(name.text, params, rec)
-        return name.text
-
-    def seed_kinds(self, params: tuple[Param, ...]) -> Kinds:
-        kinds = Kinds()
-        for p in params:
-            kinds.kind[p.name] = p.kind
-        return kinds
-
-    def infer_params(
-        self,
-        name: Token,
-        raw_params: list[tuple[Role, Token]],
-        branches: list,
-        reg: Registry,
-    ) -> tuple[Param, ...]:
-        """Fix parameter kinds: roles force root/seg/src/tgt; border and
-        trans parameters take their kind from use in the branch bodies."""
+        (b_ex, b_sp, b_raw), (r_ex, r_sp, r_raw) = branches
+        if b_ex:
+            raise fail(f"{name.text}: base branch takes no existentials")
         kinds = Kinds()
         for role, tok in raw_params:
             if role in (Role.ROOT, Role.SEG):
                 kinds.set(tok.text, "ptr", tok.line, tok.col)
             elif role in (Role.SRC, Role.TGT):
                 kinds.set(tok.text, "int", tok.line, tok.col)
-        for _, satoms, raw in branches:
-            for a, line, col in satoms:
-                if isinstance(a, PointsTo):
-                    if a.sort not in reg.sorts:
-                        raise ParseError(f"unknown sort {a.sort!r}", line, col)
-                    decl = reg.sorts[a.sort]
-                    if len(a.fields) != len(decl.fields):
-                        raise ParseError(
-                            f"{a.sort} has {len(decl.fields)} fields", line, col
-                        )
-                    kinds.expr(a.root, "ptr", line, col)
-                    for (_, ft), f in zip(decl.fields, a.fields):
-                        kinds.expr(f, "int" if ft == "int" else "ptr", line, col)
-                elif a.pred != name.text:
-                    if a.pred not in reg.preds:
-                        raise ParseError(
-                            f"unknown predicate {a.pred!r}", line, col
-                        )
-                    d = reg.preds[a.pred]
-                    if len(a.args) != len(d.params):
-                        raise ParseError(
-                            f"{a.pred} expects {len(d.params)} arguments",
-                            line,
-                            col,
-                        )
-                    for p, f in zip(d.params, a.args):
-                        kinds.expr(f, p.kind, line, col)
-                else:
-                    if len(a.args) != len(raw_params):
-                        raise ParseError(
-                            f"{name.text} expects {len(raw_params)} arguments",
-                            line,
-                            col,
-                        )
-            for r in raw:
-                if r.op in ("<=", ">="):
-                    kinds.expr(r.lhs, "int", r.line, r.col)
-                    kinds.expr(r.rhs, "int", r.line, r.col)
-                elif r.op == "!=":
-                    kinds.expr(r.lhs, "ptr", r.line, r.col)
-                    kinds.expr(r.rhs, "ptr", r.line, r.col)
-        return tuple(
+        kinds.uses(b_sp, b_raw, self.reg)
+        kinds.uses(r_sp, r_raw, self.reg)
+        ties = [
+            (tok.text, arg, line, col)
+            for a, line, col in b_sp + r_sp
+            if isinstance(a, PredOcc) and a.pred == name.text
+            for (_, tok), arg in zip(raw_params, a.args)
+        ]
+        pure = kinds.classify(b_raw + r_raw, ties)
+        params = tuple(
             Param(tok.text, role, kinds.kind.get(tok.text, "ptr"))
             for role, tok in raw_params
         )
+        assemble_base(
+            name.text, params, [a for a, _, _ in b_sp], pure[: len(b_raw)], fail
+        )
+        rec = assemble_rec(
+            name.text,
+            params,
+            r_ex,
+            [a for a, _, _ in r_sp],
+            pure[len(b_raw):],
+            fail,
+        )
+        self.reg.preds[name.text] = InductiveDef(name.text, params, rec)
+        return name.text
 
     # formulas
 
-    def branch(self, reg: Registry):
+    def branch(self):
         exists: tuple[str, ...] = ()
         if self.accept("exists"):
             names = [self.ident("existential name").text]
@@ -580,7 +527,6 @@ class _Parser:
             self.expect(".")
             exists = tuple(names)
         satoms, raw = self.heap_body()
-        self.resolve_cells(satoms, reg)
         return exists, satoms, raw
 
     def heap_body(self):
@@ -601,7 +547,7 @@ class _Parser:
         root = self.term()
         if self.accept("->"):
             sort = self.ident("sort name")
-            fields = self.cell_fields(sort)
+            fields = self.cell_fields(sort, t)
             if not isinstance(root, (Var, Null)):
                 raise ParseError("cell root must be a pointer", t.line, t.col)
             return PointsTo(root, sort.text, fields), t.line, t.col
@@ -613,34 +559,56 @@ class _Parser:
             while self.accept(","):
                 args.append(self.term())
             self.expect(")")
+            want = self.arity.get(root.name)
+            if want is None:
+                raise ParseError(f"unknown predicate {root.name!r}", t.line, t.col)
+            if len(args) != want:
+                raise ParseError(
+                    f"{root.name} expects {want} arguments", t.line, t.col
+                )
             return PredOcc(root.name, tuple(args)), t.line, t.col
         raise ParseError(
             "expected a cell, a predicate occurrence, or emp", t.line, t.col
         )
 
-    def cell_fields(self, sort: Token) -> tuple[Expr, ...]:
-        if self.accept("("):
+    def cell_fields(self, sort: Token, at: Token) -> tuple[Expr, ...]:
+        """The fields of a cell starting at `at`, in declaration order."""
+        positional = self.accept("(")
+        if not positional:
+            self.expect("{")
+        decl = self.reg.sorts.get(sort.text)
+        if decl is None:
+            raise ParseError(f"unknown sort {sort.text!r}", at.line, at.col)
+        if positional:
             fields = [self.term()]
             while self.accept(","):
                 fields.append(self.term())
             self.expect(")")
+            if len(fields) != len(decl.fields):
+                raise ParseError(
+                    f"{sort.text} has {len(decl.fields)} fields", at.line, at.col
+                )
             return tuple(fields)
-        self.expect("{")
+        names = [n for n, _ in decl.fields]
         named: dict[str, Expr] = {}
-        order: list[Token] = []
         while True:
             f = self.ident("field name")
             self.expect(":")
             if f.text in named:
+                raise ParseError(f"duplicate field {f.text!r}", f.line, f.col)
+            if f.text not in names:
                 raise ParseError(
-                    f"duplicate field {f.text!r}", f.line, f.col
+                    f"{sort.text} has no field {f.text!r}", f.line, f.col
                 )
             named[f.text] = self.term()
-            order.append(f)
             if not self.accept(","):
                 break
         self.expect("}")
-        return named, order  # resolved against the declaration by the caller
+        if len(named) != len(names):
+            raise ParseError(
+                f"{sort.text} needs all of: " + ", ".join(names), at.line, at.col
+            )
+        return tuple(named[n] for n in names)
 
     def pure_atom(self) -> RawPure:
         t = self.peek()
@@ -664,29 +632,14 @@ class _Parser:
 
     # the query
 
-    def query(self, reg: Registry) -> Entailment:
+    def query(self) -> Entailment:
         lt = self.peek()
         l_satoms, l_raw = self.heap_body()
         self.expect("|-")
         r_satoms, r_raw = self.heap_body()
-        for satoms in (l_satoms, r_satoms):
-            self.resolve_cells(satoms, reg)
-            for a, line, col in satoms:
-                if isinstance(a, PredOcc):
-                    if a.pred not in reg.preds:
-                        raise ParseError(
-                            f"unknown predicate {a.pred!r}", line, col
-                        )
-                    if len(a.args) != len(reg.preds[a.pred].params):
-                        raise ParseError(
-                            f"{a.pred} expects "
-                            f"{len(reg.preds[a.pred].params)} arguments",
-                            line,
-                            col,
-                        )
         kinds = Kinds()
-        _constrain_spatial(l_satoms + r_satoms, kinds, reg)
-        pure = _classify_pures(l_raw + r_raw, kinds)
+        kinds.uses(l_satoms + r_satoms, l_raw + r_raw, self.reg)
+        pure = kinds.classify(l_raw + r_raw)
         lhs = SymbolicHeap(
             tuple(a for a, _, _ in l_satoms), tuple(pure[: len(l_raw)])
         )
@@ -702,40 +655,6 @@ class _Parser:
                 lt.col,
             )
         return Entailment(lhs, rhs)
-
-    def resolve_cells(self, satoms: list, reg: Registry) -> None:
-        """Materialize named-field cells into declaration order."""
-        for i, (a, line, col) in enumerate(satoms):
-            if not isinstance(a, PointsTo):
-                continue
-            if a.sort not in reg.sorts:
-                raise ParseError(f"unknown sort {a.sort!r}", line, col)
-            decl = reg.sorts[a.sort]
-            fields = a.fields
-            if isinstance(fields, tuple) and fields and isinstance(
-                fields[0], dict
-            ):
-                named, order = fields
-                unknown = [f for f in order if f.text not in dict(decl.fields)]
-                if unknown:
-                    raise ParseError(
-                        f"{a.sort} has no field {unknown[0].text!r}",
-                        unknown[0].line,
-                        unknown[0].col,
-                    )
-                if len(named) != len(decl.fields):
-                    raise ParseError(
-                        f"{a.sort} needs all of: "
-                        + ", ".join(n for n, _ in decl.fields),
-                        line,
-                        col,
-                    )
-                fields = tuple(named[n] for n, _ in decl.fields)
-            elif len(fields) != len(decl.fields):
-                raise ParseError(
-                    f"{a.sort} has {len(decl.fields)} fields", line, col
-                )
-            satoms[i] = (PointsTo(a.root, a.sort, fields), line, col)
 
 
 def parse_native(text: str) -> ProblemFile:

@@ -155,6 +155,28 @@ class TestBatch:
         assert lines[0].startswith("broken.sep: ERROR")
         assert lines[-1] == "checked 1 files: 0 mismatches, 1 errors"
 
+    def test_prover_rejection_counts_as_error(self, tmp_path):
+        # parses, but prove() rejects the reserved name x#1
+        (tmp_path / "reserved.smt2").write_text(
+            "(declare-sort RefSll_t 0)\n"
+            "(declare-datatypes ((Sll_t 0)) (((c_Sll_t (next RefSll_t)))))\n"
+            "(declare-heap (RefSll_t Sll_t))\n"
+            "(declare-const x#1 RefSll_t)\n"
+            "(declare-const y RefSll_t)\n"
+            "(assert (pto x#1 (c_Sll_t y)))\n"
+            "(assert (not (pto x#1 (c_Sll_t y))))\n"
+        )
+        (tmp_path / "wrong.sep").write_text(
+            "data c1 { c1 next; }\ncheck x->c1(null) |- emp\nexpect valid\n"
+        )
+        code, lines = run("--input", str(tmp_path), "--oracle-check")
+        assert code == 2
+        assert lines == [
+            "reserved.smt2: ERROR (reserved variable names in input: x#1)",
+            "wrong.sep: INVALID MISMATCH (expected valid)",
+            "checked 2 files: 1 mismatches, 1 errors",
+        ]
+
     def test_expect_flag_applies_to_unannotated_files(self, tmp_path):
         (tmp_path / "plain.sep").write_text(
             "data c1 { c1 next; }\ncheck x->c1(null) |- emp\n"

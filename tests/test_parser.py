@@ -7,8 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import NATIVE_CORPUS, make_registry
-from sepent.parser import ParseError, parse_native, problem_text
-from sepent.syntax import NULL, PointsTo, PredOcc, PtrNeq, Var
+from sepent.engine import prove
+from sepent.oracle import Bound, oracle_entails
+from sepent.parser import ParseError, Token, _lex, parse_native, problem_text
+from sepent.syntax import NULL, ArithEq, PointsTo, PredOcc, PtrNeq, Var
 
 DATA = Path(__file__).parent / "data"
 
@@ -30,10 +32,120 @@ class TestCorpus:
         # nll's border feeds a pointer slot of ll, so it stays a pointer
         assert kinds("nll") == [("r", "ptr"), ("F", "ptr"), ("B", "ptr")]
 
+    LSB = (
+        "data c4 { c4 next; int val; }\n"
+        "pred lsb(root r, seg F, border b) := emp /\\ r=F \\/ "
+        "exists X, d. r->c4(X, d) * lsb(X, F, b) /\\ r!=F /\\ d=b;\n"
+    )
+
+    def test_border_kinded_by_equality(self):
+        reg = parse_native(self.LSB + "check emp |- emp\n").registry
+        d = reg.preds["lsb"]
+        assert [(p.name, p.kind) for p in d.params] == [
+            ("r", "ptr"), ("F", "ptr"), ("b", "int"),
+        ]
+        assert tuple(map(str, d.rec.arith)) == ("d=b",)
+        assert isinstance(d.rec.arith[0], ArithEq)
+        for val, valid in ((3, True), (2, False)):
+            pf = parse_native(
+                self.LSB + f"check x->c4(null, {val}) /\\ x!=null |- lsb(x, null, 3)\n"
+            )
+            assert prove(pf.query, pf.registry).valid is valid
+            report = oracle_entails(pf.query, pf.registry, Bound(3, 4))
+            assert report.bounded_valid is valid
+
     def test_expect_line(self):
         assert parse_q("emp |- emp").expect is None
         got = parse_native(NATIVE_CORPUS + "check emp |- emp\nexpect invalid\n")
         assert got.expect == "invalid"
+
+
+_PUNCT = (":=", "|-", "->", "/\\", "\\/", "!=", "<=", ">=",
+          "=", "(", ")", "{", "}", ",", ";", ".", "*", ":")
+
+
+def reference_lex(text: str) -> list[Token]:
+    """The character-by-character lexer the regular expression replaced."""
+    toks: list[Token] = []
+    i, line, col = 0, 1, 1
+
+    def err(msg: str) -> ParseError:
+        return ParseError(msg, line, col)
+
+    while i < len(text):
+        c = text[i]
+        if c == "\n":
+            i, line, col = i + 1, line + 1, 1
+            continue
+        if c in " \t\r":
+            i, col = i + 1, col + 1
+            continue
+        if text.startswith("//", i):
+            while i < len(text) and text[i] != "\n":
+                i += 1
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            while j < len(text) and text[j] == "'":
+                j += 1
+            toks.append(Token("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c.isdigit() or (c == "-" and i + 1 < len(text) and text[i + 1].isdigit()):
+            j = i + 1
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            toks.append(Token("int", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        for p in _PUNCT:
+            if text.startswith(p, i):
+                toks.append(Token("punct", p, line, col))
+                col += len(p)
+                i += len(p)
+                break
+        else:
+            raise err(f"unexpected character {c!r}")
+    toks.append(Token("eof", "", line, col))
+    return toks
+
+
+def _lex_outcome(lex, text):
+    try:
+        return [tuple(t) for t in lex(text)]
+    except ParseError as e:
+        return (str(e), e.line, e.col)
+
+
+LEX_PIECES = list("abzXF_09'-=:|<>/\\!(){},;.* #\t\r\n") + [
+    "é", "λ", "٣", "//", "->", "/\\", "\\/", ":=", "|-", "null",
+]
+
+
+class TestLexer:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(LEX_PIECES), max_size=40).map("".join))
+    def test_matches_reference(self, text):
+        want = _lex_outcome(reference_lex, text)
+        got = _lex_outcome(_lex, text)
+        if isinstance(want, list) and isinstance(got, list) and want[-1] != got[-1]:
+            # the reference leaves the end column at the start of a final
+            # comment; the lexer reports the true end
+            last = text.rsplit("\n", 1)[-1]
+            assert last[want[-1][3] - 1:].startswith("//")
+            want[-1] = want[-1][:3] + (len(last) + 1,)
+        assert got == want
+
+    def test_end_column_after_trailing_comment(self):
+        text = "data c1 { c1 next; } // x"
+        assert _lex(text)[-1] == Token("eof", "", 1, 26)
+        with pytest.raises(ParseError) as exc:
+            parse_native(text)
+        assert str(exc.value) == "line 1, col 26: missing check query"
 
 
 class TestQueries:
@@ -99,6 +211,8 @@ class TestRoundTrip:
         assert parse_native(problem_text(pf)) == pf
 
 
+BODY_SORTS = "data c1 { c1 next; }\ndata c2 { c2 next; int val; }\n"
+
 DIAGNOSTICS = [
     ("two_roots",
      "data c1 { c1 next; }\n"
@@ -155,6 +269,30 @@ DIAGNOSTICS = [
      44, 8, "expect takes 'valid' or 'invalid'"),
     ("pure_only_without_emp", NATIVE_CORPUS + "check x!=null |- emp\n",
      43, 7, "expected a cell, a predicate occurrence, or emp"),
+    ("body_unknown_predicate",
+     BODY_SORTS + "pred p(root r, seg F) := emp /\\ r=F \\/ "
+     "exists X, Y. r->c1(X) * q(Y, F) * p(X, F) /\\ r!=F;\ncheck emp |- emp\n",
+     3, 64, "unknown predicate 'q'"),
+    ("self_occurrence_arity",
+     BODY_SORTS + "pred p(root r, seg F) := emp /\\ r=F \\/ "
+     "exists X. r->c1(X) * p(X) /\\ r!=F;\ncheck emp |- emp\n",
+     3, 61, "p expects 2 arguments"),
+    ("body_cell_field_count",
+     BODY_SORTS + "pred p(root r, seg F) := emp /\\ r=F \\/ "
+     "exists X. r->c1(X, F) * p(X, F) /\\ r!=F;\ncheck emp |- emp\n",
+     3, 50, "c1 has 1 fields"),
+    ("body_named_cell_missing_field",
+     BODY_SORTS + "pred p(root r, seg F) := emp /\\ r=F \\/ "
+     "exists X. r->c2{next: X} * p(X, F) /\\ r!=F;\ncheck emp |- emp\n",
+     3, 50, "c2 needs all of: next, val"),
+    ("body_duplicate_named_field",
+     BODY_SORTS + "pred p(root r, seg F) := emp /\\ r=F \\/ "
+     "exists X. r->c2{next: X, next: X} * p(X, F) /\\ r!=F;\ncheck emp |- emp\n",
+     3, 65, "duplicate field 'next'"),
+    ("body_mixed_kinds",
+     BODY_SORTS + "pred p(root r, seg F) := emp /\\ r=F \\/ "
+     "exists X. r->c2(X, X) * p(X, F) /\\ r!=F;\ncheck emp |- emp\n",
+     3, 50, "mixed pointer/integer use of 'X'"),
 ]
 
 

@@ -130,6 +130,20 @@ class TestRejections:
         with pytest.raises(SlcompError):
             parse_slcomp(text)
 
+    @pytest.mark.parametrize(
+        "roles,msg",
+        [
+            ("root, border, src, tgt", "lls: needs exactly one root and one seg parameter"),
+            ("root, seg, src, border", "lls: src/tgt must appear as a pair, at most once"),
+        ],
+        ids=["no_seg", "src_without_tgt"],
+    )
+    def test_role_faults(self, roles, msg):
+        text = GOLDEN.replace("lls(root, seg, src, tgt)", f"lls({roles})")
+        with pytest.raises(SlcompError) as exc:
+            parse_slcomp(text)
+        assert str(exc.value) == msg
+
     def test_undeclared_constant(self):
         text = GOLDEN.replace("(declare-const x RefSll_t)\n", "")
         with pytest.raises(SlcompError):
