@@ -143,6 +143,10 @@ class ProofTree:
     nodes: dict[int, ProofNode]
     root: int = 0
     fresh: FreshNames = field(default_factory=FreshNames)
+    # open_leaf's preorder frontier: ids not yet passed over, next on top
+    _frontier: Optional[list[int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def new(cls, root_ent: Entailment) -> "ProofTree":
@@ -190,12 +194,22 @@ class ProofTree:
         return list(reversed(out))
 
     def open_leaf(self) -> Optional[ProofNode]:
-        """Leftmost deepest open leaf in child order."""
-        stack = [self.root]
+        """Leftmost deepest open leaf in child order.
+
+        The walk resumes where the last call stopped, so a whole search
+        costs amortised O(1) per call.  That returns the same leaf as a
+        full preorder walk provided the tree grows only under open leaves
+        and no node's status ever returns to "open", as with `apply_rule`
+        and `prove`; a node passed over is never looked at again.
+        """
+        if self._frontier is None:
+            self._frontier = [self.root]
+        stack = self._frontier
         while stack:
-            n = self.nodes[stack.pop()]
+            n = self.nodes[stack[-1]]
             if n.status == "open" and n.is_leaf():
                 return n
+            stack.pop()
             stack.extend(reversed(n.children))
         return None
 
@@ -636,23 +650,40 @@ def _unify_atom(
 def _spatial_unifiers(
     bud: tuple[SpatialAtom, ...], comp: tuple[SpatialAtom, ...]
 ) -> Iterator[tuple[dict[str, str], dict[int, int]]]:
-    if len(bud) != len(comp):
+    """Every bijection of bud atoms onto comp atoms that one renaming of
+    proof-fresh names unifies, as (renaming, bud index -> comp index), in
+    lexicographic order of the comp indices.  A depth-first search with an
+    explicit stack, so the bud's length does not bound the recursion."""
+    n = len(bud)
+    if n != len(comp):
         return
-
-    def go(
-        i: int, used: frozenset[int], sigma: dict[str, str], match: dict[int, int]
-    ) -> Iterator[tuple[dict[str, str], dict[int, int]]]:
-        if i == len(bud):
-            yield sigma, match
-            return
-        for j in range(len(comp)):
-            if j in used:
+    chosen: list[int] = []  # chosen[i]: the comp index bud[i] maps to
+    sigmas: list[dict[str, str]] = [{}]  # sigmas[i]: renaming for bud[:i]
+    used: set[int] = set()
+    j = 0  # next comp index to try for bud[len(chosen)]
+    while True:
+        i = len(chosen)
+        if i == n:
+            yield sigmas[-1], dict(enumerate(chosen))
+        else:
+            while j < n:
+                if j not in used:
+                    ext = _unify_atom(bud[i], comp[j], sigmas[-1])
+                    if ext is not None:
+                        break
+                j += 1
+            if j < n:
+                chosen.append(j)
+                used.add(j)
+                sigmas.append(ext)
+                j = 0
                 continue
-            ext = _unify_atom(bud[i], comp[j], sigma)
-            if ext is not None:
-                yield from go(i + 1, used | {j}, ext, {**match, i: j})
-
-    yield from go(0, frozenset(), {}, {})
+        if not chosen:
+            return
+        j = chosen.pop()
+        used.remove(j)
+        sigmas.pop()
+        j += 1
 
 
 def _link_conditions(

@@ -7,7 +7,16 @@ longest-path relaxation both detects infeasibility (positive cycle) and
 yields a satisfying assignment. Entailment goes by refutation; the negation
 of <= introduces the only strict bounds, encoded with weight 1.
 
-All entry points take plain tuples of atoms so results can be memoized.
+The entry points take plain tuples of atoms. Each distinct tuple is
+compiled once into a `PureContext`: the class representative of every
+pointer term, the class pairs a disequality keeps apart, the arithmetic
+bounds and satisfiability. Queries then read the context instead of
+rebuilding the union-find. The contexts sit in a memo of 4 entries: every
+reuse happens while the search looks at one proof node, whose queries ask
+about at most a few tuples (its left pure part and the pure part of its
+one-step materialization), so a cold chain proof builds exactly as many
+contexts with 4 entries as with an unbounded memo, while more entries only
+keep more of these heavy objects alive.
 """
 
 from __future__ import annotations
@@ -147,48 +156,78 @@ def _lit_bounds(a: PureAtom) -> list[Bound]:
     return out
 
 
+# ------------------------------------------------------------------- contexts
+
+
+class PureContext:
+    """What a tuple of pure atoms decides, computed once.
+
+    A term the atoms never mention is its own class.  An unsatisfiable
+    context entails every goal.
+    """
+
+    __slots__ = ("rep", "apart", "bounds", "sat")
+
+    def __init__(self, atoms: Atoms) -> None:
+        uf, diseqs = _ptr_state(atoms)
+        rep = {t: uf.find(t) for t in uf.parent}
+        apart: set[frozenset[Expr]] = set()
+        sat = True
+        for a, b in diseqs:
+            ra, rb = rep[a], rep[b]
+            sat = sat and ra != rb
+            apart.add(frozenset((ra, rb)))
+        self.rep = rep
+        self.apart = apart
+        self.bounds = _bounds_of(atoms)
+        self.sat = sat and _relax(self.bounds) is not None
+
+    def entails(self, goal: PureAtom) -> bool:
+        if not self.sat:
+            return True
+        if isinstance(goal, (PtrEq, PtrNeq)):
+            ra = self.rep.get(goal.lhs, goal.lhs)
+            rb = self.rep.get(goal.rhs, goal.rhs)
+            if isinstance(goal, PtrEq):
+                return ra == rb
+            return ra != rb and frozenset((ra, rb)) in self.apart
+        base = self.bounds + _lit_bounds(goal)
+        return all(
+            _relax(base + case) is None for case in _strict_negation(goal)
+        )
+
+
+@lru_cache(maxsize=4)  # see the module docstring for why 4
+def _context(atoms: Atoms) -> PureContext:
+    return PureContext(atoms)
+
+
 # ------------------------------------------------------------------- entry points
 
 
-@lru_cache(maxsize=None)
 def satisfiable(atoms: Atoms) -> bool:
-    uf, diseqs = _ptr_state(atoms)
-    if not _ptr_consistent(uf, diseqs):
-        return False
-    return _relax(_bounds_of(atoms)) is not None
+    return _context(atoms).sat
 
 
-@lru_cache(maxsize=None)
 def entails(atoms: Atoms, goal: PureAtom) -> bool:
     """Does the conjunction of atoms entail the goal atom?"""
-    if not satisfiable(atoms):
-        return True
-    if isinstance(goal, PtrEq):
-        uf, _ = _ptr_state(atoms)
-        return uf.find(goal.lhs) == uf.find(goal.rhs)
-    if isinstance(goal, PtrNeq):
-        uf, diseqs = _ptr_state(atoms)
-        uf.union(goal.lhs, goal.rhs)
-        return not _ptr_consistent(uf, diseqs)
-    base = _bounds_of(atoms) + _lit_bounds(goal)
-    return all(
-        _relax(base + case) is None for case in _strict_negation(goal)
-    )
+    return _context(atoms).entails(goal)
 
 
 def entails_all(atoms: Atoms, goals: Iterable[PureAtom]) -> bool:
-    return all(entails(atoms, g) for g in goals)
+    ctx = _context(atoms)
+    return all(ctx.entails(g) for g in goals)
 
 
 Status = Literal["eq", "neq", "unknown"]
 
 
-@lru_cache(maxsize=None)
 def status_of_pair(atoms: Atoms, a: Expr, b: Expr) -> Status:
     """Decide whether two pointer terms are forced equal, forced apart, or free."""
-    if entails(atoms, PtrEq(a, b)):
+    ctx = _context(atoms)
+    if ctx.entails(PtrEq(a, b)):
         return "eq"
-    if entails(atoms, PtrNeq(a, b)):
+    if ctx.entails(PtrNeq(a, b)):
         return "neq"
     return "unknown"
 

@@ -195,3 +195,14 @@ class TestInstalledScript:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "VALID"
+
+    def test_batch_without_asserts(self):
+        # -O strips every assert, so no verdict may hang on one
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "sepent.cli", "--input", str(DATA)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-1] == (
+            "checked 10 files: 0 mismatches, 0 errors"
+        )

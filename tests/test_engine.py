@@ -21,6 +21,7 @@ from sepent.engine import (
     UnsupportedFragment,
     _link_conditions,
     _spatial_unifiers,
+    _unify_atom,
     apply_rule,
     check_cyclic_soundness,
     is_closed,
@@ -388,6 +389,83 @@ def test_selector_names_every_step(sequent, registry):
             assert sel == n.case
 
 
+def reference_open_leaf(tree):
+    """The full preorder walk from the root."""
+    stack = [tree.root]
+    while stack:
+        n = tree.nodes[stack.pop()]
+        if n.status == "open" and n.is_leaf():
+            return n
+        stack.extend(reversed(n.children))
+    return None
+
+
+def search_steps(tree, reg):
+    """Grow the tree as prove does, one rule or back-link per step, and
+    yield after every step."""
+    while True:
+        status, data = is_closed(tree, reg)
+        if status == "valid":
+            return
+        leaf_id, choice = data
+        node = tree.node(leaf_id)
+        if status == "invalid":
+            node.status = "invalid"
+            yield
+            return
+        linked = link_back(tree, leaf_id, reg)
+        if linked is not None:
+            node.status = "bud"
+            node.companion, node.sigma, node.match = linked
+        else:
+            apply_rule(tree, leaf_id, choice, reg)
+        yield
+
+
+@pytest.mark.parametrize(
+    "sequent",
+    [s for _, s, _ in SUITE] + [chain_sequent(n) for n in range(1, 7)],
+    ids=[name for name, _, _ in SUITE] + [f"chain{n}" for n in range(1, 7)],
+)
+def test_open_leaf_matches_full_walk(sequent, registry):
+    tree = ProofTree.new(parse_query(sequent))
+    assert tree.open_leaf() is reference_open_leaf(tree)
+    for _ in search_steps(tree, registry):
+        assert tree.open_leaf() is reference_open_leaf(tree)
+    assert list(tree.edges()) == list(prove(parse_query(sequent), registry).tree.edges())
+
+
+# The golden proof with the right branch of the ExM split built first.
+RIGHT_FIRST_SCRIPT = [
+    (0, "LInd"),
+    (1, "ExM"),
+    (3, "NeqStar"),
+    (4, "RInd"),
+    (5, "Hypothesis"),
+    (6, "Star"),
+    (7, "Id"),
+    (2, "Subst"),
+    (9, "LBase"),
+    (10, "RInd"),
+    (11, "RBase"),
+    (12, "Id"),
+]
+
+
+@pytest.mark.parametrize(
+    "script",
+    [TestApplyRule.GOLDEN_SCRIPT, RIGHT_FIRST_SCRIPT],
+    ids=["golden", "right_first"],
+)
+def test_open_leaf_matches_full_walk_along_a_script(script, registry):
+    tree = ProofTree.new(golden_entailment())
+    for nid, rule in script:
+        assert tree.open_leaf() is reference_open_leaf(tree)
+        apply_rule(tree, nid, rule, registry)
+    assert tree.open_leaf() is reference_open_leaf(tree)
+    assert tree.open_leaf() is not None  # the bud is left open
+
+
 # ---------------------------------------------------------------- back-links
 
 
@@ -417,6 +495,25 @@ class TestLinkBack:
         assert link_back(tree, 1, registry) is None
 
 
+def reference_spatial_unifiers(bud, comp):
+    """The recursive enumeration, one level per bud atom."""
+    if len(bud) != len(comp):
+        return
+
+    def go(i, used, sigma, match):
+        if i == len(bud):
+            yield sigma, match
+            return
+        for j in range(len(comp)):
+            if j in used:
+                continue
+            ext = _unify_atom(bud[i], comp[j], sigma)
+            if ext is not None:
+                yield from go(i + 1, used | {j}, ext, {**match, i: j})
+
+    yield from go(0, frozenset(), {}, {})
+
+
 def reference_link_back(tree, leaf_id, reg):
     """The plain ancestor scan: every unifier of every ancestor, conditions
     before progress."""
@@ -424,7 +521,9 @@ def reference_link_back(tree, leaf_id, reg):
     if not any(a.unfold > 0 for _, a in ent.lhs.pred_occs()):
         return None
     for anc in tree.ancestors(leaf_id):
-        for sigma, match in _spatial_unifiers(ent.lhs.spatial, anc.ent.lhs.spatial):
+        for sigma, match in reference_spatial_unifiers(
+            ent.lhs.spatial, anc.ent.lhs.spatial
+        ):
             if not _link_conditions(ent, anc.ent, sigma):
                 continue
             if any(
@@ -457,6 +556,19 @@ def test_link_back_matches_reference_scan(sequent, registry):
         assert found == reference_link_back(tree, nid, registry)
         if node.status == "bud":
             assert found == (node.companion, node.sigma, node.match)
+        bud = node.ent.lhs.spatial
+        for anc in tree.ancestors(nid):
+            comp = anc.ent.lhs.spatial
+            assert list(_spatial_unifiers(bud, comp)) == list(
+                reference_spatial_unifiers(bud, comp)
+            )
+
+
+def test_spatial_unifiers_on_a_long_spatial_part():
+    # one recursion level per atom would pass the interpreter's limit
+    n = 5000
+    bud = tuple(PointsTo(Var(f"v{i}"), "c1", (Var(f"v{i + 1}"),)) for i in range(n))
+    assert next(_spatial_unifiers(bud, bud)) == ({}, {i: i for i in range(n)})
 
 
 # ------------------------------------------------- certificates, hand-built

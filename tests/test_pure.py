@@ -1,9 +1,19 @@
 """Pure-fragment solver: satisfiability, entailment, and model extraction."""
 
-from hypothesis import given, strategies as st
+import ast
+from pathlib import Path
 
+from hypothesis import example, given, strategies as st
+
+import sepent.pure
 from sepent.oracle import eval_pure_atom
 from sepent.pure import (
+    _bounds_of,
+    _lit_bounds,
+    _ptr_consistent,
+    _ptr_state,
+    _relax,
+    _strict_negation,
     arith_model,
     entails,
     entails_all,
@@ -13,8 +23,43 @@ from sepent.pure import (
 )
 from sepent.syntax import ArithEq, ArithLeq, IntLit, NULL, PtrEq, PtrNeq, Var
 
-x, y, z = Var("x"), Var("y"), Var("z")
-a, b, c = Var("a"), Var("b"), Var("c")
+x, y, z, w = Var("x"), Var("y"), Var("z"), Var("w")
+a, b, c, d = Var("a"), Var("b"), Var("c"), Var("d")
+
+
+# The entry points as they were before PureContext: every query rebuilds
+# the union-find and the bounds from the atoms.
+
+
+def reference_satisfiable(atoms):
+    uf, diseqs = _ptr_state(atoms)
+    if not _ptr_consistent(uf, diseqs):
+        return False
+    return _relax(_bounds_of(atoms)) is not None
+
+
+def reference_entails(atoms, goal):
+    if not reference_satisfiable(atoms):
+        return True
+    if isinstance(goal, PtrEq):
+        uf, _ = _ptr_state(atoms)
+        return uf.find(goal.lhs) == uf.find(goal.rhs)
+    if isinstance(goal, PtrNeq):
+        uf, diseqs = _ptr_state(atoms)
+        uf.union(goal.lhs, goal.rhs)
+        return not _ptr_consistent(uf, diseqs)
+    base = _bounds_of(atoms) + _lit_bounds(goal)
+    return all(
+        _relax(base + case) is None for case in _strict_negation(goal)
+    )
+
+
+def reference_status_of_pair(atoms, a, b):
+    if reference_entails(atoms, PtrEq(a, b)):
+        return "eq"
+    if reference_entails(atoms, PtrNeq(a, b)):
+        return "neq"
+    return "unknown"
 
 
 def test_empty_is_satisfiable():
@@ -110,3 +155,60 @@ def test_entailment_is_extension_stable(atoms, goal):
     # adding the goal to a context that entails it must stay satisfiable
     if satisfiable(atoms) and entails(atoms, goal):
         assert satisfiable(atoms + (goal,))
+
+
+# Goals may also name w and d, which the atoms never mention.
+_GOAL_PTR_TERMS = st.sampled_from([x, y, z, w, NULL])
+_GOAL_ARITH_TERMS = st.sampled_from([a, b, c, d, IntLit(-1), IntLit(0), IntLit(2)])
+
+
+@st.composite
+def _goals(draw):
+    kind = draw(st.integers(0, 3))
+    if kind < 2:
+        lhs = draw(_GOAL_PTR_TERMS)
+        rhs = draw(st.one_of(st.just(lhs), _GOAL_PTR_TERMS))
+        return (PtrEq, PtrNeq)[kind](lhs, rhs)
+    lhs = draw(_GOAL_ARITH_TERMS)
+    rhs = draw(st.one_of(st.just(lhs), _GOAL_ARITH_TERMS))
+    return (ArithEq, ArithLeq)[kind - 2](lhs, rhs)
+
+
+@given(st.lists(_atoms(), max_size=8).map(tuple), _goals())
+@example((PtrEq(x, y), PtrNeq(y, x)), PtrEq(w, NULL))  # unsatisfiable
+@example((ArithLeq(a, IntLit(-1)), ArithLeq(IntLit(0), a)), PtrNeq(x, x))
+@example((PtrNeq(x, NULL),), PtrNeq(w, NULL))  # unmentioned variable
+@example((PtrEq(x, y),), PtrEq(w, w))  # reflexive
+@example((PtrNeq(x, y),), PtrNeq(w, w))
+@example((ArithLeq(a, b),), ArithEq(d, d))
+def test_context_agrees_with_reference(atoms, goal):
+    assert satisfiable(atoms) == reference_satisfiable(atoms)
+    assert entails(atoms, goal) == reference_entails(atoms, goal)
+    if isinstance(goal, (PtrEq, PtrNeq)):
+        assert status_of_pair(atoms, goal.lhs, goal.rhs) == (
+            reference_status_of_pair(atoms, goal.lhs, goal.rhs)
+        )
+
+
+def test_pure_caches_are_bounded():
+    """Every memo in pure.py names a literal integer size, so a long batch
+    cannot keep every pure part it has seen alive."""
+    tree = ast.parse(Path(sepent.pure.__file__).read_text(encoding="utf-8"))
+
+    def name(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr
+        return node.id if isinstance(node, ast.Name) else None
+
+    sized = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and name(node.func) == "lru_cache":
+            size = node.args[0] if node.args else next(
+                (k.value for k in node.keywords if k.arg == "maxsize"), None
+            )
+            assert isinstance(size, ast.Constant), ast.unparse(node)
+            assert type(size.value) is int, ast.unparse(node)
+            sized.add(id(node.func))
+    for node in ast.walk(tree):
+        if name(node) in ("lru_cache", "cache"):
+            assert id(node) in sized, f"line {node.lineno}: {ast.unparse(node)}"
