@@ -28,7 +28,7 @@ reported.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Literal, Optional, Union
+from typing import Iterator, Literal, Optional, Sequence, Union
 
 from . import pure as pure_solver
 from .defs import (
@@ -620,31 +620,45 @@ def apply_rule(
 
 
 def _unify_atom(
-    a: SpatialAtom, b: SpatialAtom, sigma: dict[str, str]
-) -> Optional[dict[str, str]]:
-    """Extend sigma so that a maps onto b; only proof-fresh variables of a
-    may be renamed, everything else must match exactly."""
+    a: SpatialAtom, b: SpatialAtom, sigma: dict[str, str], trail: list[str]
+) -> bool:
+    """Extend sigma in place so that a maps onto b; only proof-fresh
+    variables of a may be renamed, everything else must match exactly.
+    Each name bound is pushed on trail; on failure sigma and trail are
+    restored before returning False."""
     if isinstance(a, PredOcc) != isinstance(b, PredOcc):
-        return None
+        return False
     if isinstance(a, PredOcc) and isinstance(b, PredOcc):
         if a.pred != b.pred:
-            return None
-        pairs = list(zip(a.args, b.args))
+            return False
+        pairs = zip(a.args, b.args)
     else:
         assert isinstance(a, PointsTo) and isinstance(b, PointsTo)
         if a.sort != b.sort:
-            return None
-        pairs = list(zip((a.root, *a.fields), (b.root, *b.fields)))
-    out = dict(sigma)
+            return False
+        pairs = zip((a.root, *a.fields), (b.root, *b.fields))
+    mark = len(trail)
     for ea, eb in pairs:
         if isinstance(ea, Var) and is_fresh_name(ea.name):
             if not isinstance(eb, Var):
-                return None
-            if out.setdefault(ea.name, eb.name) != eb.name:
-                return None
+                break
+            bound = sigma.get(ea.name)
+            if bound is None:
+                sigma[ea.name] = eb.name
+                trail.append(ea.name)
+            elif bound != eb.name:
+                break
         elif ea != eb:
-            return None
-    return out
+            break
+    else:
+        return True
+    _undo(sigma, trail, mark)
+    return False
+
+
+def _undo(sigma: dict[str, str], trail: list[str], mark: int) -> None:
+    while len(trail) > mark:
+        del sigma[trail.pop()]
 
 
 def _spatial_unifiers(
@@ -653,37 +667,59 @@ def _spatial_unifiers(
     """Every bijection of bud atoms onto comp atoms that one renaming of
     proof-fresh names unifies, as (renaming, bud index -> comp index), in
     lexicographic order of the comp indices.  A depth-first search with an
-    explicit stack, so the bud's length does not bound the recursion."""
+    explicit stack, so the bud's length does not bound the recursion.
+
+    One renaming is extended in place and undone along a trail.  A bud
+    atom whose root the renaming already fixes (an input name, or a
+    mapped fresh name) only tries the comp atoms at that root; any other
+    comp atom would fail to unify anyway."""
     n = len(bud)
     if n != len(comp):
         return
+    by_root: dict[Expr, list[int]] = {}
+    for j, b in enumerate(comp):
+        by_root.setdefault(b.root, []).append(j)
+    sigma: dict[str, str] = {}
+    trail: list[str] = []
+
+    def candidates(a: SpatialAtom) -> Sequence[int]:
+        r = a.root
+        if isinstance(r, Var) and is_fresh_name(r.name):
+            if r.name not in sigma:
+                return range(n)
+            r = Var(sigma[r.name])
+        return by_root.get(r, ())
+
     chosen: list[int] = []  # chosen[i]: the comp index bud[i] maps to
-    sigmas: list[dict[str, str]] = [{}]  # sigmas[i]: renaming for bud[:i]
-    used: set[int] = set()
-    j = 0  # next comp index to try for bud[len(chosen)]
+    # per chosen level: its candidates, the position after chosen[i]
+    # among them, and the trail length before bud[i] was unified
+    frames: list[tuple[Sequence[int], int, int]] = []
+    used = [False] * n
+    cands: Sequence[int] = candidates(bud[0]) if n else ()
+    k = 0  # next position in cands to try for bud[len(chosen)]
     while True:
         i = len(chosen)
+        found = False
         if i == n:
-            yield sigmas[-1], dict(enumerate(chosen))
+            yield dict(sigma), dict(enumerate(chosen))
         else:
-            while j < n:
-                if j not in used:
-                    ext = _unify_atom(bud[i], comp[j], sigmas[-1])
-                    if ext is not None:
-                        break
-                j += 1
-            if j < n:
-                chosen.append(j)
-                used.add(j)
-                sigmas.append(ext)
-                j = 0
-                continue
+            mark = len(trail)
+            while k < len(cands) and not found:
+                j = cands[k]
+                k += 1
+                found = not used[j] and _unify_atom(bud[i], comp[j], sigma, trail)
+        if found:
+            frames.append((cands, k, mark))
+            chosen.append(j)
+            used[j] = True
+            if i + 1 < n:
+                cands, k = candidates(bud[i + 1]), 0
+            continue
         if not chosen:
             return
-        j = chosen.pop()
-        used.remove(j)
-        sigmas.pop()
-        j += 1
+        used[chosen.pop()] = False
+        cands, k, mark = frames.pop()
+        _undo(sigma, trail, mark)
 
 
 def _link_conditions(

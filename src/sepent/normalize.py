@@ -11,6 +11,16 @@ finally split undecided pairs (the only branching rule).
 Each applier performs a single step so the proof engine can record one rule
 per tree edge; normalize() drives them to a fixpoint. Outputs either pass
 is_nf or have an unsatisfiable left side (closed by Inconsistency later).
+
+NeqNull and NeqStar add every disequality their scan finds missing in one
+step, in scan order. Adding them one per step gives the same proof up to
+contracting each run of NeqNull steps, and each run of NeqStar steps, into
+its last node: neither rule adds an equality or a root=seg atom, so =L,
+Subst and LBase cannot fire inside such a run; NeqNull has already added
+every root!=null atom NeqStar could add; and the set of atoms known to be
+nonempty only grows mid-run when two atoms share a root, which makes the
+left side unsatisfiable. Chain proofs thus grow linearly in the chain
+length, not quadratically.
 """
 
 from __future__ import annotations
@@ -45,7 +55,7 @@ Step = tuple[str, tuple[Entailment, ...]]
 def nf_failures(heap: SymbolicHeap, reg: Registry) -> tuple[int, ...]:
     """Failed clause numbers of the normal-form definition (empty when NF)."""
     pi = heap.pure
-    have = frozenset(pi)
+    have = heap.pure_set
     fails: set[int] = set()
     for a in heap.spatial:
         if isinstance(a, PredOcc):
@@ -168,33 +178,41 @@ def apply_lbase(ent: Entailment, reg: Registry) -> Optional[Step]:
     return "LBase", (out,)
 
 
+def _known_roots(heap: SymbolicHeap, reg: Registry) -> list[Expr]:
+    """Roots of the atoms known to be nonempty, in spatial order: every
+    cell, and every occurrence whose guard the pure part holds."""
+    have = heap.pure_set
+    return [
+        atom_root(a)
+        for a in heap.spatial
+        if not isinstance(a, PredOcc) or guard_of(a, reg) in have
+    ]
+
+
 def apply_neq_null(ent: Entailment, reg: Registry) -> Optional[Step]:
-    have = frozenset(ent.lhs.pure)
-    for a in ent.lhs.spatial:
-        if isinstance(a, PredOcc):
-            g = guard_of(a, reg)
-            if g is None or g not in have:
-                continue  # nonemptiness not yet established
-        need = PtrNeq(atom_root(a), NULL)
+    have = ent.lhs.pure_set
+    needs: dict[PtrNeq, None] = {}  # an insertion-ordered set
+    for r in _known_roots(ent.lhs, reg):
+        need = PtrNeq(r, NULL)
         if need not in have:
-            return "NeqNull", (replace(ent, lhs=ent.lhs.add_pure([need])),)
-    return None
+            needs[need] = None
+    if not needs:
+        return None
+    return "NeqNull", (replace(ent, lhs=ent.lhs.add_pure(needs)),)
 
 
 def apply_neq_star(ent: Entailment, reg: Registry) -> Optional[Step]:
-    have = frozenset(ent.lhs.pure)
-    atoms = ent.lhs.spatial
-    present = [
-        not isinstance(a, PredOcc) or guard_of(a, reg) in have for a in atoms
-    ]
-    for i in range(len(atoms)):
-        for j in range(i + 1, len(atoms)):
-            if not (present[i] and present[j]):
-                continue
-            need = PtrNeq(atom_root(atoms[i]), atom_root(atoms[j]))
+    have = ent.lhs.pure_set
+    roots = _known_roots(ent.lhs, reg)
+    needs: dict[PtrNeq, None] = {}
+    for i, r in enumerate(roots):
+        for s in roots[i + 1 :]:
+            need = PtrNeq(r, s)
             if need not in have:
-                return "NeqStar", (replace(ent, lhs=ent.lhs.add_pure([need])),)
-    return None
+                needs[need] = None
+    if not needs:
+        return None
+    return "NeqStar", (replace(ent, lhs=ent.lhs.add_pure(needs)),)
 
 
 def _exm_pairs(heap: SymbolicHeap, reg: Registry) -> list[tuple[Expr, Expr]]:
@@ -211,7 +229,7 @@ def _exm_pairs(heap: SymbolicHeap, reg: Registry) -> list[tuple[Expr, Expr]]:
 
 def apply_exm(ent: Entailment, reg: Registry) -> Optional[Step]:
     pi = ent.lhs.pure
-    have = frozenset(pi)
+    have = ent.lhs.pure_set
     for e1, e2 in _exm_pairs(ent.lhs, reg):
         if e1 == e2 or PtrNeq(e1, e2) in have or PtrEq(e1, e2) in have:
             continue

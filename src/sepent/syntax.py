@@ -9,6 +9,7 @@ that membership tests like "x != null in pure" do not depend on operand order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 FRESH_MARK = "#"
@@ -222,6 +223,13 @@ def same_atom_mod_unfold(a: SpatialAtom, b: SpatialAtom) -> bool:
 
 @dataclass(frozen=True)
 class SymbolicHeap:
+    """A spatial part and a pure part, each a tuple in written order.
+
+    `pure_set` is the pure part as a frozenset, built on first use and
+    kept on the instance; membership tests read it. It is not a field, so
+    equality, hashing, `repr` and `dataclasses.replace` ignore it.
+    """
+
     spatial: tuple[SpatialAtom, ...] = ()
     pure: tuple[PureAtom, ...] = ()
 
@@ -239,12 +247,17 @@ class SymbolicHeap:
             out |= atom_vars(p)
         return out
 
+    @cached_property
+    def pure_set(self) -> frozenset[PureAtom]:
+        """The pure atoms as a frozenset."""
+        return frozenset(self.pure)
+
     def has_pure(self, atom: PureAtom) -> bool:
-        return atom in frozenset(self.pure)
+        return atom in self.pure_set
 
     def add_pure(self, atoms: Iterable[PureAtom]) -> "SymbolicHeap":
         """Append atoms not already present (symmetric-aware), keeping order."""
-        have = frozenset(self.pure)
+        have = self.pure_set
         extra = tuple(a for a in atoms if a not in have)
         if not extra:
             return self

@@ -9,9 +9,11 @@ each be rejected by check_cyclic_soundness for the stated reason.
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import parse_query
-from sepent import engine
+from sepent import engine, normalize
 from sepent.engine import (
     Edge,
     ProofTree,
@@ -42,6 +44,7 @@ from sepent.syntax import (
     Var,
 )
 from suite_cases import SUITE, chain_sequent
+from test_normalize import reference_appliers
 
 x, y, z, E = Var("x"), Var("y"), Var("z"), Var("E")
 mi, ma, u = Var("mi"), Var("ma"), Var("u")
@@ -507,8 +510,8 @@ def reference_spatial_unifiers(bud, comp):
         for j in range(len(comp)):
             if j in used:
                 continue
-            ext = _unify_atom(bud[i], comp[j], sigma)
-            if ext is not None:
+            ext = dict(sigma)
+            if _unify_atom(bud[i], comp[j], ext, []):
                 yield from go(i + 1, used | {j}, ext, {**match, i: j})
 
     yield from go(0, frozenset(), {}, {})
@@ -564,11 +567,107 @@ def test_link_back_matches_reference_scan(sequent, registry):
             )
 
 
+def _spatial_parts(names, n):
+    atom = st.tuples(st.booleans(), names, names).map(
+        lambda t: PredOcc("ll", (Var(t[1]), Var(t[2])))
+        if t[0]
+        else PointsTo(Var(t[1]), "c1", (Var(t[2]),))
+    )
+    return st.lists(atom, min_size=n, max_size=n).map(tuple)
+
+
+@given(
+    st.integers(0, 4).flatmap(
+        lambda n: st.tuples(
+            _spatial_parts(st.sampled_from(["X#1", "X#2", "a"]), n),
+            _spatial_parts(st.sampled_from(["a", "b"]), n),
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_spatial_unifiers_match_reference_on_small_parts(parts):
+    # few names, so several bijections unify and the search backtracks
+    # over bound renamings
+    bud, comp = parts
+    assert list(_spatial_unifiers(bud, comp)) == list(
+        reference_spatial_unifiers(bud, comp)
+    )
+
+
 def test_spatial_unifiers_on_a_long_spatial_part():
     # one recursion level per atom would pass the interpreter's limit
     n = 5000
     bud = tuple(PointsTo(Var(f"v{i}"), "c1", (Var(f"v{i + 1}"),)) for i in range(n))
     assert next(_spatial_unifiers(bud, bud)) == ({}, {i: i for i in range(n)})
+
+
+def test_spatial_unifiers_on_cells_in_reverse_order():
+    # each bud cell has exactly one image, at the far end of the comp
+    # tuple; the renaming fixes every root, so no other comp atom is tried
+    n = 1000
+    bud = tuple(
+        PointsTo(Var(f"v{i}"), "c1", (Var(f"F#{i}"),)) for i in range(n)
+    )
+    comp = tuple(PointsTo(Var(f"v{i}"), "c1", (Var(f"w{i}"),)) for i in range(n))
+    comp = comp[::-1]
+    assert list(_spatial_unifiers(bud, comp)) == [
+        ({f"F#{i}": f"w{i}" for i in range(n)}, {i: n - 1 - i for i in range(n)})
+    ]
+
+
+def contracted_preorder(tree):
+    """One record per node in preorder, with every maximal run of NeqNull
+    edges, and every run of NeqStar edges, contracted to its last node."""
+    out = []
+    stack = [tree.root]
+    while stack:
+        n = tree.node(stack.pop())
+        stack.extend(reversed(n.children))
+        rule = n.edge.rule if n.edge is not None else None
+        if (
+            rule in ("NeqNull", "NeqStar")
+            and len(n.children) == 1
+            and tree.node(n.children[0]).edge.rule == rule
+        ):
+            continue
+        companion = None if n.companion is None else tree.node(n.companion).ent
+        out.append(
+            (
+                n.edge,
+                n.ent,
+                n.status,
+                n.axiom,
+                n.case,
+                n.counter,
+                companion,
+                n.sigma,
+                n.match,
+            )
+        )
+    return out
+
+
+@pytest.mark.parametrize(
+    "sequent",
+    [s for _, s, _ in SUITE] + [chain_sequent(n) for n in range(1, 9)],
+    ids=[name for name, _, _ in SUITE] + [f"chain{n}" for n in range(1, 9)],
+)
+def test_batched_disequalities_contract_the_one_atom_proof(
+    sequent, registry, monkeypatch
+):
+    ent = parse_query(sequent)
+    got = prove(ent, registry)
+    with monkeypatch.context() as m:
+        m.setattr(normalize, "_APPLIERS", reference_appliers())
+        want = prove(ent, registry)
+    assert contracted_preorder(got.tree) == contracted_preorder(want.tree)
+    assert (got.valid, got.case, got.counter) == (
+        want.valid,
+        want.case,
+        want.counter,
+    )
+    if not got.valid:
+        assert got.tree.node(got.node).ent == want.tree.node(want.node).ent
 
 
 # ------------------------------------------------- certificates, hand-built

@@ -4,11 +4,16 @@ Branch sets and traces are frozen from hand-worked reductions; the
 disjunction checks at the end confirm them against the model enumerator.
 """
 
+from dataclasses import replace
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import disjunction_equivalent
+from sepent import normalize as normalize_module
+from sepent.defs import guard_of
 from sepent.normalize import (
     apply_eq_l,
     apply_exm,
@@ -35,6 +40,7 @@ from sepent.syntax import (
     PtrNeq,
     SymbolicHeap,
     Var,
+    atom_root,
 )
 
 x, y, z, w = Var("x"), Var("y"), Var("z"), Var("w")
@@ -48,6 +54,57 @@ def heap(spatial=(), pure=()):
 
 def ent(lspatial=(), lpure=(), rspatial=(), rpure=()):
     return Entailment(heap(lspatial, lpure), heap(rspatial, rpure))
+
+
+# ------------------------------------------------- one-atom reference rules
+
+
+def reference_apply_neq_null(ent, reg):
+    have = frozenset(ent.lhs.pure)
+    for a in ent.lhs.spatial:
+        if isinstance(a, PredOcc):
+            g = guard_of(a, reg)
+            if g is None or g not in have:
+                continue  # nonemptiness not yet established
+        need = PtrNeq(atom_root(a), NULL)
+        if need not in have:
+            return "NeqNull", (replace(ent, lhs=ent.lhs.add_pure([need])),)
+    return None
+
+
+def reference_apply_neq_star(ent, reg):
+    have = frozenset(ent.lhs.pure)
+    atoms = ent.lhs.spatial
+    present = [
+        not isinstance(a, PredOcc) or guard_of(a, reg) in have for a in atoms
+    ]
+    for i in range(len(atoms)):
+        for j in range(i + 1, len(atoms)):
+            if not (present[i] and present[j]):
+                continue
+            need = PtrNeq(atom_root(atoms[i]), atom_root(atoms[j]))
+            if need not in have:
+                return "NeqStar", (replace(ent, lhs=ent.lhs.add_pure([need])),)
+    return None
+
+
+def reference_appliers():
+    """The normalizer's rule order with NeqNull and NeqStar adding one
+    disequality per step, as `normalize._APPLIERS` can be patched to."""
+    swap = {
+        apply_neq_null: reference_apply_neq_null,
+        apply_neq_star: reference_apply_neq_star,
+    }
+    return tuple(swap.get(f, f) for f in normalize_module._APPLIERS)
+
+
+def collapse_runs(labels):
+    """The labels with each run of equal NeqNull or NeqStar labels kept once."""
+    out = []
+    for label in labels:
+        if not (out and label == out[-1] and label in ("NeqNull", "NeqStar")):
+            out.append(label)
+    return tuple(out)
 
 
 # ------------------------------------------------------------- normal form
@@ -203,6 +260,20 @@ class TestAppliers:
         _, (out,) = apply_neq_star(e, registry)
         assert PtrNeq(x, z) in out.lhs.pure
 
+    def test_neq_star_adds_every_missing_pair_in_one_step(self, registry):
+        cells = tuple(PointsTo(v, "c1", (NULL,)) for v in (x, y, z))
+        nonnull = (PtrNeq(x, NULL), PtrNeq(y, NULL), PtrNeq(z, NULL))
+        label, (out,) = apply_neq_star(ent(cells, nonnull), registry)
+        assert label == "NeqStar"
+        assert out.lhs.pure == nonnull + (
+            PtrNeq(x, y),
+            PtrNeq(x, z),
+            PtrNeq(y, z),
+        )
+        assert normalize(ent(cells), registry) == [
+            (out, ("NeqNull", "NeqStar"))
+        ]
+
     def test_exm_splits_root_against_segment(self, registry):
         e = ent((PredOcc("ll", (x, F)),), ())
         label, (eq, neq) = apply_exm(e, registry)
@@ -348,11 +419,14 @@ _names = st.sampled_from(["x", "y", "z"])
 
 @st.composite
 def _small_lhs(draw):
-    n = draw(st.integers(0, 2))
+    n = draw(st.integers(0, 4))
     spatial = []
     for _ in range(n):
         root, seg = draw(_names), draw(st.sampled_from(["y", "z", "F"]))
-        spatial.append(PredOcc("ll", (Var(root), Var(seg))))
+        if draw(st.booleans()):
+            spatial.append(PredOcc("ll", (Var(root), Var(seg))))
+        else:
+            spatial.append(PointsTo(Var(root), "c1", (Var(seg),)))
     pure = []
     if draw(st.booleans()):
         pure.append(PtrEq(Var(draw(_names)), Var(draw(_names))))
@@ -372,3 +446,22 @@ def test_normalize_total_and_labelled(lhs):
         assert set(trace) <= allowed
         fails = nf_failures(branch.lhs, reg)
         assert fails == () or 6 in fails
+
+
+@given(_small_lhs())
+@settings(max_examples=100, deadline=None)
+def test_batched_disequalities_contract_the_one_atom_steps(lhs):
+    # Where two atoms share a root, one pass can make an atom present
+    # mid-run, so the order of the added atoms may differ; such heaps are
+    # unsatisfiable, and only the pure sets are compared.
+    reg = __import__("conftest").make_registry()
+    e = Entailment(lhs, heap())
+    got = normalize(e, reg)
+    with mock.patch.object(normalize_module, "_APPLIERS", reference_appliers()):
+        want = normalize(e, reg)
+    assert len(got) == len(want)
+    for (g, gtrace), (r, rtrace) in zip(got, want):
+        assert g.lhs.spatial == r.lhs.spatial
+        assert frozenset(g.lhs.pure) == frozenset(r.lhs.pure)
+        assert g.rhs == r.rhs
+        assert collapse_runs(gtrace) == collapse_runs(rtrace)

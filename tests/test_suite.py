@@ -53,7 +53,7 @@ def test_case(sequent, valid, reg):
 
 
 class TestScalingFamily:
-    @pytest.mark.parametrize("n,nodes", [(1, 13), (2, 30), (3, 49), (4, 70)])
+    @pytest.mark.parametrize("n,nodes", [(1, 13), (2, 30), (3, 47), (4, 63)])
     def test_chain_proofs_are_deterministic(self, n, nodes, reg):
         verdict = prove(parse_query(chain_sequent(n)), reg)
         assert verdict.valid
