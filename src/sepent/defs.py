@@ -29,6 +29,7 @@ from .syntax import (
     PtrEq,
     PtrNeq,
     PureAtom,
+    SpatialAtom,
     SymbolicHeap,
     Var,
     subst_atom,
@@ -62,12 +63,6 @@ class SortDecl:
     name: str
     fields: tuple[tuple[str, str], ...]
 
-    def field_index(self, fname: str) -> int:
-        for i, (n, _) in enumerate(self.fields):
-            if n == fname:
-                return i
-        raise KeyError(fname)
-
 
 @dataclass(frozen=True)
 class RecBranch:
@@ -79,21 +74,10 @@ class RecBranch:
     arith: tuple[PureAtom, ...]
 
 
-def role_positions(params: tuple[Param, ...]) -> dict[Role, int]:
-    """First parameter position of each role present."""
-    roles: dict[Role, int] = {}
-    for i, p in enumerate(params):
-        roles.setdefault(p.role, i)
-    return roles
-
-
 class CoverPlan(NamedTuple):
     """How the oracle matches one nonempty step of a definition against a
     heap cell, fixed by the definition alone."""
 
-    seg: Optional[int]
-    src: Optional[int]  # None without an order pair
-    tgt: Optional[int]
     params: tuple[tuple[str, bool], ...]  # (name, is pointer) per parameter
     sort: str  # of the head cell
     # Per head field: its expression and the existential the cell's value
@@ -110,13 +94,21 @@ class InductiveDef:
     name: str
     params: tuple[Param, ...]
     rec: RecBranch
-    # First parameter position of each role; the prover asks for role
-    # positions on every step.
-    _roles: dict[Role, int] = field(init=False, repr=False, compare=False)
+    # The root is parameter 0. These are the positions of the segment and
+    # of the (src, tgt) order pair, meaningful once role_problem accepts
+    # the parameters; a missing segment reads as None.
+    seg_index: int = field(init=False, repr=False, compare=False)
+    order_pair: Optional[tuple[int, int]] = field(init=False, repr=False, compare=False)
     plan: CoverPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_roles", role_positions(self.params))
+        roles = [p.role for p in self.params]
+        seg = roles.index(Role.SEG) if Role.SEG in roles else None
+        pair = None
+        if Role.SRC in roles and Role.TGT in roles:
+            pair = (roles.index(Role.SRC), roles.index(Role.TGT))
+        object.__setattr__(self, "seg_index", seg)
+        object.__setattr__(self, "order_pair", pair)
         object.__setattr__(self, "plan", self._cover_plan())
 
     def _cover_plan(self) -> CoverPlan:
@@ -131,9 +123,6 @@ class InductiveDef:
             else:
                 head.append((e, None))
         return CoverPlan(
-            seg=self._roles.get(Role.SEG),
-            src=self._roles.get(Role.SRC),
-            tgt=self._roles.get(Role.TGT),
             params=tuple((p.name, p.kind == "ptr") for p in self.params),
             sort=rb.head.sort,
             head=tuple(head),
@@ -145,30 +134,11 @@ class InductiveDef:
     def param_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.params)
 
-    def index_of_role(self, role: Role) -> Optional[int]:
-        return self._roles.get(role)
-
-    @property
-    def root_index(self) -> int:
-        i = self.index_of_role(Role.ROOT)
-        assert i is not None
-        return i
-
-    @property
-    def seg_index(self) -> int:
-        i = self.index_of_role(Role.SEG)
-        assert i is not None
-        return i
-
-    def has_order_pair(self) -> bool:
-        return self.index_of_role(Role.SRC) is not None
-
     def src_existential(self) -> Optional[str]:
         """The inner order source: the recursive occurrence's src argument."""
-        i = self.index_of_role(Role.SRC)
-        if i is None:
+        if self.order_pair is None:
             return None
-        arg = self.rec.rec.args[i]
+        arg = self.rec.rec.args[self.order_pair[0]]
         return arg.name if isinstance(arg, Var) else None
 
 
@@ -198,10 +168,13 @@ def check_wellformed(reg: Registry) -> list[str]:
 
 
 def role_problem(name: str, params: tuple[Param, ...]) -> Optional[str]:
-    """The fault in a parameter list's roles, if any."""
+    """The fault in a parameter list's roles, if any. The root must come
+    first, because an occurrence's root is its argument 0."""
     roles = [p.role for p in params]
     if roles.count(Role.ROOT) != 1 or roles.count(Role.SEG) != 1:
         return f"{name}: needs exactly one root and one seg parameter"
+    if roles[0] != Role.ROOT:
+        return f"{name}: the root parameter must come first"
     if roles.count(Role.SRC) != roles.count(Role.TGT) or roles.count(Role.SRC) > 1:
         return f"{name}: src/tgt must appear as a pair, at most once"
     return None
@@ -225,7 +198,7 @@ def _check_def(reg: Registry, d: InductiveDef) -> list[str]:
             out.append(f"{d.name}: {p.name} must be integer-sorted")
 
     rb = d.rec
-    root = Var(names[d.root_index])
+    root = Var(names[0])
     if rb.head.root != root:
         out.append(f"{d.name}: head cell must be rooted at the root parameter")
     if rb.head.sort not in reg.sorts:
@@ -296,11 +269,11 @@ def _check_def(reg: Registry, d: InductiveDef) -> list[str]:
                 out.append(f"{d.name}: C2 violated, matrix argument {n} is a matrix root")
 
     # Order atom must relate the src parameter and the src existential.
-    if d.has_order_pair():
+    if d.order_pair is not None:
         if rb.order is None:
             out.append(f"{d.name}: src/tgt pair requires an order atom")
         else:
-            sc = Var(names[d.index_of_role(Role.SRC)])  # type: ignore[arg-type]
+            sc = Var(names[d.order_pair[0]])
             ops = {rb.order.lhs, rb.order.rhs}
             if sc not in ops or (src_ex is None or Var(src_ex) not in ops):
                 out.append(f"{d.name}: order atom must relate src and its existential")
@@ -353,47 +326,53 @@ def existential_kinds(d: InductiveDef, reg: Registry) -> dict[str, Kind]:
 # -------------------------------------------------------------------- unfolding
 
 
-def base_instance(occ: PredOcc, d: InductiveDef) -> tuple[PureAtom, ...]:
+def seg_of(occ: PredOcc, reg: Registry) -> Expr:
+    """The occurrence's segment argument."""
+    return occ.args[reg.pred(occ.pred).seg_index]
+
+
+def order_of(occ: PredOcc, reg: Registry) -> Optional[tuple[Expr, Expr]]:
+    """The occurrence's (src, tgt) arguments, or None without an order pair."""
+    pair = reg.pred(occ.pred).order_pair
+    return None if pair is None else (occ.args[pair[0]], occ.args[pair[1]])
+
+
+def base_instance(occ: PredOcc, reg: Registry) -> tuple[PureAtom, ...]:
     """Pure atoms of the base branch instantiated at this occurrence."""
-    atoms: list[PureAtom] = [PtrEq(occ.root, occ.args[d.seg_index])]
-    if d.has_order_pair():
-        si = d.index_of_role(Role.SRC)
-        ti = d.index_of_role(Role.TGT)
-        assert si is not None and ti is not None
-        atoms.append(ArithEq(occ.args[si], occ.args[ti]))
+    atoms: list[PureAtom] = [PtrEq(occ.root, seg_of(occ, reg))]
+    pair = order_of(occ, reg)
+    if pair is not None:
+        atoms.append(ArithEq(*pair))
     return tuple(atoms)
 
 
 def rec_instance(
-    occ: PredOcc, d: InductiveDef, fresh: FreshNames
+    occ: PredOcc, reg: Registry, fresh: FreshNames
 ) -> tuple[tuple[SpatialAtom, ...], tuple[PureAtom, ...], dict[str, Expr]]:
     """Recursive branch at this occurrence with fresh existentials.
 
     Returns (spatial atoms, pure atoms, substitution used). The recursive
     occurrence carries occ.unfold + 1 and matrix occurrences carry 0.
     """
+    d = reg.pred(occ.pred)
     sub: dict[str, Expr] = dict(zip(d.param_names(), occ.args))
     for w in d.rec.exists:
         sub[w] = Var(fresh.make(w))
     head = d.rec.head.subst(sub)
     matrix = tuple(m.subst(sub).with_unfold(0) for m in d.rec.matrix)
     rec = d.rec.rec.subst(sub).with_unfold(occ.unfold + 1)
-    pure: list[PureAtom] = [PtrNeq(occ.root, occ.args[d.seg_index])]
+    pure: list[PureAtom] = [PtrNeq(occ.root, seg_of(occ, reg))]
     if d.rec.order is not None:
         pure.append(subst_atom(d.rec.order, sub))
     pure.extend(subst_atom(a, sub) for a in d.rec.arith)
     return (head, *matrix, rec), tuple(pure), sub
 
 
-SpatialAtom = PointsTo | PredOcc
-
-
 def guard_of(atom: SpatialAtom, reg: Registry) -> Optional[PureAtom]:
     """Guard formula: true (None) for cells, root != seg for occurrences."""
     if isinstance(atom, PointsTo):
         return None
-    d = reg.pred(atom.pred)
-    return PtrNeq(atom.root, atom.args[d.seg_index])
+    return PtrNeq(atom.root, seg_of(atom, reg))
 
 
 # -------------------------------------------------------------- one-step bases
@@ -436,10 +415,10 @@ def _materialize(
     assert isinstance(rec_root, Var)
     src_ex = d.src_existential()
     matrix_roots = {m.root.name for m in d.rec.matrix if isinstance(m.root, Var)}
-    sub[rec_root.name] = occ.args[d.seg_index]
-    if src_ex is not None:
-        ti = d.index_of_role(Role.TGT)
-        sub[src_ex] = occ.args[ti]
+    sub[rec_root.name] = seg_of(occ, reg)
+    pair = order_of(occ, reg)
+    if src_ex is not None and pair is not None:
+        sub[src_ex] = pair[1]
     for w in d.rec.exists:
         if w not in sub and w not in matrix_roots:
             sub[w] = Var(fresh.make(w))
@@ -450,8 +429,7 @@ def _materialize(
         if root.name in sub:
             continue
         if m in cyclic:
-            target = reg.pred(m.pred)
-            seg_arg = m.args[target.seg_index]
+            seg_arg = seg_of(m, reg)
             if isinstance(seg_arg, Var) and seg_arg.name in matrix_roots:
                 seg_arg = Var(fresh.make(root.name))  # unresolvable chain
             sub[root.name] = subst_expr(seg_arg, sub)
@@ -459,16 +437,15 @@ def _materialize(
             sub[root.name] = Var(fresh.make(root.name))
 
     spatial.append(d.rec.head.subst(sub))
-    pure.append(PtrNeq(occ.root, occ.args[d.seg_index]))
+    pure.append(PtrNeq(occ.root, seg_of(occ, reg)))
     if d.rec.order is not None:
         pure.append(subst_atom(d.rec.order, sub))
     pure.extend(subst_atom(a, sub) for a in d.rec.arith)
     for m in d.rec.matrix:
         mi = m.subst(sub)
-        target = reg.pred(m.pred)
         if m in cyclic:
-            if target.has_order_pair():
-                si, ti = target.index_of_role(Role.SRC), target.index_of_role(Role.TGT)
-                pure.append(ArithEq(mi.args[si], mi.args[ti]))
+            pair = order_of(mi, reg)
+            if pair is not None:
+                pure.append(ArithEq(*pair))
         else:
             _materialize(mi, reg, fresh, spatial, pure, active | {d.name})

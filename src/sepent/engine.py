@@ -33,11 +33,12 @@ from typing import Iterator, Literal, Optional, Sequence, Union
 from . import pure as pure_solver
 from .defs import (
     Registry,
-    Role,
     base_of,
     check_wellformed,
     guard_of,
+    order_of,
     rec_instance,
+    seg_of,
 )
 from .normalize import lbase_site, normalize_step, subst_site
 from .oracle import Cell, HeapModel, OracleError, holds, kinds_of
@@ -257,7 +258,7 @@ def _reaches(atom: SpatialAtom, e: Expr, reg: Registry) -> bool:
     """Whether the atom connects to e: the segment argument of an
     occurrence, or any pointer field of a cell."""
     if isinstance(atom, PredOcc):
-        return atom.args[reg.pred(atom.pred).seg_index] == e
+        return seg_of(atom, reg) == e
     decl = reg.sort_of(atom.sort)
     return any(
         f == e for (_, ft), f in zip(decl.fields, atom.fields) if ft != "int"
@@ -342,14 +343,13 @@ def _eq_r(ent: Entailment, reg: Registry, fresh: FreshNames) -> Optional[RuleCho
 
 def _rbase(ent: Entailment, reg: Registry, fresh: FreshNames) -> Optional[RuleChoice]:
     for j, occ in ent.rhs.pred_occs():
-        d = reg.pred(occ.pred)
-        if occ.root != occ.args[d.seg_index]:
+        if occ.root != seg_of(occ, reg):
             continue
         rhs = ent.rhs.replace_spatial(j, ())
-        if d.has_order_pair():
-            si, ti = d.index_of_role(Role.SRC), d.index_of_role(Role.TGT)
-            assert si is not None and ti is not None
-            rhs = rhs.add_pure([ArithEq(occ.args[ti], occ.args[si])])
+        pair = order_of(occ, reg)
+        if pair is not None:
+            src, tgt = pair
+            rhs = rhs.add_pure([ArithEq(tgt, src)])
         prem = replace(ent, rhs=rhs)
         return RuleChoice("RBase", (prem,), (_ident_edge("RBase", ent),))
     return None
@@ -380,16 +380,13 @@ def _rind(ent: Entailment, reg: Registry, fresh: FreshNames) -> Optional[RuleCho
         cell = ent.lhs.atom_at_root(x)
         if not isinstance(cell, PointsTo):
             continue
-        d = reg.pred(occ.pred)
-        if cell.sort != d.rec.head.sort:
+        if cell.sort != reg.pred(occ.pred).rec.head.sort:
             continue
-        if not pure_solver.entails(
-            ent.lhs.pure, PtrNeq(x, occ.args[d.seg_index])
-        ):
+        if not pure_solver.entails(ent.lhs.pure, PtrNeq(x, seg_of(occ, reg))):
             continue
         if any(isinstance(b, PointsTo) and b.root == x for b in ent.rhs.spatial):
             continue
-        atoms, pure, sub = rec_instance(occ.with_unfold(0), d, fresh)
+        atoms, pure, sub = rec_instance(occ.with_unfold(0), reg, fresh)
         head = atoms[0]
         assert isinstance(head, PointsTo)
         smap: dict[str, Expr] = {}
@@ -411,7 +408,7 @@ def _rind(ent: Entailment, reg: Registry, fresh: FreshNames) -> Optional[RuleCho
 def _unfold_choice(
     label: str, ent: Entailment, i: int, occ: PredOcc, reg: Registry, fresh: FreshNames
 ) -> RuleChoice:
-    atoms, pure, _ = rec_instance(occ, reg.pred(occ.pred), fresh)
+    atoms, pure, _ = rec_instance(occ, reg, fresh)
     lhs = ent.lhs.replace_spatial(i, atoms).add_pure(pure)
     prem = replace(ent, lhs=lhs)
     n, grown = len(ent.lhs.spatial), len(atoms) - 1
@@ -480,8 +477,7 @@ def _lind(ent: Entailment, reg: Registry, fresh: FreshNames) -> Optional[RuleCho
         at = _occ_at(ent.lhs, occ.root)
         if at is None:
             continue
-        f3 = occ.args[reg.pred(occ.pred).seg_index]
-        if not pure_solver.entails(ent.lhs.pure, PtrNeq(occ.root, f3)):
+        if not pure_solver.entails(ent.lhs.pure, PtrNeq(occ.root, seg_of(occ, reg))):
             continue
         i, a = at
         rest = [b for t, b in enumerate(ent.rhs.spatial) if t != j]
@@ -498,7 +494,7 @@ def _rhs_exm(ent: Entailment, reg: Registry, fresh: FreshNames) -> Optional[Rule
     """Case split on an undecided root/segment pair of a right occurrence;
     the equal branch lets the base case fire, the other one the unfolds."""
     for _, occ in ent.rhs.pred_occs():
-        e1, e2 = occ.root, occ.args[reg.pred(occ.pred).seg_index]
+        e1, e2 = occ.root, seg_of(occ, reg)
         if e1 == e2:
             continue
         if pure_solver.status_of_pair(ent.lhs.pure, e1, e2) != "unknown":
@@ -527,7 +523,7 @@ def _norm_choice(ent: Entailment, reg: Registry) -> Optional[RuleChoice]:
     elif label == "LBase":
         lsite = lbase_site(ent, reg)
         assert lsite is not None
-        i, oriented = lsite
+        i, _, oriented = lsite
         fwd = tuple(
             j if j < i else (None if j == i else j - 1) for j in range(n)
         )

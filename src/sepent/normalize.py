@@ -29,7 +29,7 @@ from dataclasses import replace
 from typing import Callable, Optional
 
 from . import pure as pure_solver
-from .defs import Registry, Role, guard_of
+from .defs import Registry, guard_of, order_of, seg_of
 from .syntax import (
     ArithEq,
     Entailment,
@@ -42,7 +42,6 @@ from .syntax import (
     PtrNeq,
     SymbolicHeap,
     Var,
-    atom_root,
     is_fresh_name,
 )
 
@@ -62,9 +61,9 @@ def nf_failures(heap: SymbolicHeap, reg: Registry) -> tuple[int, ...]:
             g = guard_of(a, reg)
             if g is not None and g not in have:
                 fails.add(1)
-        if PtrNeq(atom_root(a), NULL) not in have:
+        if PtrNeq(a.root, NULL) not in have:
             fails.add(2)
-    roots = [atom_root(a) for a in heap.spatial]
+    roots = [a.root for a in heap.spatial]
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
             if PtrNeq(roots[i], roots[j]) not in have:
@@ -139,21 +138,17 @@ def apply_subst(ent: Entailment, reg: Registry) -> Optional[Step]:
 
 def lbase_site(
     ent: Entailment, reg: Registry
-) -> Optional[tuple[int, Optional[tuple[str, Expr]]]]:
-    """Index of the collapsed occurrence and the source-target binding, if
-    the order pair exists and orients to a substitution."""
+) -> Optional[
+    tuple[int, Optional[tuple[Expr, Expr]], Optional[tuple[str, Expr]]]
+]:
+    """Index of the first occurrence whose root meets its segment, its
+    (src, tgt) arguments when they differ, and the binding they orient to."""
     for i, a in enumerate(ent.lhs.spatial):
-        if not isinstance(a, PredOcc):
-            continue
-        d = reg.pred(a.pred)
-        if a.root != a.args[d.seg_index]:
-            continue
-        if d.has_order_pair():
-            sc = a.args[d.index_of_role(Role.SRC)]
-            tg = a.args[d.index_of_role(Role.TGT)]
-            if sc != tg:
-                return i, _orient(sc, tg)
-        return i, None
+        if isinstance(a, PredOcc) and a.root == seg_of(a, reg):
+            pair = order_of(a, reg)
+            if pair is None or pair[0] == pair[1]:
+                return i, None, None
+            return i, pair, _orient(*pair)
     return None
 
 
@@ -161,20 +156,13 @@ def apply_lbase(ent: Entailment, reg: Registry) -> Optional[Step]:
     site = lbase_site(ent, reg)
     if site is None:
         return None
-    i, oriented = site
-    a = ent.lhs.spatial[i]
-    assert isinstance(a, PredOcc)
-    d = reg.pred(a.pred)
+    i, pair, oriented = site
     out = replace(ent, lhs=ent.lhs.replace_spatial(i, ()))
-    if d.has_order_pair():
-        sc = a.args[d.index_of_role(Role.SRC)]
-        tg = a.args[d.index_of_role(Role.TGT)]
-        if sc != tg:
-            if oriented is None:
-                out = replace(out, lhs=out.lhs.add_pure([ArithEq(sc, tg)]))
-            else:
-                name, repl = oriented
-                out = out.subst({name: repl})
+    if oriented is not None:
+        name, repl = oriented
+        out = out.subst({name: repl})
+    elif pair is not None:
+        out = replace(out, lhs=out.lhs.add_pure([ArithEq(*pair)]))
     return "LBase", (out,)
 
 
@@ -183,7 +171,7 @@ def _known_roots(heap: SymbolicHeap, reg: Registry) -> list[Expr]:
     cell, and every occurrence whose guard the pure part holds."""
     have = heap.pure_set
     return [
-        atom_root(a)
+        a.root
         for a in heap.spatial
         if not isinstance(a, PredOcc) or guard_of(a, reg) in have
     ]
@@ -219,8 +207,8 @@ def _exm_pairs(heap: SymbolicHeap, reg: Registry) -> list[tuple[Expr, Expr]]:
     pairs: list[tuple[Expr, Expr]] = []
     for a in heap.spatial:
         if isinstance(a, PredOcc):
-            pairs.append((a.root, a.args[reg.pred(a.pred).seg_index]))
-    roots = [atom_root(a) for a in heap.spatial]
+            pairs.append((a.root, seg_of(a, reg)))
+    roots = [a.root for a in heap.spatial]
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
             pairs.append((roots[i], roots[j]))

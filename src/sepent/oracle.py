@@ -45,7 +45,6 @@ from .syntax import (
     IntLit,
     Null,
     PointsTo,
-    PredOcc,
     PtrEq,
     PtrNeq,
     PureAtom,
@@ -262,9 +261,10 @@ def _covers(model: HeapModel, pending: Pending, reg: Registry, bound: Bound) -> 
             plan = d.plan
             args = atom.args
             rootv = _ptr_val(args[0], env)
-            if rootv == _ptr_val(args[plan.seg], env):
-                if plan.src is not None and _data_val(args[plan.src], env) != _data_val(
-                    args[plan.tgt], env
+            if rootv == _ptr_val(args[d.seg_index], env):
+                pair = d.order_pair
+                if pair is not None and _data_val(args[pair[0]], env) != _data_val(
+                    args[pair[1]], env
                 ):
                     ok = False
                     break
@@ -376,16 +376,18 @@ def models_of(
     """All models of the heap up to the bound, canonically enumerated."""
     fresh = FreshNames()
     stack_names = tuple(sorted(heap.fv()))
+    # A stack variable an unfolding drops keeps the kind the input gives it.
+    input_kinds = kinds_of(heap, reg)
+    ptr_vars = frozenset(n for n in stack_names if input_kinds.get(n) == "ptr")
     seen: set[tuple] = set()
     for cells, pure_atoms in _expand(heap, reg, bound, fresh):
-        kinds = kinds_of(SymbolicHeap(cells, pure_atoms), reg)
+        kinds = input_kinds | kinds_of(SymbolicHeap(cells, pure_atoms), reg)
         if _refuted(pure_atoms):
             continue
         layout = [
             (i + 1, c.sort, tuple(zip(reg.sort_of(c.sort).fields, c.fields)))
             for i, c in enumerate(cells)
         ]
-        ptr_vars = frozenset(n for n in stack_names if kinds.get(n) == "ptr")
         for env in _assignments(cells, pure_atoms, stack_names, kinds, bound):
             hp = tuple(
                 (loc, sort, tuple([_field_val(e, ftype, env) for (_, ftype), e in fields]))
@@ -442,35 +444,41 @@ def _refuted(pure_atoms: tuple[PureAtom, ...]) -> bool:
 def _expand(
     heap: SymbolicHeap, reg: Registry, bound: Bound, fresh: FreshNames
 ) -> Iterator[tuple[tuple[PointsTo, ...], tuple[PureAtom, ...]]]:
-    """Unfold occurrences every way: per-chain depth budget, global cell cap."""
+    """Unfold occurrences every way: per-chain depth budget, global cell cap.
 
-    def go(
-        pending: list[tuple[PointsTo | PredOcc, int]],
-        cells: tuple[PointsTo, ...],
-        pure: tuple[PureAtom, ...],
-    ) -> Iterator[tuple[tuple[PointsTo, ...], tuple[PureAtom, ...]]]:
-        if not pending:
+    A depth-first walk over an explicit stack. Each occurrence takes its
+    empty branch at once and leaves its nonempty branch on the stack, so
+    that branch, and the fresh names it draws, come only after every
+    variant of the empty one. The atoms still to place form a cons list of
+    ((atom, depth budget), rest) pairs.
+    """
+    pending: Pending = None
+    for a in reversed(heap.spatial):
+        pending = ((a, bound.max_unfold), pending)
+    # (atoms to place, cells, pure part, occurrence to unfold first or None)
+    stack = [(pending, (), heap.pure, None)]
+    while stack:
+        pending, cells, pure, unfold = stack.pop()
+        if unfold is not None:
+            atom, budget = unfold
+            spatial, rpure, _ = rec_instance(atom, reg, fresh)
+            pending = ((spatial[-1], budget - 1), pending)
+            for m in reversed(spatial[1:-1]):
+                pending = ((m, bound.max_unfold), pending)
+            pending = ((spatial[0], 0), pending)
+            pure = pure + rpure
+        while pending is not None:
+            (atom, budget), pending = pending
+            if isinstance(atom, PointsTo):
+                if len(cells) >= bound.max_locs:
+                    break
+                cells = cells + (atom,)
+                continue
+            if budget > 0 and len(cells) < bound.max_locs:
+                stack.append((pending, cells, pure, (atom, budget)))
+            pure = pure + base_instance(atom, reg)
+        else:
             yield cells, pure
-            return
-        atom, budget = pending[0]
-        rest = pending[1:]
-        if isinstance(atom, PointsTo):
-            if len(cells) >= bound.max_locs:
-                return
-            yield from go(rest, cells + (atom,), pure)
-            return
-        d = reg.pred(atom.pred)
-        yield from go(rest, cells, pure + base_instance(atom, d))
-        if budget > 0 and len(cells) < bound.max_locs:
-            spatial, rpure, _ = rec_instance(atom, d, fresh)
-            head, mats, rec = spatial[0], spatial[1:-1], spatial[-1]
-            new = [(head, 0)]
-            new += [(m, bound.max_unfold) for m in mats]
-            new.append((rec, budget - 1))
-            yield from go(new + rest, cells, pure + rpure)
-
-    start = [(a, bound.max_unfold) for a in heap.spatial]
-    yield from go(start, (), heap.pure)
 
 
 def _assignments(

@@ -46,7 +46,6 @@ from .defs import (
     Role,
     SortDecl,
     check_wellformed,
-    role_positions,
     role_problem,
 )
 from .syntax import (
@@ -247,6 +246,16 @@ class Kinds:
 # --------------------------------------------------- template decomposition
 
 
+def _base_atoms(params: tuple[Param, ...]) -> list[PureAtom]:
+    r"""root=seg [/\ src=tgt] for roles role_problem accepts: the root
+    first, one seg parameter and at most one src/tgt pair."""
+    named = {p.role: Var(p.name) for p in params}
+    atoms: list[PureAtom] = [PtrEq(Var(params[0].name), named[Role.SEG])]
+    if Role.SRC in named:
+        atoms.append(ArithEq(named[Role.SRC], named[Role.TGT]))
+    return atoms
+
+
 def assemble_base(
     name: str,
     params: tuple[Param, ...],
@@ -261,13 +270,7 @@ def assemble_base(
         raise err(problem)
     if satoms:
         raise err(f"{name}: base branch must be spatially empty")
-    roles = role_positions(params)
-    want: list[PureAtom] = [
-        PtrEq(Var(params[roles[Role.ROOT]].name), Var(params[roles[Role.SEG]].name))
-    ]
-    if Role.SRC in roles:
-        src, tgt = params[roles[Role.SRC]], params[roles[Role.TGT]]
-        want.append(ArithEq(Var(src.name), Var(tgt.name)))
+    want = _base_atoms(params)
     if Counter(pures) != Counter(want):
         raise err(
             f"{name}: base branch must be emp /\\ "
@@ -286,9 +289,8 @@ def assemble_rec(
     """Split a recursive branch body into head cell, matrix, designated
     recursive occurrence, guard, order atom, and arithmetic side.  The
     roles must have passed assemble_base."""
-    roles = role_positions(params)
-    root = Var(params[roles[Role.ROOT]].name)
-    seg = Var(params[roles[Role.SEG]].name)
+    named = {p.role: Var(p.name) for p in params}
+    root, seg = Var(params[0].name), named[Role.SEG]
 
     cells = [a for a in satoms if isinstance(a, PointsTo)]
     if len(cells) != 1 or cells[0].root != root:
@@ -307,9 +309,9 @@ def assemble_rec(
     rest = [a for a in pures if a != guard]
 
     order: Optional[PureAtom] = None
-    if Role.SRC in roles:
-        src = Var(params[roles[Role.SRC]].name)
-        inner = rec.args[roles[Role.SRC]]
+    if Role.SRC in named:
+        src = named[Role.SRC]
+        inner = next(a for p, a in zip(params, rec.args) if p.role == Role.SRC)
         hits = [
             a
             for a in rest
@@ -665,21 +667,16 @@ def parse_native(text: str) -> ProblemFile:
 
 
 def _branch_text(d: InductiveDef) -> str:
-    root = Var(d.params[d.root_index].name)
-    seg = Var(d.params[d.seg_index].name)
-    base = [f"{root}={seg}"]
-    si, ti = d.index_of_role(Role.SRC), d.index_of_role(Role.TGT)
-    if si is not None:
-        base.append(f"{d.params[si].name}={d.params[ti].name}")
+    base = _base_atoms(d.params)
     rb = d.rec
     spatial = " * ".join(str(a) for a in (rb.head, *rb.matrix, rb.rec))
-    pure = [f"{root}!={seg}"]
+    pure = [str(PtrNeq(base[0].lhs, base[0].rhs))]
     if rb.order is not None:
         pure.append(str(rb.order))
     pure.extend(str(a) for a in rb.arith)
     ex = f"exists {', '.join(rb.exists)}. " if rb.exists else ""
     return (
-        "     emp /\\ " + " /\\ ".join(base)
+        "     emp /\\ " + " /\\ ".join(map(str, base))
         + "\n  \\/ " + ex + spatial + " /\\ " + " /\\ ".join(pure) + ";"
     )
 

@@ -182,6 +182,8 @@ class PredOcc:
 
     @property
     def root(self) -> Expr:
+        """Argument 0: every definition takes its root parameter first
+        (defs.role_problem rejects any other layout)."""
         return self.args[0]
 
     def subst(self, sub: Subst) -> "PredOcc":
@@ -205,10 +207,6 @@ class PredOcc:
 
 
 SpatialAtom = Union[PointsTo, PredOcc]
-
-
-def atom_root(a: SpatialAtom) -> Expr:
-    return a.root
 
 
 def same_atom_mod_unfold(a: SpatialAtom, b: SpatialAtom) -> bool:

@@ -100,6 +100,28 @@ class TestExitCodes:
         assert code == 4
         assert lines == ["INVALID", "ORACLE-DISAGREES"]
 
+    # A list whose root is its second parameter. Before such definitions
+    # were refused, the first query came out VALID although x->c1(null)
+    # refutes it, and the second, valid one INVALID.
+    ROOT_SECOND = (
+        "data c1 { c1 next; }\n"
+        "pred ll(seg F, root r) := emp /\\ r=F"
+        " \\/ exists X. r->c1(X) * ll(F, X) /\\ r!=F;\n"
+    )
+
+    @pytest.mark.parametrize(
+        "query",
+        ["ll(null, x) |- emp", "x->c1(null) |- ll(null, x)"],
+        ids=["invalid_query", "valid_query"],
+    )
+    def test_root_second_definition(self, query, tmp_path, capsys):
+        src = tmp_path / "root_second.sep"
+        src.write_text(self.ROOT_SECOND + f"check {query}\n")
+        out = io.StringIO()
+        assert run_cli(["--input", str(src), "--oracle-check"], out=out) == 2
+        assert out.getvalue() == ""
+        assert "ll: the root parameter must come first" in capsys.readouterr().err
+
     def test_format_override_wins_over_suffix(self, capsys):
         assert run_cli(
             ["--input", str(DATA / "golden.sep"), "--format", "slcomp"],

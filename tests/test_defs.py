@@ -1,5 +1,8 @@
 """Definition template conformance and unfolding."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from sepent.defs import (
@@ -91,9 +94,8 @@ def test_matrix_root_must_be_head_field(registry):
 
 def test_unfold_numbers(registry):
     occ = PredOcc("nll", (Var("x"), NULL, Var("B")), unfold=1)
-    d = registry.pred("nll")
-    base = base_instance(occ, d)
-    spatial, pure, _ = rec_instance(occ, d, FreshNames())
+    base = base_instance(occ, registry)
+    spatial, pure, _ = rec_instance(occ, registry, FreshNames())
     assert base == (PtrEq(Var("x"), NULL),)
     head, matrix, rec = spatial
     assert isinstance(head, PointsTo) and head.root == Var("x")
@@ -105,15 +107,15 @@ def test_unfold_numbers(registry):
 def test_unfold_freshens_existentials(registry):
     occ = PredOcc("ll", (Var("x"), Var("y")))
     fresh = FreshNames()
-    sp1, _, _ = rec_instance(occ, registry.pred("ll"), fresh)
-    sp2, _, _ = rec_instance(occ, registry.pred("ll"), fresh)
+    sp1, _, _ = rec_instance(occ, registry, fresh)
+    sp2, _, _ = rec_instance(occ, registry, fresh)
     assert sp1[0].fields[0] != sp2[0].fields[0]
     assert "#" in sp1[0].fields[0].name
 
 
 def test_lls_base_branch_equates_order_pair(registry):
     occ = PredOcc("lls", (Var("x"), Var("y"), Var("mi"), Var("ma")))
-    base = base_instance(occ, registry.pred("lls"))
+    base = base_instance(occ, registry)
     assert len(base) == 2  # x=y plus mi=ma
 
 
@@ -123,3 +125,22 @@ def test_existential_kinds(registry):
     assert kinds == {"X": "ptr", "m1": "int"}
     d = registry.pred("nll")
     assert existential_kinds(d, registry) == {"X": "ptr", "Z": "ptr"}
+
+
+LAYOUT_NAMES = {"seg_index", "order_pair", "index_of_role", "Role"}
+
+
+@pytest.mark.parametrize("module", ["engine.py", "normalize.py"])
+def test_rules_leave_parameter_layout_to_defs(module):
+    # the rules reach an occurrence's segment and order pair through
+    # defs.seg_of and defs.order_of, so defs alone maps roles to positions
+    path = Path(__file__).resolve().parents[1] / "src" / "sepent" / module
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.alias):
+            used.add(node.asname or node.name)
+    assert used & LAYOUT_NAMES == set()

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import parse_query
 from sepent import engine, normalize
+from sepent.defs import InductiveDef, Param, RecBranch, Registry, Role
 from sepent.engine import (
     Edge,
     ProofTree,
@@ -815,6 +816,27 @@ class TestInputValidation:
         )
         with pytest.raises(UnsupportedFragment, match="ll expects 2 arguments"):
             prove(ent, registry)
+
+    def test_root_second_registry_rejected(self, registry):
+        # the root-second list ll(seg F, root r), built by hand: the rules
+        # read an occurrence's root as argument 0, so it must be refused
+        r, f, X = Var("r"), Var("F"), Var("X")
+        lr = InductiveDef(
+            "lr",
+            (Param("F", Role.SEG), Param("r", Role.ROOT)),
+            RecBranch(
+                exists=("X",),
+                head=PointsTo(r, "c1", (X,)),
+                matrix=(),
+                rec=PredOcc("lr", (f, X)),
+                order=None,
+                arith=(),
+            ),
+        )
+        reg = Registry(sorts=dict(registry.sorts), preds={"lr": lr})
+        ent = Entailment(heap((PredOcc("lr", (NULL, x)),)), heap())
+        with pytest.raises(UnsupportedFragment, match="the root parameter must come first"):
+            prove(ent, reg)
 
     def test_node_budget_enforced(self, registry):
         with pytest.raises(ResourceLimit):

@@ -40,7 +40,6 @@ from sepent.syntax import (
     PtrNeq,
     SymbolicHeap,
     Var,
-    atom_root,
 )
 
 x, y, z, w = Var("x"), Var("y"), Var("z"), Var("w")
@@ -66,7 +65,7 @@ def reference_apply_neq_null(ent, reg):
             g = guard_of(a, reg)
             if g is None or g not in have:
                 continue  # nonemptiness not yet established
-        need = PtrNeq(atom_root(a), NULL)
+        need = PtrNeq(a.root, NULL)
         if need not in have:
             return "NeqNull", (replace(ent, lhs=ent.lhs.add_pure([need])),)
     return None
@@ -82,7 +81,7 @@ def reference_apply_neq_star(ent, reg):
         for j in range(i + 1, len(atoms)):
             if not (present[i] and present[j]):
                 continue
-            need = PtrNeq(atom_root(atoms[i]), atom_root(atoms[j]))
+            need = PtrNeq(atoms[i].root, atoms[j].root)
             if need not in have:
                 return "NeqStar", (replace(ent, lhs=ent.lhs.add_pure([need])),)
     return None

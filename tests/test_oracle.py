@@ -17,8 +17,8 @@ import pytest
 from conftest import parse_query
 from suite_cases import SUITE
 from sepent import oracle
-from sepent.defs import Role, base_of, existential_kinds
-from sepent.engine import bad_model
+from sepent.defs import base_of, existential_kinds
+from sepent.engine import bad_model, prove
 from sepent.oracle import (
     Bound,
     Cell,
@@ -246,7 +246,7 @@ def test_bad_model_satisfies_input(registry):
     [
         ([PredOcc("ll", (x, NULL))], 5),
         ([PredOcc("ll", (x, y)), PredOcc("ll", (y, NULL))], 22),
-        ([PredOcc("lla", (x, NULL, Var("u")))], 42),
+        ([PredOcc("lla", (x, NULL, Var("u")))], 50),
         ([PredOcc("tree", (x, NULL))], 189),
         ([PredOcc("nll", (x, NULL, B))], 242),
         ([PredOcc("skl3", (x, NULL))], 351),
@@ -302,6 +302,15 @@ def test_enumeration_is_deterministic(registry):
 )
 def test_refuted_variants(atoms, refuted):
     assert oracle._refuted(atoms) is refuted
+
+
+def test_long_premise_enumerates_without_deep_recursion(registry):
+    # 1,200 occurrences: the unfolding walk keeps its choices on a stack,
+    # not in nested generators, so it does not hit the recursion limit
+    xs = [Var(f"x{i}") for i in range(1201)]
+    h = heap([PredOcc("ll", (xs[i], xs[i + 1])) for i in range(1200)])
+    first = next(models_of(h, registry, Bound(1, 1)))
+    assert first.heap == {} and set(first.stack.values()) == {0}
 
 
 def test_ill_kinded_atom_still_raises(registry):
@@ -373,6 +382,18 @@ def test_border_weakening_direction(registry):
     assert oracle_entails(ent(strong, weak), registry).bounded_valid
     v = oracle_entails(ent(weak, strong), registry)
     assert not v.bounded_valid
+
+
+def test_dropped_border_keeps_its_data_domain(registry):
+    # the empty unfolding of llb(x, null, b) drops b; it still ranges over
+    # the data values, so b=-1 refutes 0<=b, as the prover finds
+    e = parse_query("llb(x, null, b) /\\ x=null |- emp /\\ 0<=b")
+    assert not prove(e, registry).valid
+    v = oracle_entails(e, registry, Bound(4, 6))
+    assert not v.bounded_valid
+    assert v.counter.stack == {"b": -3, "x": 0} and v.counter.heap == {}
+    assert v.counter.ptr_vars == frozenset({"x"})
+    assert confirm_countermodel(v.counter, e, registry, Bound(4, 6))
 
 
 def test_invalidity_persists_at_larger_bound(registry):
@@ -466,8 +487,8 @@ def _ref_covers(cells, pending, reg, hint):
     segv = _ref_ptr_val(atom.args[d.seg_index], env)
     if rootv == segv:
         empty_ok = True
-        if d.has_order_pair():
-            si, ti = d.index_of_role(Role.SRC), d.index_of_role(Role.TGT)
+        if d.order_pair is not None:
+            si, ti = d.order_pair
             empty_ok = _ref_data_val(atom.args[si], env) == _ref_data_val(atom.args[ti], env)
         if empty_ok and _ref_covers(cells, rest, reg, hint):
             return True
@@ -513,9 +534,10 @@ def _ref_ex_choices(d, reg, benv, hint):
 
 def ref_models_of(heap, reg, bound):
     stack_names = tuple(sorted(heap.fv()))
+    input_kinds = oracle.kinds_of(heap, reg)
     seen = set()
     for cells, pure_atoms in oracle._expand(heap, reg, bound, FreshNames()):
-        kinds = oracle.kinds_of(SymbolicHeap(cells, pure_atoms), reg)
+        kinds = input_kinds | oracle.kinds_of(SymbolicHeap(cells, pure_atoms), reg)
         for env in _ref_assignments(cells, pure_atoms, stack_names, kinds, bound):
             hp = {}
             for i, c in enumerate(cells):

@@ -225,6 +225,12 @@ DIAGNOSTICS = [
      "exists X, m1. r->c4(X, m1) * p(X, F, m1) /\\ r!=F;\n"
      "check emp |- emp\n",
      2, 6, "p: src/tgt must appear as a pair, at most once"),
+    ("root_second",
+     "data c1 { c1 next; }\n"
+     "pred ll(seg F, root r) := emp /\\ r=F \\/ "
+     "exists X. r->c1(X) * ll(F, X) /\\ r!=F;\n"
+     "check emp |- emp\n",
+     2, 6, "ll: the root parameter must come first"),
     ("missing_query", "data c1 { c1 next; }\n", 2, 1, "missing check query"),
     ("two_queries", "check emp |- emp\ncheck emp |- emp\n",
      2, 1, "a file holds exactly one check query"),

@@ -135,8 +135,9 @@ class TestRejections:
         [
             ("root, border, src, tgt", "lls: needs exactly one root and one seg parameter"),
             ("root, seg, src, border", "lls: src/tgt must appear as a pair, at most once"),
+            ("seg, root, src, tgt", "lls: the root parameter must come first"),
         ],
-        ids=["no_seg", "src_without_tgt"],
+        ids=["no_seg", "src_without_tgt", "root_second"],
     )
     def test_role_faults(self, roles, msg):
         text = GOLDEN.replace("lls(root, seg, src, tgt)", f"lls({roles})")
