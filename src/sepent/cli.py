@@ -66,6 +66,15 @@ def _parse_file(path: Path, fmt: Optional[str]) -> ProblemFile:
     return parse_slcomp(text) if fmt == "slcomp" else parse_native(text)
 
 
+def _reason(e: Exception) -> str:
+    """One line for an input that cannot be read or checked."""
+    if isinstance(e, FileNotFoundError):
+        return "no such file"
+    if isinstance(e, OSError):
+        return e.strerror or type(e).__name__
+    return str(e)
+
+
 def _oracle_agrees(
     pf: ProblemFile, verdict: Verdict, bound: Bound
 ) -> tuple[bool, Optional[object]]:
@@ -142,10 +151,10 @@ def _check_dir(root: Path, args: argparse.Namespace, out) -> int:
         except (UnsupportedConstruct, RoleAnnotationMissing) as e:
             print(f"{name}: SKIPPED ({e})", file=out)
             continue
-        except (ValueError, ResourceLimit) as e:
-            # parse errors and prover rejections (outside the fragment,
-            # node budget, oracle limits)
-            print(f"{name}: ERROR ({e})", file=out)
+        except (OSError, ValueError, ResourceLimit) as e:
+            # unreadable files, parse errors and prover rejections (outside
+            # the fragment, node budget, oracle limits)
+            print(f"{name}: ERROR ({_reason(e)})", file=out)
             errors += 1
             continue
         got = "valid" if verdict.valid else "invalid"
@@ -177,11 +186,8 @@ def run_cli(argv: Optional[list[str]] = None, out=None) -> int:
         return _check_dir(path, args, out)
     try:
         pf = _parse_file(path, args.format)
-    except FileNotFoundError:
-        print(f"sepent: no such file: {path}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print(f"sepent: {path}: {e}", file=sys.stderr)
+    except (OSError, ValueError) as e:
+        print(f"sepent: {path}: {_reason(e)}", file=sys.stderr)
         return 2
     try:
         return _check_one(pf, args, out)

@@ -44,7 +44,6 @@ from .normalize import lbase_site, normalize_step, subst_site
 from .oracle import Cell, HeapModel, OracleError, holds, kinds_of
 from .syntax import (
     ArithEq,
-    ArithLeq,
     Entailment,
     Expr,
     FreshNames,
@@ -859,18 +858,17 @@ def _val(e: Expr, stack: dict[str, int]) -> int:
 
 
 def bad_model(heap: SymbolicHeap, reg: Registry) -> HeapModel:
-    """A concrete model of a base formula in normal form: pointer variables
-    get pairwise-distinct non-null locations (modulo nothing: NF has no
-    equalities), data variables get a satisfying assignment."""
+    """A concrete model of a base formula in normal form: each class of
+    pointer variables that the pure part equates gets its own location, 0
+    for null's class, and data variables get a satisfying assignment.  Both
+    models read the one pure context of `heap.pure`."""
     if any(isinstance(a, PredOcc) for a in heap.spatial):
         raise OracleError("bad_model needs a base formula")
     kinds = kinds_of(heap, reg)
     ptr_names = tuple(sorted(n for n, k in kinds.items() if k == "ptr"))
     int_names = tuple(sorted(n for n, k in kinds.items() if k == "int"))
-    ptr_atoms = tuple(a for a in heap.pure if isinstance(a, (PtrEq, PtrNeq)))
-    arith_atoms = tuple(a for a in heap.pure if isinstance(a, (ArithEq, ArithLeq)))
-    stack = dict(pure_solver.pointer_model(ptr_atoms, ptr_names))
-    stack.update(pure_solver.arith_model(arith_atoms, int_names))
+    stack = dict(pure_solver.pointer_model(heap.pure, ptr_names))
+    stack.update(pure_solver.arith_model(heap.pure, int_names))
     cells: dict[int, Cell] = {}
     for atom in heap.spatial:
         assert isinstance(atom, PointsTo)

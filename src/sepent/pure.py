@@ -1,22 +1,25 @@
 """Decision procedure for the pure fragment.
 
-Pointer atoms (=, !=) over variables and null are handled by union-find plus
-disequality edges. Arithmetic atoms (=, <=) over variables and integer
-literals form difference constraints; a zero node anchors literals and a
-longest-path relaxation both detects infeasibility (positive cycle) and
-yields a satisfying assignment. Entailment goes by refutation; the negation
-of <= introduces the only strict bounds, encoded with weight 1.
-
 The entry points take plain tuples of atoms. Each distinct tuple is
-compiled once into a `PureContext`: the class representative of every
-pointer term, the class pairs a disequality keeps apart, the arithmetic
-bounds and satisfiability. Queries then read the context instead of
-rebuilding the union-find. The contexts sit in a memo of 4 entries: every
-reuse happens while the search looks at one proof node, whose queries ask
-about at most a few tuples (its left pure part and the pure part of its
-one-step materialization), so a cold chain proof builds exactly as many
-contexts with 4 entries as with an unbounded memo, while more entries only
-keep more of these heavy objects alive.
+compiled once into a `PureContext`, which holds a union-find that merges
+the operands of every pointer `=` (any other term is its own class); the
+class pairs the `!=` atoms keep apart, as `PtrNeq` atoms over class
+representatives, with a flag for whether the pointer part is consistent;
+the arithmetic atoms (=, <=) as difference bounds, with a zero node that
+anchors the integer literals; and the longest-path distances of those
+bounds, None when a positive cycle makes them infeasible.
+
+Queries and models read the context. A pointer goal compares classes. An
+arithmetic goal holds when every case of its negation makes the bounds
+infeasible; the negation of <= gives the only strict bounds, of weight 1.
+`pointer_model` numbers the classes, `arith_model` reads the distances.
+
+The contexts sit in a memo of 4 entries: every reuse happens while the
+search looks at one proof node, whose queries ask about at most a few
+tuples (its left pure part and the pure part of its one-step
+materialization), so a cold chain proof builds exactly as many contexts
+with 4 entries as with an unbounded memo, while more entries only keep
+more of these heavy objects alive.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .syntax import (
     ArithLeq,
     Expr,
     IntLit,
-    Null,
     NULL,
     PtrEq,
     PtrNeq,
@@ -42,74 +44,31 @@ Atoms = tuple[PureAtom, ...]
 _ZERO = ("zero",)
 _Node = object  # Expr or _ZERO
 
-
-# ------------------------------------------------------------------ pointer part
-
-
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict[Expr, Expr] = {}
-
-    def add(self, x: Expr) -> None:
-        self.parent.setdefault(x, x)
-
-    def find(self, x: Expr) -> Expr:
-        self.add(x)
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: Expr, b: Expr) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
-def _ptr_state(atoms: Atoms) -> tuple[_UnionFind, list[tuple[Expr, Expr]]]:
-    uf = _UnionFind()
-    uf.add(NULL)
-    diseqs: list[tuple[Expr, Expr]] = []
-    for a in atoms:
-        if isinstance(a, PtrEq):
-            uf.union(a.lhs, a.rhs)
-        elif isinstance(a, PtrNeq):
-            uf.add(a.lhs)
-            uf.add(a.rhs)
-            diseqs.append((a.lhs, a.rhs))
-    return uf, diseqs
-
-
-def _ptr_consistent(uf: _UnionFind, diseqs: list[tuple[Expr, Expr]]) -> bool:
-    return all(uf.find(x) != uf.find(y) for x, y in diseqs)
-
-
-# --------------------------------------------------------------- arithmetic part
-
 # A bound (u, v, w) states value(v) >= value(u) + w.
 Bound = tuple[_Node, _Node, int]
 
 
-def _bounds_of(atoms: Atoms) -> list[Bound]:
+def _anchors(exprs: Iterable[Expr]) -> list[Bound]:
+    """Bounds tying every integer literal among `exprs` to the zero node."""
     out: list[Bound] = []
-    lits: set[int] = set()
-
-    def note(e: Expr) -> None:
-        if isinstance(e, IntLit):
-            lits.add(e.value)
-
-    for a in atoms:
-        if isinstance(a, ArithEq):
-            note(a.lhs), note(a.rhs)
-            out.append((a.lhs, a.rhs, 0))
-            out.append((a.rhs, a.lhs, 0))
-        elif isinstance(a, ArithLeq):
-            note(a.lhs), note(a.rhs)
-            out.append((a.lhs, a.rhs, 0))
-    for k in lits:
+    for k in {e.value for e in exprs if isinstance(e, IntLit)}:
         out.append((_ZERO, IntLit(k), k))
         out.append((IntLit(k), _ZERO, -k))
     return out
+
+
+def _bounds_of(atoms: Atoms) -> list[Bound]:
+    out: list[Bound] = []
+    operands: list[Expr] = []
+    for a in atoms:
+        if isinstance(a, ArithEq):
+            operands += (a.lhs, a.rhs)
+            out.append((a.lhs, a.rhs, 0))
+            out.append((a.rhs, a.lhs, 0))
+        elif isinstance(a, ArithLeq):
+            operands += (a.lhs, a.rhs)
+            out.append((a.lhs, a.rhs, 0))
+    return out + _anchors(operands)
 
 
 def _relax(bounds: list[Bound]) -> Optional[dict[_Node, int]]:
@@ -137,23 +96,8 @@ def _strict_negation(a: PureAtom) -> list[list[Bound]]:
     if isinstance(a, ArithLeq):
         return [[(a.rhs, a.lhs, 1)]]
     if isinstance(a, ArithEq):
-        return [
-            [(a.rhs, a.lhs, 1)],
-            [(a.lhs, a.rhs, 1)],
-        ]
+        return [[(a.rhs, a.lhs, 1)], [(a.lhs, a.rhs, 1)]]
     raise TypeError(a)
-
-
-def _lit_bounds(a: PureAtom) -> list[Bound]:
-    extra: set[int] = set()
-    for e in (a.lhs, a.rhs):
-        if isinstance(e, IntLit):
-            extra.add(e.value)
-    out: list[Bound] = []
-    for k in extra:
-        out.append((_ZERO, IntLit(k), k))
-        out.append((IntLit(k), _ZERO, -k))
-    return out
 
 
 # ------------------------------------------------------------------- contexts
@@ -162,36 +106,65 @@ def _lit_bounds(a: PureAtom) -> list[Bound]:
 class PureContext:
     """What a tuple of pure atoms decides, computed once.
 
-    A term the atoms never mention is its own class.  An unsatisfiable
-    context entails every goal.
+    `rep` maps each operand of an `=` atom to its class representative.
+    An unsatisfiable context entails every goal.
     """
 
-    __slots__ = ("rep", "apart", "bounds", "sat")
+    __slots__ = ("rep", "apart", "ptr_ok", "bounds", "dist")
 
     def __init__(self, atoms: Atoms) -> None:
-        uf, diseqs = _ptr_state(atoms)
-        rep = {t: uf.find(t) for t in uf.parent}
-        apart: set[frozenset[Expr]] = set()
-        sat = True
-        for a, b in diseqs:
-            ra, rb = rep[a], rep[b]
-            sat = sat and ra != rb
-            apart.add(frozenset((ra, rb)))
+        rep: dict[Expr, Expr] = {}
+
+        def find(t: Expr) -> Expr:
+            rep.setdefault(t, t)
+            while rep[t] != t:
+                rep[t] = rep[rep[t]]
+                t = rep[t]
+            return t
+
+        for a in atoms:
+            if isinstance(a, PtrEq):
+                ra, rb = find(a.lhs), find(a.rhs)
+                if ra != rb:
+                    rep[ra] = rb
+        for t in rep:
+            rep[t] = find(t)
         self.rep = rep
-        self.apart = apart
+        self.apart: set[PtrNeq] = set()
+        self.ptr_ok = True
+        for a in atoms:
+            if isinstance(a, PtrNeq):
+                pair = self._class_pair(a)
+                if pair is None:
+                    self.ptr_ok = False
+                else:
+                    self.apart.add(pair)
         self.bounds = _bounds_of(atoms)
-        self.sat = sat and _relax(self.bounds) is not None
+        self.dist = _relax(self.bounds)
+
+    def _class_pair(self, a: PtrEq | PtrNeq) -> Optional[PtrNeq]:
+        """The classes of `a`'s operands as a disequality, None if they are
+        one class; `a` itself when it is already over representatives."""
+        ra = self.rep.get(a.lhs, a.lhs)
+        rb = self.rep.get(a.rhs, a.rhs)
+        if ra == rb:
+            return None
+        if isinstance(a, PtrNeq) and ra is a.lhs and rb is a.rhs:
+            return a
+        return PtrNeq(ra, rb)
+
+    @property
+    def sat(self) -> bool:
+        return self.ptr_ok and self.dist is not None
 
     def entails(self, goal: PureAtom) -> bool:
         if not self.sat:
             return True
-        if isinstance(goal, (PtrEq, PtrNeq)):
-            ra = self.rep.get(goal.lhs, goal.lhs)
-            rb = self.rep.get(goal.rhs, goal.rhs)
-            if isinstance(goal, PtrEq):
-                return ra == rb
-            return ra != rb and frozenset((ra, rb)) in self.apart
-        base = self.bounds + _lit_bounds(goal)
+        if isinstance(goal, PtrEq):
+            return self._class_pair(goal) is None
+        if isinstance(goal, PtrNeq):
+            return self._class_pair(goal) in self.apart
+        base = self.bounds + _anchors((goal.lhs, goal.rhs))
         return all(
             _relax(base + case) is None for case in _strict_negation(goal)
         )
@@ -225,43 +198,38 @@ Status = Literal["eq", "neq", "unknown"]
 def status_of_pair(atoms: Atoms, a: Expr, b: Expr) -> Status:
     """Decide whether two pointer terms are forced equal, forced apart, or free."""
     ctx = _context(atoms)
-    if ctx.entails(PtrEq(a, b)):
+    pair = ctx._class_pair(PtrNeq(a, b))
+    if pair is None or not ctx.sat:
         return "eq"
-    if ctx.entails(PtrNeq(a, b)):
-        return "neq"
-    return "unknown"
+    return "neq" if pair in ctx.apart else "unknown"
 
 
 def arith_model(atoms: Atoms, names: tuple[str, ...] = ()) -> dict[str, int]:
     """One satisfying integer assignment covering at least the given names."""
-    dist = _relax(_bounds_of(atoms))
+    dist = _context(atoms).dist
     if dist is None:
         raise ValueError("arithmetic part is unsatisfiable")
     zero = dist[_ZERO]
-    out: dict[str, int] = {}
-    for node, d in dist.items():
-        if isinstance(node, Var):
-            out[node.name] = d - zero
+    out = {n.name: d - zero for n, d in dist.items() if isinstance(n, Var)}
     for n in names:
         out.setdefault(n, 0)
     return out
 
 
 def pointer_model(atoms: Atoms, names: tuple[str, ...] = ()) -> dict[str, int]:
-    """Locations for pointer variables: null's class is 0, others distinct."""
-    uf, diseqs = _ptr_state(atoms)
-    if not _ptr_consistent(uf, diseqs):
+    """Locations for pointer variables: null's class is 0, others distinct.
+
+    Covers the given names and every variable a pointer atom mentions."""
+    ctx = _context(atoms)
+    if not ctx.ptr_ok:
         raise ValueError("pointer part is unsatisfiable")
-    for n in names:
-        uf.add(Var(n))
-    all_names = sorted({v.name for v in uf.parent if isinstance(v, Var)} | set(names))
-    loc_of_rep: dict[Expr, int] = {uf.find(NULL): 0}
-    next_loc = 1
+    mentioned = {
+        t.name for a in atoms if isinstance(a, (PtrEq, PtrNeq))
+        for t in (a.lhs, a.rhs) if isinstance(t, Var)
+    }
+    loc_of_rep: dict[Expr, int] = {ctx.rep.get(NULL, NULL): 0}
     out: dict[str, int] = {}
-    for n in all_names:
-        rep = uf.find(Var(n))
-        if rep not in loc_of_rep:
-            loc_of_rep[rep] = next_loc
-            next_loc += 1
-        out[n] = loc_of_rep[rep]
+    for n in sorted(mentioned | set(names)):
+        rep = ctx.rep.get(Var(n), Var(n))
+        out[n] = loc_of_rep.setdefault(rep, len(loc_of_rep))
     return out

@@ -72,6 +72,20 @@ def _show(e: Sexpr) -> str:
     return str(e)
 
 
+def _need(ok: object, what: str, e: Sexpr) -> None:
+    if not ok:
+        raise SlcompError(f"bad {what} {_show(e)}")
+
+
+def _pairs(e: Sexpr, second: type = str) -> bool:
+    """Is `e` a list of (symbol x) pairs with x a `second`?"""
+    return isinstance(e, list) and all(
+        isinstance(p, list) and len(p) == 2 and isinstance(p[0], str)
+        and isinstance(p[1], second)
+        for p in e
+    )
+
+
 # ------------------------------------------------------------------ reading
 
 
@@ -151,32 +165,33 @@ class _Reader:
             head = form[0]
             if head in ("set-logic", "check-sat", "exit", "declare-heap"):
                 if head == "declare-heap":
-                    for pair in form[1:]:
-                        if not (isinstance(pair, list) and len(pair) == 2):
-                            raise SlcompError(f"bad heap declaration {_show(pair)}")
-                        self.heap_map[pair[0]] = pair[1]
+                    _need(_pairs(form[1:]), "heap declaration", form)
+                    self.heap_map.update(form[1:])
             elif head == "set-info":
-                if len(form) == 3 and form[1] == ":status":
+                if len(form) == 3 and form[1] == ":status" and isinstance(form[2], str):
                     self.expect = {"unsat": "valid", "sat": "invalid"}.get(form[2])
             elif head == "declare-sort":
                 pass  # address sorts carry no structure of their own
             elif head == "declare-datatype":
-                if len(form) != 3:
-                    raise SlcompError(f"bad datatype {_show(form)}")
+                _need(len(form) == 3 and isinstance(form[1], str), "datatype", form)
                 self.datatype(form[1], form[2])
             elif head == "declare-datatypes":
-                names, bodies = form[1], form[2]
-                for (name, *_), body in zip(names, bodies):
+                _need(len(form) == 3, "datatypes", form)
+                names, bodies = form[1:]
+                _need(
+                    _pairs(names, int) and isinstance(bodies, list)
+                    and len(names) == len(bodies),
+                    "datatypes", form,
+                )
+                for (name, _), body in zip(names, bodies):
                     self.datatype(name, body)
             elif head == "declare-const":
-                if len(form) != 3:
-                    raise SlcompError(f"bad constant {_show(form)}")
+                _need(len(form) == 3 and isinstance(form[1], str), "constant", form)
                 self.const_kind[form[1]] = "int" if form[2] == "Int" else "ptr"
             elif head == "define-fun-rec":
                 self.defs.append(form)
             elif head == "assert":
-                if len(form) != 2:
-                    raise SlcompError(f"bad assert {_show(form)}")
+                _need(len(form) == 2, "assert", form)
                 self.asserts.append(form[1])
             else:
                 raise UnsupportedConstruct(_show(form))
@@ -184,14 +199,14 @@ class _Reader:
     def datatype(self, name: str, ctors: Sexpr) -> None:
         if not (isinstance(ctors, list) and len(ctors) == 1):
             raise UnsupportedConstruct(_show(ctors))
-        ctor, *fields = ctors[0]
-        self.ctor_sort[ctor] = name
-        decl: list[tuple[str, str]] = []
-        for f in fields:
-            if not (isinstance(f, list) and len(f) == 2):
-                raise SlcompError(f"bad field {_show(f)}")
-            decl.append((f[0], f[1]))
-        self.sort_fields[name] = decl
+        ctor = ctors[0]
+        _need(
+            isinstance(ctor, list) and ctor and isinstance(ctor[0], str)
+            and _pairs(ctor[1:]),
+            "constructor", ctor,
+        )
+        self.ctor_sort[ctor[0]] = name
+        self.sort_fields[name] = [(f, t) for f, t in ctor[1:]]
 
     # -- pass 2: resolve sorts, then definitions, then the query
 
@@ -223,6 +238,7 @@ class _Reader:
         if len(form) != 5 or form[3] != "Bool":
             raise UnsupportedConstruct(_show(form))
         _, name, sig, _, body = form
+        _need(isinstance(name, str) and _pairs(sig), "definition header", form[:3])
         role_words = self.roles.get(name)
         if role_words is None:
             raise RoleAnnotationMissing(name)
@@ -263,6 +279,7 @@ class _Reader:
         exists: tuple[str, ...] = ()
         env_rec = dict(env)
         if isinstance(rec_body, list) and rec_body and rec_body[0] == "exists":
+            _need(len(rec_body) == 3 and _pairs(rec_body[1]), "exists", rec_body[:2])
             binders = rec_body[1]
             exists = tuple(b[0] for b in binders)
             for bname, bsort in binders:
@@ -329,9 +346,9 @@ class _Reader:
                 raise SlcompError(f"bad points-to {_show(e)}")
             root = self.term(e[1], env)
             ctor, *vals = e[2]
-            sort = self.ctor_sort.get(ctor)
+            sort = self.ctor_sort.get(ctor) if isinstance(ctor, str) else None
             if sort is None:
-                raise SlcompError(f"unknown constructor {ctor}")
+                raise SlcompError(f"unknown constructor {_show(ctor)}")
             fields = tuple(self.term(v, env) for v in vals)
             if len(fields) != len(self.sort_fields[sort]):
                 raise SlcompError(f"{ctor} takes {len(self.sort_fields[sort])} fields")
@@ -378,6 +395,7 @@ class _Reader:
             if (
                 isinstance(inner, list)
                 and inner[:1] == ["not"]
+                and len(inner) == 2
                 and isinstance(inner[1], list)
                 and inner[1][:1] == ["=>"]
                 and len(inner[1]) == 3
@@ -388,7 +406,9 @@ class _Reader:
                     "entailment encoding: " + _show(inner)
                 )
         elif len(a) == 2:
-            negated = [x for x in a if isinstance(x, list) and x[:1] == ["not"]]
+            negated = [
+                x for x in a if isinstance(x, list) and x[:1] == ["not"] and len(x) == 2
+            ]
             positive = [x for x in a if x not in negated]
             if len(negated) != 1 or len(positive) != 1:
                 raise UnsupportedConstruct("entailment encoding: need A and (not C)")

@@ -199,6 +199,22 @@ class TestBatch:
             "checked 2 files: 1 mismatches, 1 errors",
         ]
 
+    def test_dangling_symlink_counts_as_error(self, tmp_path, capsys):
+        (tmp_path / "gone.sep").symlink_to(tmp_path / "missing.sep")
+        (tmp_path / "wrong.sep").write_text(
+            "data c1 { c1 next; }\ncheck x->c1(null) |- emp\nexpect valid\n"
+        )
+        code, lines = run("--input", str(tmp_path))
+        assert code == 2
+        assert lines == [
+            "gone.sep: ERROR (no such file)",
+            "wrong.sep: INVALID MISMATCH (expected valid)",
+            "checked 2 files: 1 mismatches, 1 errors",
+        ]
+        link = tmp_path / "gone.sep"
+        assert run_cli(["--input", str(link)], out=io.StringIO()) == 2
+        assert capsys.readouterr().err == f"sepent: {link}: no such file\n"
+
     def test_expect_flag_applies_to_unannotated_files(self, tmp_path):
         (tmp_path / "plain.sep").write_text(
             "data c1 { c1 next; }\ncheck x->c1(null) |- emp\n"

@@ -8,10 +8,9 @@ from hypothesis import example, given, strategies as st
 import sepent.pure
 from sepent.oracle import eval_pure_atom
 from sepent.pure import (
-    _bounds_of,
-    _lit_bounds,
-    _ptr_consistent,
-    _ptr_state,
+    _ZERO,
+    Atoms,
+    Bound,
     _relax,
     _strict_negation,
     arith_model,
@@ -21,14 +20,131 @@ from sepent.pure import (
     satisfiable,
     status_of_pair,
 )
-from sepent.syntax import ArithEq, ArithLeq, IntLit, NULL, PtrEq, PtrNeq, Var
+from sepent.syntax import (
+    ArithEq,
+    ArithLeq,
+    Expr,
+    IntLit,
+    NULL,
+    PtrEq,
+    PtrNeq,
+    PureAtom,
+    Var,
+)
 
 x, y, z, w = Var("x"), Var("y"), Var("z"), Var("w")
 a, b, c, d = Var("a"), Var("b"), Var("c"), Var("d")
 
 
-# The entry points as they were before PureContext: every query rebuilds
-# the union-find and the bounds from the atoms.
+# The solver as it was before PureContext: a separate union-find, rebuilt
+# from the atoms by every query and every model.
+
+
+class _UnionFind:
+    def __init__(self) -> None:
+        self.parent: dict[Expr, Expr] = {}
+
+    def add(self, x: Expr) -> None:
+        self.parent.setdefault(x, x)
+
+    def find(self, x: Expr) -> Expr:
+        self.add(x)
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a: Expr, b: Expr) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+
+def _ptr_state(atoms: Atoms) -> tuple[_UnionFind, list[tuple[Expr, Expr]]]:
+    uf = _UnionFind()
+    uf.add(NULL)
+    diseqs: list[tuple[Expr, Expr]] = []
+    for a in atoms:
+        if isinstance(a, PtrEq):
+            uf.union(a.lhs, a.rhs)
+        elif isinstance(a, PtrNeq):
+            uf.add(a.lhs)
+            uf.add(a.rhs)
+            diseqs.append((a.lhs, a.rhs))
+    return uf, diseqs
+
+
+def _ptr_consistent(uf: _UnionFind, diseqs: list[tuple[Expr, Expr]]) -> bool:
+    return all(uf.find(x) != uf.find(y) for x, y in diseqs)
+
+
+def _bounds_of(atoms: Atoms) -> list[Bound]:
+    out: list[Bound] = []
+    lits: set[int] = set()
+
+    def note(e: Expr) -> None:
+        if isinstance(e, IntLit):
+            lits.add(e.value)
+
+    for a in atoms:
+        if isinstance(a, ArithEq):
+            note(a.lhs), note(a.rhs)
+            out.append((a.lhs, a.rhs, 0))
+            out.append((a.rhs, a.lhs, 0))
+        elif isinstance(a, ArithLeq):
+            note(a.lhs), note(a.rhs)
+            out.append((a.lhs, a.rhs, 0))
+    for k in lits:
+        out.append((_ZERO, IntLit(k), k))
+        out.append((IntLit(k), _ZERO, -k))
+    return out
+
+
+def _lit_bounds(a: PureAtom) -> list[Bound]:
+    extra: set[int] = set()
+    for e in (a.lhs, a.rhs):
+        if isinstance(e, IntLit):
+            extra.add(e.value)
+    out: list[Bound] = []
+    for k in extra:
+        out.append((_ZERO, IntLit(k), k))
+        out.append((IntLit(k), _ZERO, -k))
+    return out
+
+
+def reference_arith_model(atoms: Atoms, names: tuple[str, ...] = ()) -> dict[str, int]:
+    """One satisfying integer assignment covering at least the given names."""
+    dist = _relax(_bounds_of(atoms))
+    if dist is None:
+        raise ValueError("arithmetic part is unsatisfiable")
+    zero = dist[_ZERO]
+    out: dict[str, int] = {}
+    for node, d in dist.items():
+        if isinstance(node, Var):
+            out[node.name] = d - zero
+    for n in names:
+        out.setdefault(n, 0)
+    return out
+
+
+def reference_pointer_model(atoms: Atoms, names: tuple[str, ...] = ()) -> dict[str, int]:
+    """Locations for pointer variables: null's class is 0, others distinct."""
+    uf, diseqs = _ptr_state(atoms)
+    if not _ptr_consistent(uf, diseqs):
+        raise ValueError("pointer part is unsatisfiable")
+    for n in names:
+        uf.add(Var(n))
+    all_names = sorted({v.name for v in uf.parent if isinstance(v, Var)} | set(names))
+    loc_of_rep: dict[Expr, int] = {uf.find(NULL): 0}
+    next_loc = 1
+    out: dict[str, int] = {}
+    for n in all_names:
+        rep = uf.find(Var(n))
+        if rep not in loc_of_rep:
+            loc_of_rep[rep] = next_loc
+            next_loc += 1
+        out[n] = loc_of_rep[rep]
+    return out
 
 
 def reference_satisfiable(atoms):
@@ -188,6 +304,39 @@ def test_context_agrees_with_reference(atoms, goal):
         assert status_of_pair(atoms, goal.lhs, goal.rhs) == (
             reference_status_of_pair(atoms, goal.lhs, goal.rhs)
         )
+
+
+def _model_items(model, atoms, names):
+    """The model's items in order, or ValueError if it has none."""
+    try:
+        return list(model(atoms, names).items())
+    except ValueError:
+        return ValueError
+
+
+_PTR_NAMES = st.lists(st.sampled_from(["x", "y", "z", "w"]), unique=True)
+_INT_NAMES = st.lists(st.sampled_from(["a", "b", "c", "d"]), unique=True)
+
+
+@given(
+    st.lists(_atoms(), max_size=10).map(tuple),
+    _PTR_NAMES.map(tuple),
+    _INT_NAMES.map(tuple),
+)
+@example((PtrEq(x, y), PtrNeq(y, x), ArithLeq(a, b)), ("w",), ("d",))
+@example((ArithLeq(a, IntLit(-1)), ArithLeq(IntLit(0), a), PtrEq(x, NULL)), (), ())
+@example((PtrEq(z, NULL), PtrNeq(x, y), ArithEq(a, IntLit(2))), ("w", "x"), ("c",))
+def test_models_match_reference(atoms, ptr_names, int_names):
+    """Both models take the mixed tuple `bad_model` passes and give exactly
+    what the old models gave on its pointer and arithmetic atoms alone."""
+    ptr_atoms = tuple(a for a in atoms if isinstance(a, (PtrEq, PtrNeq)))
+    arith_atoms = tuple(a for a in atoms if isinstance(a, (ArithEq, ArithLeq)))
+    assert _model_items(pointer_model, atoms, ptr_names) == _model_items(
+        reference_pointer_model, ptr_atoms, ptr_names
+    )
+    assert _model_items(arith_model, atoms, int_names) == _model_items(
+        reference_arith_model, arith_atoms, int_names
+    )
 
 
 def test_pure_caches_are_bounded():

@@ -1,6 +1,7 @@
 """SMT-LIB separation-logic input: both query encodings, ref-sort
 resolution, role comments, and rejection of out-of-scope constructs."""
 
+import random
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from sepent.slcomp import (
 DATA = Path(__file__).parent / "data"
 
 GOLDEN = (DATA / "golden.smt2").read_text()
+LS_CONCAT = (DATA / "ls_concat.smt2").read_text()
 
 
 class TestGoldenFile:
@@ -154,3 +156,74 @@ class TestRejections:
         text = GOLDEN.replace("(declare-heap (RefSll_t Sll_t))\n", "")
         with pytest.raises(SlcompError):
             parse_slcomp(text)
+
+    @pytest.mark.parametrize(
+        "old,new,msg",
+        [
+            (
+                "(declare-datatypes ((Sll_t 0)) (((c_Sll_t (next RefSll_t)))))",
+                "(declare-datatypes ((Sll_t 0)))",
+                "bad datatypes",
+            ),
+            (
+                "(declare-datatypes ((Sll_t 0))",
+                "(declare-datatypes (3(Sll_t 0))",
+                "bad datatypes",
+            ),
+            (
+                "(declare-const x RefSll_t)",
+                "(declare-const (x) RefSll_t)",
+                "bad constant",
+            ),
+            ("(declare-datatypes", "(declare-datatype", "bad datatype"),
+            ("(next RefSll_t)", "(next (RefSll_t))", "bad constructor"),
+            ("(exists ((X RefSll_t))", "(exists (2(X RefSll_t))", "bad exists"),
+            ("(RefSll_t Sll_t))", "((RefSll_t) Sll_t))", "bad heap declaration"),
+            ("(define-fun-rec ls ", "(define-fun-rec (ls) ", "bad definition header"),
+            ("((r RefSll_t)", "(((r) RefSll_t)", "bad definition header"),
+            ("(pto r (c_Sll_t X))", "(pto r ((c_Sll_t) X))", "unknown constructor"),
+        ],
+        ids=[
+            "datatypes_without_bodies",
+            "datatypes_numeral_name",
+            "const_list_name",
+            "datatype_singular_with_plural_shape",
+            "field_list_sort",
+            "exists_numeral_binder",
+            "heap_list_sort",
+            "definition_list_name",
+            "parameter_list_name",
+            "pto_list_constructor",
+        ],
+    )
+    def test_malformed_shapes(self, old, new, msg):
+        assert old in LS_CONCAT
+        with pytest.raises(SlcompError) as exc:
+            parse_slcomp(LS_CONCAT.replace(old, new, 1))
+        assert str(exc.value).startswith(msg)
+
+    def test_empty_negation(self):
+        text = LS_CONCAT.replace(
+            "(assert (not (ls x (as nil RefSll_t))))", "(assert (not))"
+        )
+        with pytest.raises(UnsupportedConstruct):
+            parse_slcomp(text)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(DATA.glob("*.smt2")), ids=lambda p: p.name
+)
+def test_single_character_edits_parse_or_raise_value_error(path):
+    """Every one-character deletion, insertion or replacement either parses
+    or is rejected with a ValueError, never another exception."""
+    text = path.read_text()
+    rng = random.Random(path.name)
+    for _ in range(500):
+        i = rng.randrange(len(text))
+        c = rng.choice("() ;|-019axzEIS_=<\n")
+        edit = rng.randrange(3)  # 0 replace, 1 delete, 2 insert
+        mutant = text[:i] + ("" if edit == 1 else c) + text[i + (edit != 2):]
+        try:
+            parse_slcomp(mutant)
+        except ValueError:
+            pass
