@@ -5,8 +5,9 @@
 The first output line is the verdict token, VALID or INVALID; with
 --oracle-check the next line is ORACLE-AGREES or ORACLE-DISAGREES.  Detail
 after that is for humans and suppressed by --quiet.  Exit codes: 0 verdict
-produced (and matching --expect if given), 1 verdict mismatch, 2 parse or
-well-formedness error, 3 node budget exceeded, 4 oracle disagreement.
+produced (and matching --expect if given), 1 verdict mismatch, 2 unreadable
+input, parse or well-formedness error, or unwritable --proof-out, 3 node
+budget exceeded, 4 oracle disagreement.
 
 --input may name a directory: every *.sep and *.smt2 under it is checked
 against its own expectation annotation (or --expect as a fallback), files
@@ -124,9 +125,12 @@ def _check_one(pf: ProblemFile, args: argparse.Namespace, out) -> int:
                 print(model.pretty(pf.registry), file=out)
 
     if args.proof_out:
-        Path(args.proof_out).write_text(
-            export_proof(verdict.tree, args.proof_format), encoding="utf-8"
-        )
+        text = export_proof(verdict.tree, args.proof_format)
+        try:
+            Path(args.proof_out).write_text(text, encoding="utf-8")
+        except OSError as e:
+            print(f"sepent: {args.proof_out}: {_reason(e)}", file=sys.stderr)
+            return 2
 
     expect = args.expect or pf.expect
     if expect is not None and (expect == "valid") != verdict.valid:

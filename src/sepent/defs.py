@@ -146,6 +146,10 @@ class InductiveDef:
 class Registry:
     sorts: dict[str, SortDecl]
     preds: dict[str, InductiveDef]
+    # check_wellformed's answer, with the entries it was computed from
+    checked: Optional[tuple[tuple, tuple[str, ...]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def sort_of(self, name: str) -> SortDecl:
         return self.sorts[name]
@@ -158,13 +162,29 @@ def _expr_name(e: Expr) -> Optional[str]:
     return e.name if isinstance(e, Var) else None
 
 
+def _entries(reg: Registry) -> tuple:
+    return (tuple(reg.sorts.items()), tuple(reg.preds.items()))
+
+
 def check_wellformed(reg: Registry) -> list[str]:
-    """Return all template/C1/C2/C3 violations as human-readable diagnostics."""
+    """Return all template/C1/C2/C3 violations as human-readable diagnostics.
+    The answer is kept on the registry for `known_problems`."""
     out: list[str] = []
     for d in reg.preds.values():
         out.extend(_check_def(reg, d))
     out.extend(_check_c3(reg))
+    reg.checked = (_entries(reg), tuple(out))
     return out
+
+
+def known_problems(reg: Registry) -> list[str]:
+    """What `check_wellformed` answers, read from the registry while its
+    entries compare equal to the ones last checked (sorts and definitions
+    are immutable), so that asking at every call costs one comparison."""
+    kept = reg.checked
+    if kept is not None and kept[0] == _entries(reg):
+        return list(kept[1])
+    return check_wellformed(reg)
 
 
 def role_problem(name: str, params: tuple[Param, ...]) -> Optional[str]:
@@ -397,8 +417,7 @@ def base_of(
             spatial.append(atom)
         else:
             _materialize(atom, reg, fresh, spatial, extra, frozenset())
-    out = SymbolicHeap(tuple(spatial), heap.pure)
-    return out.add_pure(extra)
+    return heap.with_spatial(tuple(spatial)).add_pure(extra)
 
 
 def _materialize(

@@ -278,8 +278,12 @@ def _axiom(ent: Entailment, reg: Registry) -> Optional[RuleChoice]:
     # Unsatisfiable left side: everything follows.  The pure part of the
     # one-step materialization carries the constraints the occurrences force
     # (nonemptiness plus instantiated ordering), so its inconsistency decides
-    # left-side unsatisfiability on normalized leaves.
-    if not pure_solver.satisfiable(base_of(ent.lhs, reg).pure):
+    # left-side unsatisfiability on normalized leaves.  It extends the left
+    # pure part, whose context is asked first so that the materialization's
+    # context can extend it.
+    if not pure_solver.satisfiable(ent.lhs.pure) or not pure_solver.satisfiable(
+        base_of(ent.lhs, reg).pure
+    ):
         return RuleChoice("Inconsistency", (), ())
     if not ent.lhs.spatial and not ent.rhs.spatial and not ent.rhs.pure:
         return RuleChoice("Emp", (), ())

@@ -21,12 +21,25 @@ every root!=null atom NeqStar could add; and the set of atoms known to be
 nonempty only grows mid-run when two atoms share a root, which makes the
 left side unsatisfiable. Chain proofs thus grow linearly in the chain
 length, not quadratically.
+
+What a proof node pays for. The left side carries the roots settled so
+far (`SymbolicHeap.apart` and `SymbolicHeap.decided`). NeqStar and ExM
+visit only the pairs with an unsettled root, in the full scan's order, so
+they add the same atoms and pick the same split, and record the roots
+they settled on the heap they leave. Adding pure atoms and replacing
+spatial atoms hand these sets on, so a node reached that way pays for its
+k new roots, about n*k pairs among n roots instead of n*n/2. A left side
+rebuilt by a substitution (Subst, or LBase on an order pair), by =L's
+drop or by Star starts with nothing settled and pays for the full scan.
+NeqNull, =L and Subst still read every root or the whole pure part at
+every node.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Optional
+from itertools import chain, combinations
+from typing import Callable, Iterable, Optional
 
 from . import pure as pure_solver
 from .defs import Registry, guard_of, order_of, seg_of
@@ -177,6 +190,30 @@ def _known_roots(heap: SymbolicHeap, reg: Registry) -> list[Expr]:
     ]
 
 
+def _pairs(
+    roots: list[Expr], settled: frozenset[Expr]
+) -> Iterable[tuple[Expr, Expr]]:
+    """The pairs (roots[i], roots[j]) with i < j, in that order, except
+    those of two settled roots. A root listed twice counts as unsettled."""
+    if not settled:
+        return combinations(roots, 2)
+    seen: set[Expr] = set()
+    twice: set[Expr] = set()
+    for r in roots:
+        (twice if r in seen else seen).add(r)
+    unsettled = [r not in settled or r in twice for r in roots]
+    at = [j for j, u in enumerate(unsettled) if u]
+    out: list[tuple[Expr, Expr]] = []
+    k = 0
+    for i, r in enumerate(roots):
+        if unsettled[i]:
+            k += 1
+            out.extend((r, s) for s in roots[i + 1 :])
+        else:
+            out.extend((r, roots[j]) for j in at[k:])
+    return out
+
+
 def apply_neq_null(ent: Entailment, reg: Registry) -> Optional[Step]:
     have = ent.lhs.pure_set
     needs: dict[PtrNeq, None] = {}  # an insertion-ordered set
@@ -193,38 +230,33 @@ def apply_neq_star(ent: Entailment, reg: Registry) -> Optional[Step]:
     have = ent.lhs.pure_set
     roots = _known_roots(ent.lhs, reg)
     needs: dict[PtrNeq, None] = {}
-    for i, r in enumerate(roots):
-        for s in roots[i + 1 :]:
-            need = PtrNeq(r, s)
-            if need not in have:
-                needs[need] = None
+    for r, s in _pairs(roots, ent.lhs.apart):
+        need = PtrNeq(r, s)
+        if need not in have:
+            needs[need] = None
+    out = ent.lhs.add_pure(needs)
+    out.settle(apart=frozenset(roots))  # every two are apart now
     if not needs:
         return None
-    return "NeqStar", (replace(ent, lhs=ent.lhs.add_pure(needs)),)
-
-
-def _exm_pairs(heap: SymbolicHeap, reg: Registry) -> list[tuple[Expr, Expr]]:
-    pairs: list[tuple[Expr, Expr]] = []
-    for a in heap.spatial:
-        if isinstance(a, PredOcc):
-            pairs.append((a.root, seg_of(a, reg)))
-    roots = [a.root for a in heap.spatial]
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            pairs.append((roots[i], roots[j]))
-    return pairs
+    return "NeqStar", (replace(ent, lhs=out),)
 
 
 def apply_exm(ent: Entailment, reg: Registry) -> Optional[Step]:
-    pi = ent.lhs.pure
-    have = ent.lhs.pure_set
-    for e1, e2 in _exm_pairs(ent.lhs, reg):
+    heap = ent.lhs
+    pi = heap.pure
+    have = heap.pure_set
+    roots = [a.root for a in heap.spatial]
+    occ_pairs = [
+        (a.root, seg_of(a, reg)) for a in heap.spatial if isinstance(a, PredOcc)
+    ]
+    for e1, e2 in chain(occ_pairs, _pairs(roots, heap.decided)):
         if e1 == e2 or PtrNeq(e1, e2) in have or PtrEq(e1, e2) in have:
             continue
         if pure_solver.status_of_pair(pi, e1, e2) == "unknown":
-            eq = replace(ent, lhs=ent.lhs.add_pure([PtrEq(e1, e2)]))
-            ne = replace(ent, lhs=ent.lhs.add_pure([PtrNeq(e1, e2)]))
+            eq = replace(ent, lhs=heap.add_pure([PtrEq(e1, e2)]))
+            ne = replace(ent, lhs=heap.add_pure([PtrNeq(e1, e2)]))
             return "ExM", (eq, ne)
+    heap.settle(decided=frozenset(roots))
     return None
 
 

@@ -34,6 +34,7 @@ from .defs import (
     Registry,
     base_instance,
     existential_kinds,
+    known_problems,
     rec_instance,
 )
 from .syntax import (
@@ -367,13 +368,29 @@ def kinds_of(heap: SymbolicHeap, reg: Registry) -> dict[str, Kind]:
 # ----------------------------------------------------------- model enumeration
 
 
+def _check_registry(reg: Registry) -> None:
+    """Refuse a registry outside the template, as `prove` does: the
+    semantics here reads an occurrence's root as its argument 0 too."""
+    problems = known_problems(reg)
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
 def models_of(
     heap: SymbolicHeap,
     reg: Registry,
     bound: Bound = DEFAULT_BOUND,
     self_check: bool = False,
 ) -> Iterator[HeapModel]:
-    """All models of the heap up to the bound, canonically enumerated."""
+    """All models of the heap up to the bound, canonically enumerated.
+    The registry is checked when this is called, not when it is iterated."""
+    _check_registry(reg)
+    return _models(heap, reg, bound, self_check)
+
+
+def _models(
+    heap: SymbolicHeap, reg: Registry, bound: Bound, self_check: bool
+) -> Iterator[HeapModel]:
     fresh = FreshNames()
     stack_names = tuple(sorted(heap.fv()))
     # A stack variable an unfolding drops keeps the kind the input gives it.
@@ -588,7 +605,8 @@ class OracleVerdict(NamedTuple):
 def oracle_entails(
     ent: Entailment, reg: Registry, bound: Bound = DEFAULT_BOUND
 ) -> OracleVerdict:
-    """Search for a countermodel; absence only rules out models within bound."""
+    """Search for a countermodel; absence only rules out models within bound.
+    `models_of` checks the registry."""
     for m in models_of(ent.lhs, reg, bound):
         if not holds(m, ent.rhs, reg, bound):
             return OracleVerdict(False, m)
@@ -598,4 +616,5 @@ def oracle_entails(
 def confirm_countermodel(
     model: HeapModel, ent: Entailment, reg: Registry, bound: Bound = DEFAULT_BOUND
 ) -> bool:
+    _check_registry(reg)
     return holds(model, ent.lhs, reg, bound) and not holds(model, ent.rhs, reg, bound)

@@ -1,30 +1,42 @@
 """Decision procedure for the pure fragment.
 
-The entry points take plain tuples of atoms. Each distinct tuple is
-compiled once into a `PureContext`, which holds a union-find that merges
-the operands of every pointer `=` (any other term is its own class); the
-class pairs the `!=` atoms keep apart, as `PtrNeq` atoms over class
-representatives, with a flag for whether the pointer part is consistent;
-the arithmetic atoms (=, <=) as difference bounds, with a zero node that
-anchors the integer literals; and the longest-path distances of those
-bounds, None when a positive cycle makes them infeasible.
+The entry points take plain tuples of atoms. Each tuple is compiled into
+a `PureContext`, which holds a union-find that merges the operands of
+every pointer `=` (any other term is its own class); the class pairs the
+`!=` atoms keep apart, as `PtrNeq` atoms over class representatives, with
+a flag for whether the pointer part is consistent; the arithmetic atoms
+(=, <=) as difference bounds, with a zero node that anchors the integer
+literals; and the longest-path distances of those bounds, None when a
+positive cycle makes them infeasible.
 
 Queries and models read the context. A pointer goal compares classes. An
 arithmetic goal holds when every case of its negation makes the bounds
 infeasible; the negation of <= gives the only strict bounds, of weight 1.
 `pointer_model` numbers the classes, `arith_model` reads the distances.
 
-The contexts sit in a memo of 4 entries: every reuse happens while the
-search looks at one proof node, whose queries ask about at most a few
-tuples (its left pure part and the pure part of its one-step
-materialization), so a cold chain proof builds exactly as many contexts
-with 4 entries as with an unbounded memo, while more entries only keep
-more of these heavy objects alive.
+The memo keeps the 4 most recent contexts and finds a tuple by identity,
+or else by equal contents; it never hashes a whole tuple. On a miss, a
+tuple that continues a memoized one (the same atom objects first) with no
+pointer `=` extends that context: the classes stay, `apart` is copied and
+takes the new pairs, and the distances relax on from the old ones. Only
+other tuples are compiled from scratch.
+
+So a proof node whose left side only adds atoms to its parent's pays for
+the new atoms, since its parent's context is still in the memo: a node
+asks about at most a few tuples (its left pure part and the pure part of
+its one-step materialization, which extends it). A left side rebuilt by
+a substitution or by =L's drop pays for a whole context, unless it comes
+out equal to a memoized tuple. On cold chain proofs (n = 6..16), 4
+entries build 66 contexts and extend 204; 2 entries extend 270. An
+unbounded memo builds only 6, because a tuple after Subst often continues
+one from a few nodes up, but it keeps every context alive, and all 66
+builds take under 2% of the time of `prove`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import deque
+from operator import is_
 from typing import Iterable, Literal, Optional
 
 from .syntax import (
@@ -71,9 +83,13 @@ def _bounds_of(atoms: Atoms) -> list[Bound]:
     return out + _anchors(operands)
 
 
-def _relax(bounds: list[Bound]) -> Optional[dict[_Node, int]]:
-    """Longest-path fixpoint from an implicit all-zero source; None if unbounded."""
-    dist: dict[_Node, int] = {_ZERO: 0}
+def _relax(
+    bounds: list[Bound], start: Optional[dict[_Node, int]] = None
+) -> Optional[dict[_Node, int]]:
+    """Longest-path fixpoint from an implicit all-zero source; None if
+    unbounded. `start`, the fixpoint of a subset of the bounds, is a
+    lower bound on this one, so the relaxation may begin there."""
+    dist: dict[_Node, int] = dict(start) if start else {_ZERO: 0}
     for u, v, _ in bounds:
         dist.setdefault(u, 0)
         dist.setdefault(v, 0)
@@ -132,6 +148,27 @@ class PureContext:
         self.rep = rep
         self.apart: set[PtrNeq] = set()
         self.ptr_ok = True
+        self._keep_apart(atoms)
+        self.bounds = _bounds_of(atoms)
+        self.dist = _relax(self.bounds)
+
+    def extended(self, extra: Atoms) -> "PureContext":
+        """The context of this tuple followed by `extra`, which holds no
+        pointer `=`: the classes stay, the new `!=` pairs join a copy of
+        `apart`, and the distances relax on from the old ones."""
+        out = PureContext.__new__(PureContext)
+        out.rep = self.rep
+        out.apart = set(self.apart)
+        out.ptr_ok = self.ptr_ok
+        out._keep_apart(extra)
+        more = _bounds_of(extra)
+        out.bounds = self.bounds + more if more else self.bounds
+        out.dist = (
+            _relax(out.bounds, self.dist) if more and self.dist else self.dist
+        )
+        return out
+
+    def _keep_apart(self, atoms: Atoms) -> None:
         for a in atoms:
             if isinstance(a, PtrNeq):
                 pair = self._class_pair(a)
@@ -139,8 +176,6 @@ class PureContext:
                     self.ptr_ok = False
                 else:
                     self.apart.add(pair)
-        self.bounds = _bounds_of(atoms)
-        self.dist = _relax(self.bounds)
 
     def _class_pair(self, a: PtrEq | PtrNeq) -> Optional[PtrNeq]:
         """The classes of `a`'s operands as a disequality, None if they are
@@ -166,13 +201,42 @@ class PureContext:
             return self._class_pair(goal) in self.apart
         base = self.bounds + _anchors((goal.lhs, goal.rhs))
         return all(
-            _relax(base + case) is None for case in _strict_negation(goal)
+            _relax(base + case, self.dist) is None
+            for case in _strict_negation(goal)
         )
 
 
-@lru_cache(maxsize=4)  # see the module docstring for why 4
+# Recent contexts, most recent last, each with its tuple; see the module
+# docstring for why 4.
+_memo: deque[tuple[Atoms, PureContext]] = deque(maxlen=4)
+
+
 def _context(atoms: Atoms) -> PureContext:
-    return PureContext(atoms)
+    """The context of `atoms`. A memoized tuple is found by identity, or
+    else by comparing equal; on a miss, a memoized context is extended if
+    its tuple is a prefix of `atoms` (the same atom objects) and the rest
+    holds no pointer `=`, and a new one is built only when none is."""
+    if _memo and _memo[-1][0] is atoms:  # most queries ask again at once
+        return _memo[-1][1]
+    for i in range(len(_memo) - 1, -1, -1):
+        key = _memo[i][0]
+        if key is atoms or (len(key) == len(atoms) and key == atoms):
+            hit = _memo[i]
+            del _memo[i]
+            _memo.append(hit)
+            return hit[1]
+    ctx = None
+    for key, old in reversed(_memo):
+        k = len(key)
+        if k < len(atoms) and all(map(is_, key, atoms)):
+            extra = atoms[k:]
+            if not any(isinstance(a, PtrEq) for a in extra):
+                ctx = old.extended(extra)
+                break
+    if ctx is None:
+        ctx = PureContext(atoms)
+    _memo.append((atoms, ctx))
+    return ctx
 
 
 # ------------------------------------------------------------------- entry points

@@ -90,15 +90,27 @@ def _pairs(e: Sexpr, second: type = str) -> bool:
 
 
 def _read_all(text: str) -> list[Sexpr]:
-    toks: list[str] = []
+    """The S-expressions of `text`. A |quoted| symbol is always a symbol,
+    even when it reads like a parenthesis or a number."""
+    out: list[Sexpr] = []
+    stack: list[list] = []
+
+    def put(x: Sexpr) -> None:
+        (stack[-1] if stack else out).append(x)
+
     i = 0
     while i < len(text):
         c = text[i]
         if c == ";":
             while i < len(text) and text[i] != "\n":
                 i += 1
-        elif c in "()":
-            toks.append(c)
+        elif c == "(":
+            stack.append([])
+            i += 1
+        elif c == ")":
+            if not stack:
+                raise SlcompError("unbalanced ')'")
+            put(stack.pop())
             i += 1
         elif c.isspace():
             i += 1
@@ -106,27 +118,15 @@ def _read_all(text: str) -> list[Sexpr]:
             j = text.find("|", i + 1)
             if j < 0:
                 raise SlcompError("unterminated |..| symbol")
-            toks.append(text[i + 1 : j])
+            put(text[i + 1 : j])
             i = j + 1
         else:
             j = i
             while j < len(text) and not text[j].isspace() and text[j] not in "();":
                 j += 1
-            toks.append(text[i:j])
+            t = text[i:j]
+            put(int(t) if re.fullmatch(r"-?\d+", t) else t)
             i = j
-    out: list[Sexpr] = []
-    stack: list[list] = []
-    for t in toks:
-        if t == "(":
-            stack.append([])
-        elif t == ")":
-            if not stack:
-                raise SlcompError("unbalanced ')'")
-            done = stack.pop()
-            (stack[-1] if stack else out).append(done)
-        else:
-            atom: Sexpr = int(t) if re.fullmatch(r"-?\d+", t) else t
-            (stack[-1] if stack else out).append(atom)
     if stack:
         raise SlcompError("unbalanced '('")
     return out

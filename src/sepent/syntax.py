@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import ClassVar, Iterable, Iterator, Mapping, Optional, Union
 
 FRESH_MARK = "#"
 
@@ -141,7 +141,11 @@ PureAtom = Union[PtrEq, PtrNeq, ArithEq, ArithLeq]
 
 
 def subst_atom(a: PureAtom, sub: Subst) -> PureAtom:
-    return type(a)(subst_expr(a.lhs, sub), subst_expr(a.rhs, sub))
+    """The atom under `sub`; `a` itself when `sub` changes neither operand."""
+    lhs, rhs = subst_expr(a.lhs, sub), subst_expr(a.rhs, sub)
+    if lhs is a.lhs and rhs is a.rhs:
+        return a
+    return type(a)(lhs, rhs)
 
 
 def atom_vars(a: PureAtom) -> frozenset[str]:
@@ -223,13 +227,28 @@ def same_atom_mod_unfold(a: SpatialAtom, b: SpatialAtom) -> bool:
 class SymbolicHeap:
     """A spatial part and a pure part, each a tuple in written order.
 
-    `pure_set` is the pure part as a frozenset, built on first use and
-    kept on the instance; membership tests read it. It is not a field, so
-    equality, hashing, `repr` and `dataclasses.replace` ignore it.
+    Three sets derived from the pure part are kept on the instance. They
+    are not fields, so equality, hashing, `repr` and `dataclasses.replace`
+    ignore them:
+
+    - `pure_set`, the pure part as a frozenset, which membership tests
+      read; built on first use.
+    - `apart`, roots whose every two distinct members have their `!=`
+      atom in the pure part.
+    - `decided`, roots whose every two members the pure part decides
+      equal or apart.
+
+    Normalization records the last two as it settles roots; see
+    `settle`. Atoms added to the pure part keep all three true, so
+    `add_pure`, `with_spatial` and `replace_spatial` hand them on to the
+    heap they build, and the pure set grows by the new atoms alone. A heap
+    built any other way starts with nothing settled.
     """
 
     spatial: tuple[SpatialAtom, ...] = ()
     pure: tuple[PureAtom, ...] = ()
+    apart: ClassVar[frozenset[Expr]] = frozenset()
+    decided: ClassVar[frozenset[Expr]] = frozenset()
 
     def subst(self, sub: Subst) -> "SymbolicHeap":
         return SymbolicHeap(
@@ -253,20 +272,49 @@ class SymbolicHeap:
     def has_pure(self, atom: PureAtom) -> bool:
         return atom in self.pure_set
 
+    def settle(
+        self,
+        apart: Optional[frozenset[Expr]] = None,
+        decided: Optional[frozenset[Expr]] = None,
+    ) -> None:
+        """Record roots found apart or decided (see the class docstring)."""
+        if apart is not None and apart != self.apart:
+            self.__dict__["apart"] = apart
+        if decided is not None and decided != self.decided:
+            self.__dict__["decided"] = decided
+
+    def _derive(
+        self, spatial: tuple[SpatialAtom, ...], extra: tuple[PureAtom, ...] = ()
+    ) -> "SymbolicHeap":
+        out = SymbolicHeap(spatial, self.pure + extra)
+        known = self.__dict__
+        if "pure_set" in known:
+            out.__dict__["pure_set"] = (
+                self.pure_set.union(extra) if extra else self.pure_set
+            )
+        for name in ("apart", "decided"):
+            if name in known:
+                out.__dict__[name] = known[name]
+        return out
+
     def add_pure(self, atoms: Iterable[PureAtom]) -> "SymbolicHeap":
         """Append atoms not already present (symmetric-aware), keeping order."""
         have = self.pure_set
         extra = tuple(a for a in atoms if a not in have)
         if not extra:
             return self
-        return SymbolicHeap(self.spatial, self.pure + extra)
+        return self._derive(self.spatial, extra)
 
     def drop_pure_at(self, idx: int) -> "SymbolicHeap":
         return SymbolicHeap(self.spatial, self.pure[:idx] + self.pure[idx + 1 :])
 
+    def with_spatial(self, spatial: tuple[SpatialAtom, ...]) -> "SymbolicHeap":
+        """This pure part under another spatial part."""
+        return self._derive(spatial)
+
     def replace_spatial(self, idx: int, atoms: Iterable[SpatialAtom]) -> "SymbolicHeap":
         new = self.spatial[:idx] + tuple(atoms) + self.spatial[idx + 1 :]
-        return SymbolicHeap(new, self.pure)
+        return self._derive(new)
 
     def pred_occs(self) -> Iterator[tuple[int, PredOcc]]:
         for i, a in enumerate(self.spatial):

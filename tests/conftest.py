@@ -8,10 +8,23 @@ definitions from text reproduces this registry.
 import itertools
 
 import pytest
+from hypothesis import strategies as st
 
 from sepent.defs import InductiveDef, Param, RecBranch, Registry, Role, SortDecl
 from sepent.oracle import HeapModel, holds, kinds_of, models_of
-from sepent.syntax import ArithLeq, NULL, PointsTo, PredOcc, Var
+from sepent.syntax import (
+    ArithEq,
+    ArithLeq,
+    Entailment,
+    IntLit,
+    NULL,
+    PointsTo,
+    PredOcc,
+    PtrEq,
+    PtrNeq,
+    SymbolicHeap,
+    Var,
+)
 
 
 def _p(name):
@@ -221,6 +234,52 @@ def parse_query(sequent: str):
 @pytest.fixture(scope="session")
 def registry() -> Registry:
     return make_registry()
+
+
+_PTRS = (Var("x"), Var("y"), Var("z"), NULL)
+_INTS = (Var("a"), Var("b"), IntLit(0), IntLit(2))
+
+
+@st.composite
+def entailments(draw, lhs_atoms=3, rhs_atoms=2):
+    """Small entailments over `make_registry()`: cells of every sort,
+    occurrences of every predicate and pure atoms of both kinds, each
+    argument drawn from the pointer or integer terms its position needs.
+    The right side names only variables of the left, as `prove` demands."""
+    reg = make_registry()
+
+    def side(n, ptrs, ints):
+        def term(kind):
+            return draw(st.sampled_from(ints if kind == "int" else ptrs))
+
+        def spatial_atom():
+            if draw(st.booleans()):
+                d = reg.preds[draw(st.sampled_from(sorted(reg.preds)))]
+                return PredOcc(d.name, tuple(term(p.kind) for p in d.params))
+            sort = reg.sorts[draw(st.sampled_from(sorted(reg.sorts)))]
+            fields = tuple(
+                term("int" if t == "int" else "ptr") for _, t in sort.fields
+            )
+            return PointsTo(draw(st.sampled_from(ptrs[:-1] or ptrs)), sort.name, fields)
+
+        def pure_atom():
+            k = draw(st.integers(0, 3))
+            if k < 2:
+                return (PtrEq, PtrNeq)[k](term("ptr"), term("ptr"))
+            return (ArithEq, ArithLeq)[k - 2](term("int"), term("int"))
+
+        spatial = tuple(spatial_atom() for _ in range(draw(st.integers(0, n))))
+        pure = tuple(pure_atom() for _ in range(draw(st.integers(0, n))))
+        return SymbolicHeap(spatial, pure)
+
+    lhs = side(lhs_atoms, _PTRS, _INTS)
+    named = lhs.fv()
+    rhs = side(
+        rhs_atoms,
+        tuple(t for t in _PTRS if not isinstance(t, Var) or t.name in named),
+        tuple(t for t in _INTS if not isinstance(t, Var) or t.name in named),
+    )
+    return Entailment(lhs, rhs)
 
 
 def disjunction_equivalent(heap, branches, reg, bound) -> bool:

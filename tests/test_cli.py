@@ -152,6 +152,16 @@ class TestProofOutput:
         assert 'e12 -> e0 [style=dashed, label="[x/X#1, mi/m1#2]"];' in text
 
 
+    def test_unwritable_target(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "proof.txt"
+        code, lines = run(
+            "--input", str(DATA / "golden.sep"), "--proof-out", str(target)
+        )
+        assert code == 2
+        assert lines[0] == "VALID"
+        assert capsys.readouterr().err == f"sepent: {target}: no such file\n"
+
+
 class TestBatch:
     def test_bundled_directory_is_clean(self):
         code, lines = run("--input", str(DATA))

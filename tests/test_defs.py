@@ -15,6 +15,7 @@ from sepent.defs import (
     base_instance,
     check_wellformed,
     existential_kinds,
+    known_problems,
     rec_instance,
 )
 from sepent.syntax import FreshNames, PointsTo, PredOcc, PtrEq, PtrNeq, NULL, Var
@@ -90,6 +91,23 @@ def test_matrix_root_must_be_head_field(registry):
     reg = Registry(sorts=dict(registry.sorts), preds={"ll": registry.pred("ll"), "q": bad})
     problems = check_wellformed(reg)
     assert any("C2" in p for p in problems)
+
+
+def test_known_problems_follow_the_entries(registry):
+    # check_wellformed's answer is reused only while the registry's
+    # entries are the ones it was computed from.
+    reg = Registry(sorts=dict(registry.sorts), preds=dict(registry.preds))
+    assert reg.checked is None
+    assert known_problems(reg) == [] and reg.checked is not None
+    ll = reg.preds["ll"]
+    reg.preds["ll"] = InductiveDef("ll", ll.params[::-1], ll.rec)
+    assert known_problems(reg) == ["ll: the root parameter must come first"]
+    reg.preds["ll"] = ll
+    assert known_problems(reg) == []
+    del reg.sorts["c1"]
+    assert any("unknown sort c1" in p for p in known_problems(reg))
+    kept = reg.checked
+    assert known_problems(reg) == list(kept[1]) and reg.checked is kept
 
 
 def test_unfold_numbers(registry):

@@ -7,12 +7,13 @@ each be rejected by check_cyclic_soundness for the stated reason.
 """
 
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import parse_query
+from conftest import entailments, make_registry, parse_query
 from sepent import engine, normalize
 from sepent.defs import InductiveDef, Param, RecBranch, Registry, Role
 from sepent.engine import (
@@ -31,6 +32,7 @@ from sepent.engine import (
     link_back,
     prove,
 )
+from sepent.export import export_proof
 from sepent.oracle import Bound, confirm_countermodel, holds, oracle_entails
 from sepent.syntax import (
     NULL,
@@ -45,7 +47,7 @@ from sepent.syntax import (
     Var,
 )
 from suite_cases import SUITE, chain_sequent
-from test_normalize import reference_appliers
+from test_normalize import full_scan_appliers, reference_appliers
 
 x, y, z, E = Var("x"), Var("y"), Var("z"), Var("E")
 mi, ma, u = Var("mi"), Var("ma"), Var("u")
@@ -575,6 +577,25 @@ def _spatial_parts(names, n):
         else PointsTo(Var(t[1]), "c1", (Var(t[2]),))
     )
     return st.lists(atom, min_size=n, max_size=n).map(tuple)
+
+
+@given(entailments())
+@settings(max_examples=100, deadline=None)
+def test_settled_roots_change_no_proof(e):
+    """The rules that skip settled roots give the verdict, countermodel and
+    proof that the full scans give."""
+    reg = make_registry()
+
+    def outcome():
+        try:
+            v = prove(e, reg, node_budget=3000)
+        except (UnsupportedFragment, ResourceLimit) as exc:
+            return type(exc).__name__
+        return v.valid, v.case, repr(v.counter), export_proof(v.tree, "text")
+
+    got = outcome()
+    with mock.patch.object(normalize, "_APPLIERS", full_scan_appliers()):
+        assert got == outcome()
 
 
 @given(

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import disjunction_equivalent
+from conftest import disjunction_equivalent, entailments
 from sepent import normalize as normalize_module
-from sepent.defs import guard_of
+from sepent import pure as pure_solver
+from sepent.defs import guard_of, seg_of
 from sepent.normalize import (
     apply_eq_l,
     apply_exm,
@@ -26,6 +27,7 @@ from sepent.normalize import (
     nf_failures,
     normalize,
     normalize_step,
+    _known_roots,
 )
 from sepent.oracle import Bound
 from sepent.syntax import (
@@ -104,6 +106,77 @@ def collapse_runs(labels):
         if not (out and label == out[-1] and label in ("NeqNull", "NeqStar")):
             out.append(label)
     return tuple(out)
+
+
+# ------------------------------------------------ full-scan reference rules
+#
+# NeqStar and ExM as they were before heaps carried their settled roots:
+# every scan visits every pair of roots.
+
+
+def reference_full_apply_neq_star(ent, reg):
+    have = ent.lhs.pure_set
+    roots = _known_roots(ent.lhs, reg)
+    needs: dict[PtrNeq, None] = {}
+    for i, r in enumerate(roots):
+        for s in roots[i + 1 :]:
+            need = PtrNeq(r, s)
+            if need not in have:
+                needs[need] = None
+    if not needs:
+        return None
+    return "NeqStar", (replace(ent, lhs=ent.lhs.add_pure(needs)),)
+
+
+def _exm_pairs(heap, reg):
+    pairs = []
+    for a in heap.spatial:
+        if isinstance(a, PredOcc):
+            pairs.append((a.root, seg_of(a, reg)))
+    roots = [a.root for a in heap.spatial]
+    for i in range(len(roots)):
+        for j in range(i + 1, len(roots)):
+            pairs.append((roots[i], roots[j]))
+    return pairs
+
+
+def reference_full_apply_exm(ent, reg):
+    pi = ent.lhs.pure
+    have = ent.lhs.pure_set
+    for e1, e2 in _exm_pairs(ent.lhs, reg):
+        if e1 == e2 or PtrNeq(e1, e2) in have or PtrEq(e1, e2) in have:
+            continue
+        if pure_solver.status_of_pair(pi, e1, e2) == "unknown":
+            eq = replace(ent, lhs=ent.lhs.add_pure([PtrEq(e1, e2)]))
+            ne = replace(ent, lhs=ent.lhs.add_pure([PtrNeq(e1, e2)]))
+            return "ExM", (eq, ne)
+    return None
+
+
+def full_scan_appliers():
+    swap = {
+        apply_neq_star: reference_full_apply_neq_star,
+        apply_exm: reference_full_apply_exm,
+    }
+    return tuple(swap.get(f, f) for f in normalize_module._APPLIERS)
+
+
+def normalize_fresh(ent, reg):
+    """normalize() with every left side rebuilt before each step, so no
+    step starts from roots an earlier one settled."""
+    out = []
+    stack = [(ent, ())]
+    while stack:
+        e, trace = stack.pop()
+        e = replace(e, lhs=SymbolicHeap(e.lhs.spatial, e.lhs.pure))
+        step = normalize_step(e, reg)
+        if step is None:
+            out.append((e, trace))
+            continue
+        label, premises = step
+        for p in reversed(premises):
+            stack.append((p, trace + (label,)))
+    return out
 
 
 # ------------------------------------------------------------- normal form
@@ -464,3 +537,78 @@ def test_batched_disequalities_contract_the_one_atom_steps(lhs):
         assert frozenset(g.lhs.pure) == frozenset(r.lhs.pure)
         assert g.rhs == r.rhs
         assert collapse_runs(gtrace) == collapse_runs(rtrace)
+
+
+@given(entailments(lhs_atoms=4))
+@settings(max_examples=150, deadline=None)
+def test_settled_roots_change_no_step(e):
+    """Carrying settled roots from heap to heap gives the labels and
+    premises that fresh heaps and the full scans give."""
+    reg = __import__("conftest").make_registry()
+    got = normalize(e, reg)
+    assert got == normalize_fresh(e, reg)
+    with mock.patch.object(normalize_module, "_APPLIERS", full_scan_appliers()):
+        assert got == normalize(e, reg)
+
+
+def _cell(root):
+    return PointsTo(root, "c1", (NULL,))
+
+
+def test_new_root_is_paired_with_the_settled_ones_only(registry):
+    # One cell joins a heap whose roots are settled: NeqStar visits the
+    # five pairs of the new root and no other.
+    cells = [_cell(Var(f"r{i}")) for i in range(4)]
+    e = ent(cells + [PredOcc("ll", (y, z))], [PtrNeq(y, z)])
+    settled = normalize(e, registry)[0][0].lhs
+    assert settled.apart == {c.root for c in cells} | {y}
+    grown = replace(e, lhs=settled.replace_spatial(0, [cells[0], _cell(w)]))
+    assert grown.lhs.apart == settled.apart
+    visited = []
+    real = normalize_module._pairs
+
+    def spy(*args):
+        for pair in real(*args):
+            visited.append(pair)
+            yield pair
+
+    with mock.patch.object(normalize_module, "_pairs", spy):
+        prem = apply_neq_null(grown, registry)[1][0]
+        assert prem.lhs.apart == settled.apart
+        label, (prem,) = apply_neq_star(prem, registry)
+    assert label == "NeqStar"
+    assert len(visited) == 5 and all(w in pair for pair in visited)
+    assert prem.lhs.apart == settled.apart | {w}
+
+
+def test_settled_roots_are_the_current_roots(registry):
+    # A root that left the heap leaves the settled sets, so it is paired
+    # with every root again when it comes back.
+    e = ent([_cell(x), _cell(y)], [PtrNeq(x, y), PtrNeq(y, z)])
+    assert apply_exm(e, registry) is None
+    assert e.lhs.decided == {x, y}
+    moved = replace(e, lhs=e.lhs.replace_spatial(0, [_cell(z)]))
+    assert apply_exm(moved, registry) is None
+    assert moved.lhs.decided == {y, z}
+    back = replace(moved, lhs=moved.lhs.replace_spatial(1, [_cell(y), _cell(x)]))
+    label, (eq, ne) = apply_exm(back, registry)
+    assert eq.lhs.pure[-1] == PtrEq(z, x) and ne.lhs.pure[-1] == PtrNeq(z, x)
+    full = ent([_cell(x), _cell(y)], [PtrNeq(x, NULL), PtrNeq(y, NULL)])
+    label, (prem,) = apply_neq_star(full, registry)
+    assert prem.lhs.apart == {x, y}
+    moved = replace(prem, lhs=prem.lhs.replace_spatial(0, [_cell(z)]))
+    moved = apply_neq_null(moved, registry)[1][0]
+    label, (prem,) = apply_neq_star(moved, registry)
+    assert prem.lhs.apart == {y, z}
+
+
+
+def test_root_listed_twice_is_unsettled(registry):
+    # A second atom at a settled root pairs the root with itself, and
+    # NeqStar adds the disequality that makes the left side unsatisfiable.
+    e = ent([_cell(x), _cell(y)], [PtrNeq(x, NULL), PtrNeq(y, NULL)])
+    settled = apply_neq_star(e, registry)[1][0]
+    assert settled.lhs.apart == {x, y}
+    twice = replace(settled, lhs=settled.lhs.replace_spatial(1, [_cell(y), _cell(x)]))
+    label, (prem,) = apply_neq_star(twice, registry)
+    assert prem.lhs.pure[-1] == PtrNeq(x, x)

@@ -17,7 +17,15 @@ import pytest
 from conftest import parse_query
 from suite_cases import SUITE
 from sepent import oracle
-from sepent.defs import base_of, existential_kinds
+from sepent.defs import (
+    InductiveDef,
+    Param,
+    RecBranch,
+    Registry,
+    Role,
+    base_of,
+    existential_kinds,
+)
 from sepent.engine import bad_model, prove
 from sepent.oracle import (
     Bound,
@@ -405,6 +413,39 @@ def test_invalidity_persists_at_larger_bound(registry):
     large = oracle_entails(e, registry, Bound(max_unfold=5, max_locs=6))
     assert not small.bounded_valid and not large.bounded_valid
     assert confirm_countermodel(small.counter, e, registry)
+
+
+def _root_second_registry(registry):
+    """The list lr(seg F, root r), built by hand: the parsers refuse it."""
+    r, f, X = Var("r"), Var("F"), Var("X")
+    lr = InductiveDef(
+        "lr",
+        (Param("F", Role.SEG), Param("r", Role.ROOT)),
+        RecBranch(
+            exists=("X",),
+            head=PointsTo(r, "c1", (X,)),
+            matrix=(),
+            rec=PredOcc("lr", (f, X)),
+            order=None,
+            arith=(),
+        ),
+    )
+    return Registry(sorts=dict(registry.sorts), preds={"lr": lr})
+
+
+def test_root_second_registry_rejected(registry):
+    # Read with argument 0 as the root, lr(null, x) |- emp would come out
+    # bounded-valid, though x->c1(null) refutes it.
+    reg = _root_second_registry(registry)
+    e = ent(heap([PredOcc("lr", (NULL, x))]), heap([]))
+    model = HeapModel({"x": 1}, {1: Cell("c1", (0,))}, frozenset({"x"}))
+    msg = "lr: the root parameter must come first"
+    with pytest.raises(ValueError, match=msg):
+        oracle_entails(e, reg, Bound(3, 3))
+    with pytest.raises(ValueError, match=msg):
+        models_of(e.lhs, reg, Bound(3, 3))  # at the call, before iterating
+    with pytest.raises(ValueError, match=msg):
+        confirm_countermodel(model, e, reg, Bound(3, 3))
 
 
 # ------------------------------------------------- reference implementations

@@ -339,9 +339,82 @@ def test_models_match_reference(atoms, ptr_names, int_names):
     )
 
 
+_EXTRA = st.lists(
+    _atoms().filter(lambda a: not isinstance(a, PtrEq)), min_size=1, max_size=4
+).map(tuple)
+
+
+@given(
+    st.lists(_atoms(), max_size=8).map(tuple),
+    _EXTRA,
+    _goals(),
+    _PTR_NAMES.map(tuple),
+    _INT_NAMES.map(tuple),
+)
+@example(  # the extension makes the bounds infeasible
+    (ArithLeq(a, b),),
+    (ArithLeq(b, IntLit(-1)), ArithLeq(IntLit(0), a)),
+    PtrEq(x, y),
+    (),
+    ("a", "b"),
+)
+@example(  # the extension denies a pointer equality
+    (PtrEq(x, y), ArithEq(a, IntLit(2))), (PtrNeq(y, x),), ArithLeq(a, b), ("x",), ()
+)
+@example(  # an empty prefix, and names no atom mentions
+    (), (ArithLeq(c, a), PtrNeq(z, NULL)), ArithLeq(c, IntLit(2)), ("z", "w"), ("c", "d")
+)
+def test_extended_context_agrees_with_fresh(prefix, extra, goal, ptr_names, int_names):
+    """A context extended from its prefix's answers as one built anew."""
+    atoms = prefix + extra
+    memo = sepent.pure._memo
+
+    def answers():
+        out = [
+            satisfiable(atoms),
+            entails(atoms, goal),
+            _model_items(pointer_model, atoms, ptr_names),
+            _model_items(arith_model, atoms, int_names),
+        ]
+        if isinstance(goal, (PtrEq, PtrNeq)):
+            out.append(status_of_pair(atoms, goal.lhs, goal.rhs))
+        return out
+
+    memo.clear()
+    satisfiable(prefix)
+    got = answers()
+    extended = memo[-1][1]
+    assert extended.rep is memo[0][1].rep  # extended, not rebuilt
+    memo.clear()
+    assert got == answers()
+    fresh = memo[-1][1]
+    assert (extended.apart, extended.ptr_ok) == (fresh.apart, fresh.ptr_ok)
+    assert (extended.dist and list(extended.dist.items())) == (
+        fresh.dist and list(fresh.dist.items())
+    )
+
+
+def test_memo_finds_contexts_by_identity_and_extends_them():
+    memo = sepent.pure._memo
+    memo.clear()
+    base = (PtrNeq(x, y), ArithLeq(a, b))
+    ctx = sepent.pure._context(base)
+    assert sepent.pure._context(base) is ctx
+    assert sepent.pure._context(tuple(list(base))) is ctx  # equal, not identical
+    grown = sepent.pure._context(base + (ArithLeq(b, IntLit(0)),))
+    assert grown.rep is ctx.rep and grown is not ctx
+    merged = sepent.pure._context(base + (PtrEq(x, z),))
+    assert merged.rep is not ctx.rep  # a pointer = regroups the classes
+    for k in range(8):
+        sepent.pure._context((ArithLeq(a, IntLit(k)),))
+    assert len(memo) == memo.maxlen
+
+
 def test_pure_caches_are_bounded():
     """Every memo in pure.py names a literal integer size, so a long batch
-    cannot keep every pure part it has seen alive."""
+    cannot keep every pure part it has seen alive: each `lru_cache` has a
+    literal `maxsize`, and each container the module keeps is a `deque`
+    with a literal `maxlen`."""
     tree = ast.parse(Path(sepent.pure.__file__).read_text(encoding="utf-8"))
 
     def name(node):
@@ -349,15 +422,36 @@ def test_pure_caches_are_bounded():
             return node.attr
         return node.id if isinstance(node, ast.Name) else None
 
+    def literal_int(node):
+        return isinstance(node, ast.Constant) and type(node.value) is int
+
     sized = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and name(node.func) == "lru_cache":
             size = node.args[0] if node.args else next(
                 (k.value for k in node.keywords if k.arg == "maxsize"), None
             )
-            assert isinstance(size, ast.Constant), ast.unparse(node)
-            assert type(size.value) is int, ast.unparse(node)
+            assert literal_int(size), ast.unparse(node)
             sized.add(id(node.func))
     for node in ast.walk(tree):
         if name(node) in ("lru_cache", "cache"):
             assert id(node) in sized, f"line {node.lineno}: {ast.unparse(node)}"
+
+    containers = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+    kept = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value is not None:
+            value = stmt.value
+            if isinstance(value, containers) or (
+                isinstance(value, ast.Call)
+                and name(value.func)
+                in ("dict", "list", "set", "OrderedDict", "defaultdict", "deque")
+            ):
+                kept.append(value)
+    assert kept, "the context memo is not a module-level container"
+    for value in kept:
+        assert isinstance(value, ast.Call) and name(value.func) == "deque", (
+            ast.unparse(value)
+        )
+        size = next((k.value for k in value.keywords if k.arg == "maxlen"), None)
+        assert literal_int(size), ast.unparse(value)

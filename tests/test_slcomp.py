@@ -13,6 +13,7 @@ from sepent.slcomp import (
     RoleAnnotationMissing,
     SlcompError,
     UnsupportedConstruct,
+    _read_all,
     parse_slcomp,
 )
 
@@ -208,6 +209,19 @@ class TestRejections:
         )
         with pytest.raises(UnsupportedConstruct):
             parse_slcomp(text)
+
+
+@pytest.mark.parametrize(
+    "text,forms",
+    [
+        ("(a |(| b)", [["a", "(", "b"]]),
+        ("(a |)| b)", [["a", ")", "b"]]),
+        ("(|)(| |12| 12)", [[")(", "12", 12]]),
+    ],
+)
+def test_quoted_symbols(text, forms):
+    """A |quoted| symbol reads as a symbol, never as structure or a number."""
+    assert _read_all(text) == forms
 
 
 @pytest.mark.parametrize(
