@@ -395,6 +395,17 @@ def guard_of(atom: SpatialAtom, reg: Registry) -> Optional[PureAtom]:
     return PtrNeq(atom.root, seg_of(atom, reg))
 
 
+def guards(heap: SymbolicHeap, reg: Registry) -> tuple[Optional[PureAtom], ...]:
+    """`guard_of` of each spatial atom, kept on the heap for `reg`, whose
+    definitions do not change while the heap is in use."""
+    kept = heap.__dict__.get("guards")
+    if kept is not None and kept[0] is reg:
+        return kept[1]
+    out = tuple(guard_of(a, reg) for a in heap.spatial)
+    heap.__dict__["guards"] = (reg, out)
+    return out
+
+
 # -------------------------------------------------------------- one-step bases
 
 
@@ -409,15 +420,23 @@ def base_of(
     already being materialized takes its empty branch (its root collapses to
     its own segment argument), which keeps the construction finite.
     """
-    fresh = fresh or FreshNames()
-    spatial: list[PointsTo] = []
+    cells, extra = base_parts(heap.spatial, reg, fresh or FreshNames())
+    return heap.with_spatial(cells).add_pure(extra)
+
+
+def base_parts(
+    spatial: tuple[SpatialAtom, ...], reg: Registry, fresh: FreshNames
+) -> tuple[tuple[PointsTo, ...], tuple[PureAtom, ...]]:
+    """The cells and the pure atoms `base_of` puts in place of a spatial
+    part; they depend on nothing else but the definitions and `fresh`."""
+    cells: list[PointsTo] = []
     extra: list[PureAtom] = []
-    for atom in heap.spatial:
+    for atom in spatial:
         if isinstance(atom, PointsTo):
-            spatial.append(atom)
+            cells.append(atom)
         else:
-            _materialize(atom, reg, fresh, spatial, extra, frozenset())
-    return heap.with_spatial(tuple(spatial)).add_pure(extra)
+            _materialize(atom, reg, fresh, cells, extra, frozenset())
+    return tuple(cells), tuple(extra)
 
 
 def _materialize(

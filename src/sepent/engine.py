@@ -27,6 +27,7 @@ reported.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Literal, Optional, Sequence, Union
 
@@ -34,6 +35,7 @@ from . import pure as pure_solver
 from .defs import (
     Registry,
     base_of,
+    base_parts,
     check_wellformed,
     guard_of,
     order_of,
@@ -53,6 +55,7 @@ from .syntax import (
     PredOcc,
     PtrEq,
     PtrNeq,
+    PureAtom,
     SpatialAtom,
     SymbolicHeap,
     Var,
@@ -282,7 +285,7 @@ def _axiom(ent: Entailment, reg: Registry) -> Optional[RuleChoice]:
     # pure part, whose context is asked first so that the materialization's
     # context can extend it.
     if not pure_solver.satisfiable(ent.lhs.pure) or not pure_solver.satisfiable(
-        base_of(ent.lhs, reg).pure
+        _base_pure(ent.lhs, reg)
     ):
         return RuleChoice("Inconsistency", (), ())
     if not ent.lhs.spatial and not ent.rhs.spatial and not ent.rhs.pure:
@@ -294,6 +297,31 @@ def _axiom(ent: Entailment, reg: Registry) -> Optional[RuleChoice]:
     ):
         return RuleChoice("Id", (), ())
     return None
+
+
+# Recent materializations, most recent last: a spatial part, the
+# definitions, and the cells and pure atoms `base_parts` puts in its place.
+_bases: deque[tuple[tuple[SpatialAtom, ...], tuple, tuple]] = deque(maxlen=4)
+
+
+def _base_pure(heap: SymbolicHeap, reg: Registry) -> tuple[PureAtom, ...]:
+    """The pure part of `base_of(heap, reg)`. A spatial part materializes
+    the same way under the same definitions, so the memo finds its cells
+    and atoms by identity of the spatial part, or else by equality."""
+    spatial = heap.spatial
+    defs = tuple(reg.preds.values())
+    parts = None
+    for i in range(len(_bases) - 1, -1, -1):
+        key, key_defs, kept = _bases[i]
+        if (key is spatial or key == spatial) and key_defs == defs:
+            parts = kept
+            del _bases[i]
+            break
+    if parts is None:
+        parts = base_parts(spatial, reg, FreshNames())
+    _bases.append((spatial, defs, parts))
+    cells, extra = parts
+    return heap.with_spatial(cells).add_pure(extra).pure
 
 
 # ----------------------------------------------------------- invalidity cases
@@ -450,15 +478,15 @@ def _star(ent: Entailment, reg: Registry, fresh: FreshNames) -> Optional[RuleCho
     k = tuple(a for i, a in enumerate(ent.lhs.spatial) if i not in set(li))
     k2 = tuple(ent.rhs.spatial[j] for j in ri)
     kp = tuple(b for j, b in enumerate(ent.rhs.spatial) if j not in set(ri))
-    pi_fv = SymbolicHeap((), ent.lhs.pure).fv()
+    pi_fv = ent.lhs.pure_fv
     fv_k1 = SymbolicHeap(k1).fv() | pi_fv
     fv_k = SymbolicHeap(k).fv() | pi_fv
     if not SymbolicHeap(k2).fv() <= fv_k1:
         return None
     if not SymbolicHeap(kp, ent.rhs.pure).fv() <= fv_k:
         return None
-    p1 = Entailment(SymbolicHeap(k1, ent.lhs.pure), SymbolicHeap(k2))
-    p2 = Entailment(SymbolicHeap(k, ent.lhs.pure), SymbolicHeap(kp, ent.rhs.pure))
+    p1 = Entailment(ent.lhs.with_spatial(k1), SymbolicHeap(k2))
+    p2 = Entailment(ent.lhs.with_spatial(k), SymbolicHeap(kp, ent.rhs.pure))
     n = len(ent.lhs.spatial)
     fwd1: list[Optional[int]] = [None] * n
     for rank, i in enumerate(li):
@@ -744,19 +772,25 @@ def link_back(
     with at least one matched occurrence unfolded strictly more often.
 
     Progress depends only on the two spatial parts, so it is tested before
-    the costlier pure and right-side conditions.  Ancestors reached by
-    pure-only steps share their spatial tuple, and with it the list of
-    progressing unifiers, which is then enumerated once for all of them."""
+    the costlier pure and right-side conditions.  An ancestor whose
+    skeleton differs from the leaf's has no unifier and is skipped.
+    Ancestors reached by pure-only steps share their spatial tuple, and
+    with it the list of progressing unifiers, which is then enumerated
+    once for all of them."""
     ent = tree.node(leaf_id).ent
     bud = ent.lhs.spatial
     if not any(a.unfold > 0 for _, a in ent.lhs.pred_occs()):
         return None
+    skeleton = ent.lhs.skeleton
     last: Optional[tuple[SpatialAtom, ...]] = None
     cands: list[tuple[dict[str, str], dict[int, int]]] = []
     for anc in tree.ancestors(leaf_id):
         comp = anc.ent.lhs.spatial
         if comp is not last:
             last = comp
+            if anc.ent.lhs.skeleton != skeleton:
+                cands = []
+                continue
             cands = [
                 (sigma, match)
                 for sigma, match in _spatial_unifiers(bud, comp)

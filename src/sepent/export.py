@@ -9,6 +9,7 @@ way proof figures annotate them.
 
 from __future__ import annotations
 
+from operator import is_
 from typing import Iterator
 
 from .engine import ProofNode, ProofTree
@@ -29,22 +30,34 @@ def _suffix(n: ProofNode) -> str:
     return ""
 
 
-def _preorder(tree: ProofTree) -> Iterator[tuple[ProofNode, int]]:
-    """Nodes in export order with their depth; a loop, so proof depth sets
-    no recursion limit."""
-    stack = [(tree.root, 0)]
+def _preorder(tree: ProofTree) -> Iterator[tuple[ProofNode, int, str]]:
+    """Nodes in export order with their depth and label; a loop, so proof
+    depth sets no recursion limit.
+
+    A node's left pure part usually continues its parent's with the same
+    atom objects, so its text continues the parent's text and only the
+    new atoms are printed."""
+    stack: list[tuple[int, int, tuple, str]] = [(tree.root, 0, (), "")]
     while stack:
-        nid, depth = stack.pop()
+        nid, depth, above, above_text = stack.pop()
         n = tree.node(nid)
-        yield n, depth
-        stack.extend((c, depth + 1) for c in reversed(n.children))
+        pure = n.ent.lhs.pure
+        k = len(above)
+        if pure is above:
+            text = above_text
+        elif 0 < k <= len(pure) and all(map(is_, above, pure)):
+            text = "".join([above_text, *(f" /\\ {a}" for a in pure[k:])])
+        else:
+            text = " /\\ ".join(map(str, pure))
+        yield n, depth, f"e{n.id}: {n.ent.pretty(True, text)}{_suffix(n)}"
+        stack.extend((c, depth + 1, pure, text) for c in reversed(n.children))
 
 
 def _text(tree: ProofTree) -> str:
     lines = []
-    for n, depth in _preorder(tree):
+    for n, depth, label in _preorder(tree):
         rule = f"[{n.edge.rule}] " if n.edge is not None else ""
-        lines.append("  " * depth + f"{rule}e{n.id}: {n.ent}{_suffix(n)}")
+        lines.append("  " * depth + rule + label)
     return "\n".join(lines) + "\n"
 
 
@@ -58,9 +71,10 @@ def _dot(tree: ProofTree) -> str:
         "  rankdir=TB;",
         '  node [shape=box, fontname="monospace"];',
     ]
-    order = [n for n, _ in _preorder(tree)]
-    for n in order:
-        lines.append(f"  e{n.id} [label={_quote(f'e{n.id}: {n.ent}{_suffix(n)}')}];")
+    order = []
+    for n, _, label in _preorder(tree):
+        order.append(n)
+        lines.append(f"  e{n.id} [label={_quote(label)}];")
     for n in order:
         for c in n.children:
             lines.append(f"  e{n.id} -> e{c} [label={_quote(tree.node(c).edge.rule)}];")

@@ -22,27 +22,33 @@ nonempty only grows mid-run when two atoms share a root, which makes the
 left side unsatisfiable. Chain proofs thus grow linearly in the chain
 length, not quadratically.
 
-What a proof node pays for. The left side carries the roots settled so
-far (`SymbolicHeap.apart` and `SymbolicHeap.decided`). NeqStar and ExM
-visit only the pairs with an unsettled root, in the full scan's order, so
-they add the same atoms and pick the same split, and record the roots
-they settled on the heap they leave. Adding pure atoms and replacing
-spatial atoms hand these sets on, so a node reached that way pays for its
-k new roots, about n*k pairs among n roots instead of n*n/2. A left side
-rebuilt by a substitution (Subst, or LBase on an order pair), by =L's
-drop or by Star starts with nothing settled and pays for the full scan.
-NeqNull, =L and Subst still read every root or the whole pure part at
-every node.
+What a proof node pays for. The left side carries what earlier steps
+computed or settled (see `SymbolicHeap`): the roots known non-null
+(`nonnull`), pairwise apart (`apart`) and pairwise decided (`decided`),
+the positions of the equalities, and the roots and guards of the spatial
+atoms (`defs.guards`). NeqNull visits only the unsettled roots, and
+NeqStar and ExM only the pairs with an unsettled root, in the full
+scan's order, so they add the same atoms and pick the same split; each
+records the roots it settled on the heap it leaves. =L and Subst read
+the equalities alone. Appending pure atoms, replacing spatial atoms and
+Star's premises hand the facts of the pure part on, and those of the
+spatial part while it stays the same; a substitution (Subst, or LBase on
+an order pair) maps the settled roots through its binding, and =L's drop
+keeps them. So a node pays for its k new roots, about n*k pairs among n
+roots instead of n*n/2, and reads none of the pure part it shares with
+its parent. What is left per node: one look at each root's guard to find
+the known roots; the roots and guards again after a change to the
+spatial part; and the pure set, built anew after a substitution.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from itertools import chain, combinations
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import pure as pure_solver
-from .defs import Registry, guard_of, order_of, seg_of
+from .defs import Registry, guard_of, guards, order_of
 from .syntax import (
     ArithEq,
     Entailment,
@@ -108,8 +114,10 @@ def is_nf_entailment(ent: Entailment, reg: Registry) -> bool:
 
 
 def apply_eq_l(ent: Entailment, reg: Registry) -> Optional[Step]:
-    for i, a in enumerate(ent.lhs.pure):
-        if isinstance(a, (PtrEq, ArithEq)) and a.lhs == a.rhs:
+    pure = ent.lhs.pure
+    for i in ent.lhs.equalities:
+        a = pure[i]
+        if a.lhs == a.rhs:
             return "=L", (replace(ent, lhs=ent.lhs.drop_pure_at(i)),)
     return None
 
@@ -130,8 +138,10 @@ def _orient(lhs: Expr, rhs: Expr) -> Optional[tuple[str, Expr]]:
 
 def subst_site(ent: Entailment) -> Optional[tuple[int, str, Expr]]:
     """Index of the equality Subst would consume plus the oriented binding."""
-    for i, a in enumerate(ent.lhs.pure):
-        if isinstance(a, (PtrEq, ArithEq)) and a.lhs != a.rhs:
+    pure = ent.lhs.pure
+    for i in ent.lhs.equalities:
+        a = pure[i]
+        if a.lhs != a.rhs:
             oriented = _orient(a.lhs, a.rhs)
             if oriented is None:
                 continue  # literal-vs-literal clash, left for the sat check
@@ -145,8 +155,10 @@ def apply_subst(ent: Entailment, reg: Registry) -> Optional[Step]:
     if site is None:
         return None
     i, name, repl = site
-    stripped = replace(ent, lhs=ent.lhs.drop_pure_at(i))
-    return "Subst", (stripped.subst({name: repl}),)
+    # the equality comes out reflexive, so dropping it keeps what the
+    # substitution handed on
+    out = ent.subst({name: repl})
+    return "Subst", (replace(out, lhs=out.lhs.drop_pure_at(i)),)
 
 
 def lbase_site(
@@ -156,9 +168,9 @@ def lbase_site(
 ]:
     """Index of the first occurrence whose root meets its segment, its
     (src, tgt) arguments when they differ, and the binding they orient to."""
-    for i, a in enumerate(ent.lhs.spatial):
-        if isinstance(a, PredOcc) and a.root == seg_of(a, reg):
-            pair = order_of(a, reg)
+    for i, g in enumerate(guards(ent.lhs, reg)):
+        if g is not None and g.lhs == g.rhs:
+            pair = order_of(ent.lhs.spatial[i], reg)
             if pair is None or pair[0] == pair[1]:
                 return i, None, None
             return i, pair, _orient(*pair)
@@ -183,15 +195,11 @@ def _known_roots(heap: SymbolicHeap, reg: Registry) -> list[Expr]:
     """Roots of the atoms known to be nonempty, in spatial order: every
     cell, and every occurrence whose guard the pure part holds."""
     have = heap.pure_set
-    return [
-        a.root
-        for a in heap.spatial
-        if not isinstance(a, PredOcc) or guard_of(a, reg) in have
-    ]
+    return [r for r, g in zip(heap.roots, guards(heap, reg)) if g is None or g in have]
 
 
 def _pairs(
-    roots: list[Expr], settled: frozenset[Expr]
+    roots: Sequence[Expr], settled: frozenset[Expr]
 ) -> Iterable[tuple[Expr, Expr]]:
     """The pairs (roots[i], roots[j]) with i < j, in that order, except
     those of two settled roots. A root listed twice counts as unsettled."""
@@ -216,14 +224,19 @@ def _pairs(
 
 def apply_neq_null(ent: Entailment, reg: Registry) -> Optional[Step]:
     have = ent.lhs.pure_set
+    roots = _known_roots(ent.lhs, reg)
+    settled = ent.lhs.nonnull
     needs: dict[PtrNeq, None] = {}  # an insertion-ordered set
-    for r in _known_roots(ent.lhs, reg):
-        need = PtrNeq(r, NULL)
-        if need not in have:
-            needs[need] = None
+    for r in roots:
+        if r not in settled:
+            need = PtrNeq(r, NULL)
+            if need not in have:
+                needs[need] = None
+    out = ent.lhs.add_pure(needs)
+    out.settle(nonnull=frozenset(roots))  # each is non-null now
     if not needs:
         return None
-    return "NeqNull", (replace(ent, lhs=ent.lhs.add_pure(needs)),)
+    return "NeqNull", (replace(ent, lhs=out),)
 
 
 def apply_neq_star(ent: Entailment, reg: Registry) -> Optional[Step]:
@@ -245,10 +258,8 @@ def apply_exm(ent: Entailment, reg: Registry) -> Optional[Step]:
     heap = ent.lhs
     pi = heap.pure
     have = heap.pure_set
-    roots = [a.root for a in heap.spatial]
-    occ_pairs = [
-        (a.root, seg_of(a, reg)) for a in heap.spatial if isinstance(a, PredOcc)
-    ]
+    roots = heap.roots
+    occ_pairs = [(g.lhs, g.rhs) for g in guards(heap, reg) if g is not None]
     for e1, e2 in chain(occ_pairs, _pairs(roots, heap.decided)):
         if e1 == e2 or PtrNeq(e1, e2) in have or PtrEq(e1, e2) in have:
             continue

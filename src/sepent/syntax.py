@@ -9,8 +9,16 @@ that membership tests like "x != null in pure" do not depend on operand order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import ClassVar, Iterable, Iterator, Mapping, Optional, Union
+from typing import (
+    Any,
+    Callable,
+    ClassVar,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Union,
+)
 
 FRESH_MARK = "#"
 
@@ -18,9 +26,18 @@ FRESH_MARK = "#"
 # ---------------------------------------------------------------- expressions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Var:
     name: str
+
+    # Written out: the generated pair would hash a 1-tuple on every lookup.
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Var:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
     def __str__(self) -> str:
         return self.name
@@ -222,79 +239,156 @@ def same_atom_mod_unfold(a: SpatialAtom, b: SpatialAtom) -> bool:
 
 # --------------------------------------------------------------- symbolic heap
 
+class _derived:
+    """A fact computed on first use and then kept in the instance's dict,
+    where a heap built from this one can find it and hand it on; like
+    `functools.cached_property` without the lock that one takes on every
+    first use in Python 3.11."""
+
+    def __init__(self, compute: Callable[[Any], Any]) -> None:
+        self.compute = compute
+        self.name = compute.__name__
+
+    def __get__(self, heap: Any, owner: Any = None) -> Any:
+        if heap is None:
+            return self
+        value = heap.__dict__[self.name] = self.compute(heap)
+        return value
+
+
 
 @dataclass(frozen=True)
 class SymbolicHeap:
     """A spatial part and a pure part, each a tuple in written order.
 
-    Three sets derived from the pure part are kept on the instance. They
-    are not fields, so equality, hashing, `repr` and `dataclasses.replace`
-    ignore them:
+    Facts derived from the two parts are kept on the instance. They are
+    not fields, so equality, hashing, `repr` and `dataclasses.replace`
+    ignore them. Of the pure part:
 
-    - `pure_set`, the pure part as a frozenset, which membership tests
-      read; built on first use.
+    - `pure_set`, the atoms as a frozenset, which membership tests read;
+    - `equalities`, the positions of the `=` atoms, pointer or arithmetic;
+    - `pure_fv`, the free variables;
+    - `nonnull`, roots each of which has its `!= null` atom in the pure
+      part;
     - `apart`, roots whose every two distinct members have their `!=`
-      atom in the pure part.
+      atom in the pure part;
     - `decided`, roots whose every two members the pure part decides
       equal or apart.
 
-    Normalization records the last two as it settles roots; see
-    `settle`. Atoms added to the pure part keep all three true, so
-    `add_pure`, `with_spatial` and `replace_spatial` hand them on to the
-    heap they build, and the pure set grows by the new atoms alone. A heap
-    built any other way starts with nothing settled.
+    Of the spatial part:
+
+    - `roots`, the root of each atom;
+    - `skeleton`, the predicate names and cell sorts, sorted; a renaming
+      of variables keeps it and unfolding annotations do not enter it;
+    - the guard of each atom, which `defs.guards` keeps here for one
+      registry.
+
+    Each is computed on first use, except that normalization records the
+    last three, the settled roots, as it settles them (see `settle`), or
+    else handed on by the heap this one is built from:
+
+    - Atoms appended to the pure part keep every pure fact true, so
+      `add_pure`, `with_spatial` and `replace_spatial` hand them on, and
+      the first three grow by the new atoms alone.
+    - `subst` maps the settled roots and the free variables through the
+      substitution, and keeps the positions and the skeleton: it maps the
+      atoms one for one, and whatever a pure part decides its image
+      decides too.
+    - `drop_pure_at` shifts the positions, and keeps the settled roots
+      when the dropped atom is a reflexive equality.
+    - The spatial facts pass on with an unchanged spatial part.
+
+    A heap built any other way starts with nothing derived.
     """
 
     spatial: tuple[SpatialAtom, ...] = ()
     pure: tuple[PureAtom, ...] = ()
+    nonnull: ClassVar[frozenset[Expr]] = frozenset()
     apart: ClassVar[frozenset[Expr]] = frozenset()
     decided: ClassVar[frozenset[Expr]] = frozenset()
 
     def subst(self, sub: Subst) -> "SymbolicHeap":
-        return SymbolicHeap(
+        out = SymbolicHeap(
             tuple(a.subst(sub) for a in self.spatial),
             tuple(subst_atom(p, sub) for p in self.pure),
         )
-
-    def fv(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for a in self.spatial:
-            out |= a.vars()
-        for p in self.pure:
-            out |= atom_vars(p)
+        known, new = self.__dict__, out.__dict__
+        for name in ("nonnull", "apart", "decided"):
+            if name in known:
+                new[name] = frozenset(subst_expr(e, sub) for e in known[name])
+        if "pure_fv" in known:
+            new["pure_fv"] = frozenset(
+                n for v in known["pure_fv"] for n in expr_vars(sub.get(v, Var(v)))
+            )
+        self._hand_on(out, "equalities", "skeleton")
         return out
 
-    @cached_property
+    def fv(self) -> frozenset[str]:
+        out = self.pure_fv
+        for a in self.spatial:
+            out |= a.vars()
+        return out
+
+    @_derived
     def pure_set(self) -> frozenset[PureAtom]:
-        """The pure atoms as a frozenset."""
         return frozenset(self.pure)
+
+    @_derived
+    def equalities(self) -> tuple[int, ...]:
+        return tuple(
+            i for i, a in enumerate(self.pure) if isinstance(a, (PtrEq, ArithEq))
+        )
+
+    @_derived
+    def pure_fv(self) -> frozenset[str]:
+        return frozenset(
+            t.name for p in self.pure for t in (p.lhs, p.rhs) if isinstance(t, Var)
+        )
+
+    @_derived
+    def roots(self) -> tuple[Expr, ...]:
+        return tuple(a.root for a in self.spatial)
+
+    @_derived
+    def skeleton(self) -> tuple[str, ...]:
+        return tuple(
+            sorted(a.pred if isinstance(a, PredOcc) else a.sort for a in self.spatial)
+        )
 
     def has_pure(self, atom: PureAtom) -> bool:
         return atom in self.pure_set
 
-    def settle(
-        self,
-        apart: Optional[frozenset[Expr]] = None,
-        decided: Optional[frozenset[Expr]] = None,
-    ) -> None:
-        """Record roots found apart or decided (see the class docstring)."""
-        if apart is not None and apart != self.apart:
-            self.__dict__["apart"] = apart
-        if decided is not None and decided != self.decided:
-            self.__dict__["decided"] = decided
+    def settle(self, **roots: frozenset[Expr]) -> None:
+        """Record roots found non-null, apart or decided, by those names
+        (see the class docstring)."""
+        self.__dict__.update(roots)
+
+    def _hand_on(self, out: "SymbolicHeap", *names: str) -> None:
+        known, new = self.__dict__, out.__dict__
+        for name in names:
+            if name in known:
+                new[name] = known[name]
 
     def _derive(
         self, spatial: tuple[SpatialAtom, ...], extra: tuple[PureAtom, ...] = ()
     ) -> "SymbolicHeap":
         out = SymbolicHeap(spatial, self.pure + extra)
-        known = self.__dict__
+        self._hand_on(out, "nonnull", "apart", "decided")
+        if spatial is self.spatial:
+            self._hand_on(out, "roots", "skeleton", "guards")
+        known, new = self.__dict__, out.__dict__
+        if not extra:
+            self._hand_on(out, "pure_set", "equalities", "pure_fv")
+            return out
         if "pure_set" in known:
-            out.__dict__["pure_set"] = (
-                self.pure_set.union(extra) if extra else self.pure_set
+            new["pure_set"] = known["pure_set"].union(extra)
+        if "equalities" in known:
+            k = len(self.pure)
+            new["equalities"] = known["equalities"] + tuple(
+                k + i for i, a in enumerate(extra) if isinstance(a, (PtrEq, ArithEq))
             )
-        for name in ("apart", "decided"):
-            if name in known:
-                out.__dict__[name] = known[name]
+        if "pure_fv" in known:
+            new["pure_fv"] = known["pure_fv"].union(*map(atom_vars, extra))
         return out
 
     def add_pure(self, atoms: Iterable[PureAtom]) -> "SymbolicHeap":
@@ -306,7 +400,16 @@ class SymbolicHeap:
         return self._derive(self.spatial, extra)
 
     def drop_pure_at(self, idx: int) -> "SymbolicHeap":
-        return SymbolicHeap(self.spatial, self.pure[:idx] + self.pure[idx + 1 :])
+        out = SymbolicHeap(self.spatial, self.pure[:idx] + self.pure[idx + 1 :])
+        self._hand_on(out, "roots", "skeleton", "guards")
+        if "equalities" in self.__dict__:
+            out.__dict__["equalities"] = tuple(
+                i - (i > idx) for i in self.equalities if i != idx
+            )
+        a = self.pure[idx]
+        if isinstance(a, (PtrEq, ArithEq)) and a.lhs == a.rhs:
+            self._hand_on(out, "nonnull", "apart", "decided")
+        return out
 
     def with_spatial(self, spatial: tuple[SpatialAtom, ...]) -> "SymbolicHeap":
         """This pure part under another spatial part."""
@@ -332,7 +435,11 @@ class SymbolicHeap:
                 return a
         return None
 
-    def pretty(self, show_unfold: bool = False) -> str:
+    def pretty(
+        self, show_unfold: bool = False, pure_text: Optional[str] = None
+    ) -> str:
+        """The heap as written; `pure_text`, when given, is the pure part
+        as this prints it."""
         if self.spatial:
             parts = [
                 a.pretty(show_unfold) if isinstance(a, PredOcc) else str(a)
@@ -342,7 +449,9 @@ class SymbolicHeap:
         else:
             sp = "emp"
         if self.pure:
-            return sp + " /\\ " + " /\\ ".join(map(str, self.pure))
+            if pure_text is None:
+                pure_text = " /\\ ".join(map(str, self.pure))
+            return sp + " /\\ " + pure_text
         return sp
 
     def __str__(self) -> str:
@@ -366,8 +475,11 @@ class Entailment:
     def fv(self) -> frozenset[str]:
         return self.lhs.fv() | self.rhs.fv()
 
-    def pretty(self, show_unfold: bool = True) -> str:
-        return f"{self.lhs.pretty(show_unfold)} |- {self.rhs.pretty(False)}"
+    def pretty(
+        self, show_unfold: bool = True, lhs_pure_text: Optional[str] = None
+    ) -> str:
+        lhs = self.lhs.pretty(show_unfold, lhs_pure_text)
+        return f"{lhs} |- {self.rhs.pretty(False)}"
 
     def __str__(self) -> str:
         return self.pretty()

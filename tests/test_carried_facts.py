@@ -1,0 +1,242 @@
+"""Facts a heap hands on to the heaps built from it.
+
+Every fact a proof node carries, whether computed on it or handed on from
+its parent, must equal what a fresh heap with the same two parts computes;
+the settled roots must still be settled; and the memoized materialization
+must equal `base_of` with new fresh names.  Checked at every node of the
+suite proofs, of the chain family and of generated entailments.
+"""
+
+from dataclasses import replace
+from itertools import combinations
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+
+from conftest import entailments, make_registry, parse_query
+from sepent import normalize as normalize_module
+from sepent.defs import Role, base_of, guard_of, guards
+from sepent.engine import (
+    ResourceLimit,
+    UnsupportedFragment,
+    _base_pure,
+    _star,
+    prove,
+)
+from sepent.normalize import _known_roots, normalize
+from sepent.pure import PureContext
+from sepent.syntax import (
+    NULL,
+    ArithEq,
+    Entailment,
+    FreshNames,
+    PointsTo,
+    PredOcc,
+    PtrEq,
+    PtrNeq,
+    SymbolicHeap,
+    Var,
+)
+from suite_cases import SUITE, chain_sequent
+
+def fresh_facts(heap, reg):
+    """Each derived fact computed from scratch on the two parts alone."""
+    return {
+        "pure_set": frozenset(heap.pure),
+        "equalities": tuple(
+            i for i, a in enumerate(heap.pure) if isinstance(a, (PtrEq, ArithEq))
+        ),
+        "pure_fv": frozenset(
+            t.name for a in heap.pure for t in (a.lhs, a.rhs) if isinstance(t, Var)
+        ),
+        "roots": tuple(a.root for a in heap.spatial),
+        "skeleton": tuple(
+            sorted(a.pred if isinstance(a, PredOcc) else a.sort for a in heap.spatial)
+        ),
+        "guards": (reg, tuple(guard_of(a, reg) for a in heap.spatial)),
+    }
+
+
+def reference_known_roots(heap, reg):
+    have = frozenset(heap.pure)
+    return [
+        a.root
+        for a in heap.spatial
+        if not isinstance(a, PredOcc) or guard_of(a, reg) in have
+    ]
+
+
+def assert_settled(heap):
+    """Every `nonnull` root has its `!= null` atom, every two `apart`
+    roots have their `!=` atom, and a new context decides every two
+    `decided` roots."""
+    have = frozenset(heap.pure)
+    for r in heap.nonnull:
+        assert PtrNeq(r, NULL) in have, r
+    for r, s in combinations(heap.apart, 2):
+        assert PtrNeq(r, s) in have, (r, s)
+    ctx = PureContext(heap.pure)
+    for r, s in combinations(heap.decided, 2):
+        pair = ctx._class_pair(PtrNeq(r, s))
+        assert pair is None or not ctx.sat or pair in ctx.apart, (r, s)
+
+
+def assert_facts_fresh(heap, reg):
+    """What `heap` carries equals a fresh computation; read before any
+    fact is computed here, so a carried value is what gets compared."""
+    carried = dict(heap.__dict__)
+    fresh = fresh_facts(heap, reg)
+    for name, value in carried.items():
+        if name in fresh:
+            assert value == fresh[name], name
+    assert _known_roots(heap, reg) == reference_known_roots(heap, reg)
+    assert heap.pure_fv == fresh["pure_fv"]
+    assert heap.equalities == fresh["equalities"]
+    assert_settled(heap)
+
+
+def assert_tree_facts(tree, reg):
+    """Returns the rules on the edges into checked nodes."""
+    seen = set()
+    for n in tree.nodes.values():
+        assert_facts_fresh(n.ent.lhs, reg)
+        assert_facts_fresh(n.ent.rhs, reg)
+        if n.edge is not None:
+            seen.add(n.edge.rule)
+    return seen
+
+
+def assert_tree_bases(tree, reg):
+    for n in tree.nodes.values():
+        fresh = SymbolicHeap(n.ent.lhs.spatial, n.ent.lhs.pure)
+        assert _base_pure(n.ent.lhs, reg) == base_of(fresh, reg, FreshNames()).pure
+
+
+@pytest.fixture(scope="module")
+def reg():
+    return make_registry()
+
+
+SEQUENTS = [s for _, s, _ in SUITE] + [chain_sequent(n) for n in range(1, 17)]
+
+
+def test_suite_and_chain_nodes_carry_fresh_facts(reg):
+    rules = set()
+    for sequent in SEQUENTS:
+        tree = prove(parse_query(sequent), reg).tree
+        rules |= assert_tree_facts(tree, reg)
+        assert_tree_bases(tree, reg)
+    # the rules that rebuild a left side; =L is left to the next test
+    assert {"Subst", "LBase", "Star"} <= rules
+
+
+@given(entailments())
+@settings(max_examples=150, deadline=None)
+def test_generated_nodes_carry_fresh_facts(e):
+    reg = make_registry()
+    try:
+        tree = prove(e, reg, node_budget=3000).tree
+    except (UnsupportedFragment, ResourceLimit):
+        return
+    assert_tree_facts(tree, reg)
+    assert_tree_bases(tree, reg)
+
+
+@given(entailments(lhs_atoms=4))
+@settings(max_examples=150, deadline=None)
+def test_normalization_premises_carry_fresh_facts(e):
+    # no suite proof needs =L; the generated ones reach it here
+    reg = make_registry()
+    for out, _ in normalize(e, reg):
+        assert_facts_fresh(out.lhs, reg)
+
+
+x, y, z = Var("x"), Var("y"), Var("z")
+
+
+def test_subst_maps_settled_roots_through_the_binding(registry):
+    # z=y orients to z -> y: the cell at z moves to y, and so do the
+    # settled roots, so NeqStar and ExM visit no pair afterwards
+    cells = (PointsTo(x, "c1", (NULL,)), PointsTo(z, "c1", (NULL,)))
+    e = Entailment(SymbolicHeap(cells, (PtrNeq(x, NULL),)), SymbolicHeap())
+    ((settled, _),) = normalize(e, registry)
+    assert settled.lhs.nonnull == settled.lhs.apart == settled.lhs.decided == {x, z}
+    eq = replace(settled, lhs=settled.lhs.add_pure([PtrEq(z, y)]))
+    label, (prem,) = normalize_module.apply_subst(eq, registry)
+    assert label == "Subst"
+    assert prem.lhs.nonnull == prem.lhs.apart == prem.lhs.decided == {x, y}
+    assert_facts_fresh(prem.lhs, registry)
+    visited = []
+    real = normalize_module._pairs
+
+    def spy(*args):
+        for pair in real(*args):
+            visited.append(pair)
+            yield pair
+
+    with mock.patch.object(normalize_module, "_pairs", spy):
+        assert normalize_module.normalize_step(prem, registry) is None
+    assert visited == []
+
+
+def test_dropping_a_reflexive_equality_keeps_settled_roots(registry):
+    cells = (PointsTo(x, "c1", (NULL,)), PointsTo(y, "c1", (NULL,)))
+    e = Entailment(SymbolicHeap(cells, (PtrNeq(x, NULL),)), SymbolicHeap())
+    ((settled, _),) = normalize(e, registry)
+    refl = replace(settled, lhs=settled.lhs.add_pure([PtrEq(z, z)]))
+    label, (prem,) = normalize_module.apply_eq_l(refl, registry)
+    assert label == "=L" and prem.lhs.pure == settled.lhs.pure
+    assert prem.lhs.nonnull == prem.lhs.apart == prem.lhs.decided == {x, y}
+    assert_facts_fresh(prem.lhs, registry)
+    # any other dropped atom leaves nothing settled
+    for atom in (PtrNeq(y, z), PtrEq(x, z)):
+        grown = settled.lhs.add_pure([atom])
+        assert grown.decided == {x, y}
+        other = grown.drop_pure_at(len(grown.pure) - 1)
+        assert not other.nonnull and not other.apart and not other.decided
+
+
+PURE_FACTS = ("pure_set", "pure_fv", "equalities", "nonnull", "apart", "decided")
+
+
+def test_star_premises_keep_the_pure_facts(reg):
+    e = parse_query("lls(x, null, mi, ma) /\\ x!=null |- llb(x, null, mi)")
+    tree = prove(e, reg).tree
+    (at,) = {n.parent for n in tree.nodes.values() if n.edge and n.edge.rule == "Star"}
+    parent = tree.node(at).ent
+    assert parent.lhs.apart and parent.lhs.decided
+    choice = _star(parent, reg, FreshNames())
+    assert choice.label == "Star"
+    for prem in choice.premises:
+        assert prem.lhs.pure is parent.lhs.pure
+        for name in PURE_FACTS:
+            assert prem.lhs.__dict__[name] is parent.lhs.__dict__[name], name
+
+
+def test_memoized_materialization_follows_the_definitions(reg):
+    # The same spatial tuple under a registry where skl2 is defined like
+    # skl1 (no nested occurrence) materializes to fewer cells.
+    skl1 = reg.preds["skl1"]
+    other = make_registry()
+    rec = replace(skl1.rec, rec=replace(skl1.rec.rec, pred="skl2"))
+    other.preds["skl2"] = replace(skl1, name="skl2", rec=rec)
+    heap = SymbolicHeap((PredOcc("skl2", (x, y)),), (PtrNeq(x, y),))
+    answers = []
+    for r in (reg, other, reg, other):
+        answers.append(_base_pure(heap, r))
+        assert answers[-1] == base_of(heap, r, FreshNames()).pure
+    assert answers[0] != answers[1]
+
+
+def test_guards_follow_the_registry(reg):
+    # nll's segment is its second argument; in `other`, its third
+    nll = reg.preds["nll"]
+    r, f, b = nll.params
+    other = make_registry()
+    params = (r, replace(f, role=Role.BORDER), replace(b, role=Role.SEG))
+    other.preds["nll"] = replace(nll, params=params)
+    heap = SymbolicHeap((PredOcc("nll", (x, y, z)),))
+    for which in (reg, other, reg):
+        assert guards(heap, which) == (guard_of(heap.spatial[0], which),)
+    assert guards(heap, reg) != guards(heap, other)

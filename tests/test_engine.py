@@ -579,11 +579,25 @@ def _spatial_parts(names, n):
     return st.lists(atom, min_size=n, max_size=n).map(tuple)
 
 
+def fresh_select(ent, reg, fresh):
+    """engine._select on a copy of the leaf that carries no derived fact,
+    so no rule starts from what an earlier one computed or settled."""
+    bare = Entailment(
+        SymbolicHeap(ent.lhs.spatial, ent.lhs.pure),
+        SymbolicHeap(ent.rhs.spatial, ent.rhs.pure),
+    )
+    return REAL_SELECT(bare, reg, fresh)
+
+
+REAL_SELECT = engine._select
+
+
 @given(entailments())
 @settings(max_examples=100, deadline=None)
 def test_settled_roots_change_no_proof(e):
-    """The rules that skip settled roots give the verdict, countermodel and
-    proof that the full scans give."""
+    """The rules that skip settled roots, and the facts heaps hand on
+    (through Subst, LBase, =L and Star too), give the verdict,
+    countermodel and proof that the full scans and bare heaps give."""
     reg = make_registry()
 
     def outcome():
@@ -595,6 +609,8 @@ def test_settled_roots_change_no_proof(e):
 
     got = outcome()
     with mock.patch.object(normalize, "_APPLIERS", full_scan_appliers()):
+        assert got == outcome()
+    with mock.patch.object(engine, "_select", fresh_select):
         assert got == outcome()
 
 
@@ -870,3 +886,64 @@ def test_rejected_proof_raises(registry, monkeypatch):
     )
     with pytest.raises(UnsoundProof, match="bud 12: forged"):
         prove(golden_entailment(), registry)
+
+
+def unfiltered_link_back(tree, leaf_id, reg):
+    """link_back as it was before ancestors were filtered by skeleton:
+    every ancestor with a new spatial tuple is unified with the leaf."""
+    ent = tree.node(leaf_id).ent
+    bud = ent.lhs.spatial
+    if not any(a.unfold > 0 for _, a in ent.lhs.pred_occs()):
+        return None
+    last = None
+    cands = []
+    for anc in tree.ancestors(leaf_id):
+        comp = anc.ent.lhs.spatial
+        if comp is not last:
+            last = comp
+            cands = [
+                (sigma, match)
+                for sigma, match in _spatial_unifiers(bud, comp)
+                if any(
+                    isinstance(a, PredOcc)
+                    and isinstance(b, PredOcc)
+                    and a.unfold > b.unfold
+                    for a, b in ((bud[i], comp[j]) for i, j in match.items())
+                )
+            ]
+        for sigma, match in cands:
+            if _link_conditions(ent, anc.ent, sigma):
+                return anc.id, sigma, match
+    return None
+
+
+def checked_link_back(calls):
+    """link_back that asserts the unfiltered scan's answer, recording for
+    each call whether it found a link."""
+
+    def check(tree, leaf_id, reg):
+        got = link_back(tree, leaf_id, reg)
+        assert got == unfiltered_link_back(tree, leaf_id, reg)
+        calls.append(got is not None)
+        return got
+
+    return check
+
+
+def test_link_back_matches_reference_on_suite_and_chain(registry):
+    calls = []
+    sequents = [s for _, s, _ in SUITE] + [chain_sequent(n) for n in range(1, 17)]
+    with mock.patch.object(engine, "link_back", checked_link_back(calls)):
+        for sequent in sequents:
+            prove(parse_query(sequent), registry)
+    assert sum(calls) >= sum(range(1, 17)) and not all(calls)
+
+
+@given(entailments())
+@settings(max_examples=100, deadline=None)
+def test_link_back_matches_reference_on_generated_inputs(e):
+    with mock.patch.object(engine, "link_back", checked_link_back([])):
+        try:
+            prove(e, make_registry(), node_budget=3000)
+        except (UnsupportedFragment, ResourceLimit):
+            pass

@@ -3,11 +3,12 @@
 import re
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import make_registry, parse_query
-from sepent.engine import Edge, ProofTree, prove
+from conftest import entailments, make_registry, parse_query
+from sepent.engine import Edge, ProofTree, ResourceLimit, UnsupportedFragment, prove
 from sepent.export import export_proof
-from sepent.syntax import EMP, Entailment
+from sepent.syntax import EMP, NULL, Entailment, PtrNeq, SymbolicHeap, Var
 
 
 @pytest.fixture(scope="module")
@@ -115,3 +116,105 @@ class TestDeterminism:
     def test_unknown_format_rejected(self, reg):
         with pytest.raises(ValueError):
             export_proof(proof_of("emp |- emp", reg), "svg")
+
+
+# ------------------------------------------------------- reference renderings
+#
+# The text and dot renderings as they were before node labels reused their
+# parent's pure text: every label prints the whole entailment.
+
+
+def _sigma_text(sigma):
+    return "[" + ", ".join(f"{t}/{s}" for s, t in sorted(sigma.items())) + "]"
+
+
+def _suffix(n):
+    if n.axiom is not None:
+        return f" ({n.axiom})"
+    if n.status == "invalid":
+        return f" (stuck {n.case})"
+    if n.status == "bud":
+        assert n.companion is not None and n.sigma is not None
+        return f" ~~> e{n.companion} via {_sigma_text(n.sigma)}"
+    return ""
+
+
+def _preorder(tree):
+    """Nodes in export order with their depth; a loop, so proof depth sets
+    no recursion limit."""
+    stack = [(tree.root, 0)]
+    while stack:
+        nid, depth = stack.pop()
+        n = tree.node(nid)
+        yield n, depth
+        stack.extend((c, depth + 1) for c in reversed(n.children))
+
+
+def reference_text(tree):
+    lines = []
+    for n, depth in _preorder(tree):
+        rule = f"[{n.edge.rule}] " if n.edge is not None else ""
+        lines.append("  " * depth + f"{rule}e{n.id}: {n.ent}{_suffix(n)}")
+    return "\n".join(lines) + "\n"
+
+
+def _quote(s):
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def reference_dot(tree):
+    lines = [
+        "digraph proof {",
+        "  rankdir=TB;",
+        '  node [shape=box, fontname="monospace"];',
+    ]
+    order = [n for n, _ in _preorder(tree)]
+    for n in order:
+        lines.append(f"  e{n.id} [label={_quote(f'e{n.id}: {n.ent}{_suffix(n)}')}];")
+    for n in order:
+        for c in n.children:
+            lines.append(f"  e{n.id} -> e{c} [label={_quote(tree.node(c).edge.rule)}];")
+    for comp, bud, sigma in tree.backlinks():
+        lines.append(
+            f"  e{bud} -> e{comp} [style=dashed, label={_quote(_sigma_text(sigma))}];"
+        )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def assert_matches_reference(tree):
+    assert export_proof(tree, "text") == reference_text(tree)
+    assert export_proof(tree, "dot") == reference_dot(tree)
+
+
+def test_suite_and_chain_exports_match_reference(reg):
+    from suite_cases import SUITE, chain_sequent
+
+    sequents = [s for _, s, _ in SUITE] + [chain_sequent(n) for n in range(1, 17)]
+    for sequent in sequents:
+        assert_matches_reference(proof_of(sequent, reg))
+
+
+@given(entailments())
+@settings(max_examples=100, deadline=None)
+def test_generated_exports_match_reference(e):
+    try:
+        tree = prove(e, make_registry(), node_budget=3000).tree
+    except (UnsupportedFragment, ResourceLimit):
+        return
+    assert_matches_reference(tree)
+
+
+def test_pure_text_follows_the_parent_only_on_the_same_atoms(reg):
+    # A child whose pure part equals its parent's in value but not in
+    # order prints its own atoms: x!=y and y!=x are equal atoms.
+    x, y = Var("x"), Var("y")
+    parent = Entailment(SymbolicHeap((), (PtrNeq(x, y),)), EMP)
+    swapped = SymbolicHeap((), (PtrNeq(y, x), PtrNeq(x, NULL)))
+    grown = SymbolicHeap((), parent.lhs.pure + (PtrNeq(y, NULL),))
+    tree = ProofTree.new(parent)
+    tree.add(Entailment(swapped, EMP), 0, Edge("NeqNull", ()))
+    tree.add(Entailment(grown, EMP), 0, Edge("NeqNull", ()))
+    tree.add(Entailment(EMP, EMP), 2, Edge("=L", ()))
+    assert_matches_reference(tree)
+    assert "e1: emp /\\ y!=x /\\ x!=null |- emp" in export_proof(tree, "text")

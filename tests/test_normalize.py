@@ -110,8 +110,20 @@ def collapse_runs(labels):
 
 # ------------------------------------------------ full-scan reference rules
 #
-# NeqStar and ExM as they were before heaps carried their settled roots:
-# every scan visits every pair of roots.
+# NeqNull, NeqStar and ExM as they were before heaps carried their settled
+# roots: every scan visits every root, or every pair of roots.
+
+
+def reference_full_apply_neq_null(ent, reg):
+    have = ent.lhs.pure_set
+    needs: dict[PtrNeq, None] = {}  # an insertion-ordered set
+    for r in _known_roots(ent.lhs, reg):
+        need = PtrNeq(r, NULL)
+        if need not in have:
+            needs[need] = None
+    if not needs:
+        return None
+    return "NeqNull", (replace(ent, lhs=ent.lhs.add_pure(needs)),)
 
 
 def reference_full_apply_neq_star(ent, reg):
@@ -155,6 +167,7 @@ def reference_full_apply_exm(ent, reg):
 
 def full_scan_appliers():
     swap = {
+        apply_neq_null: reference_full_apply_neq_null,
         apply_neq_star: reference_full_apply_neq_star,
         apply_exm: reference_full_apply_exm,
     }
@@ -251,6 +264,12 @@ class TestAppliers:
 
     def test_eq_l_skips_real_equations(self, registry):
         assert apply_eq_l(ent(lpure=(PtrEq(x, y),)), registry) is None
+
+    def test_eq_l_looks_past_real_equations(self, registry):
+        pure = (PtrEq(x, y), PtrNeq(x, z), ArithEq(mi, mi), PtrEq(z, z))
+        label, (prem,) = apply_eq_l(ent(lpure=pure), registry)
+        assert prem.lhs.pure == (PtrEq(x, y), PtrNeq(x, z), PtrEq(z, z))
+        assert prem.lhs.equalities == (0, 2)
 
     def test_subst_null_side_wins(self, registry):
         e = ent((PointsTo(x, "c1", (y,)),), (PtrEq(x, NULL),))
@@ -542,8 +561,9 @@ def test_batched_disequalities_contract_the_one_atom_steps(lhs):
 @given(entailments(lhs_atoms=4))
 @settings(max_examples=150, deadline=None)
 def test_settled_roots_change_no_step(e):
-    """Carrying settled roots from heap to heap gives the labels and
-    premises that fresh heaps and the full scans give."""
+    """Carrying settled roots and the other derived facts from heap to
+    heap, through Subst, LBase and =L too, gives the labels and premises
+    that fresh heaps and the full scans give (test_engine checks Star)."""
     reg = __import__("conftest").make_registry()
     got = normalize(e, reg)
     assert got == normalize_fresh(e, reg)
@@ -612,3 +632,14 @@ def test_root_listed_twice_is_unsettled(registry):
     twice = replace(settled, lhs=settled.lhs.replace_spatial(1, [_cell(y), _cell(x)]))
     label, (prem,) = apply_neq_star(twice, registry)
     assert prem.lhs.pure[-1] == PtrNeq(x, x)
+
+
+def test_neq_null_visits_unsettled_roots_only(registry):
+    # A root recorded as non-null is not looked at again; here the record
+    # is forged, so the missing x!=null shows that x was skipped.
+    e = ent([_cell(x), _cell(y)])
+    e.lhs.settle(nonnull=frozenset({x}))
+    label, (prem,) = apply_neq_null(e, registry)
+    assert prem.lhs.pure == (PtrNeq(y, NULL),)
+    assert prem.lhs.nonnull == {x, y}
+    assert apply_neq_null(prem, registry) is None

@@ -5,6 +5,8 @@ from pathlib import Path
 
 from hypothesis import example, given, strategies as st
 
+import sepent.defs
+import sepent.engine
 import sepent.pure
 from sepent.oracle import eval_pure_atom
 from sepent.pure import (
@@ -411,11 +413,19 @@ def test_memo_finds_contexts_by_identity_and_extends_them():
 
 
 def test_pure_caches_are_bounded():
-    """Every memo in pure.py names a literal integer size, so a long batch
-    cannot keep every pure part it has seen alive: each `lru_cache` has a
-    literal `maxsize`, and each container the module keeps is a `deque`
-    with a literal `maxlen`."""
-    tree = ast.parse(Path(sepent.pure.__file__).read_text(encoding="utf-8"))
+    """Every memo in pure.py, defs.py and engine.py names a literal integer
+    size, so a long batch cannot keep every pure part or materialization
+    it has seen alive: each `lru_cache` has a literal `maxsize`, and each
+    container the module keeps is a `deque` with a literal `maxlen`.
+    pure.py must keep its context memo so."""
+    assert module_memos(sepent.pure), "the context memo is not a module-level"
+    module_memos(sepent.defs)
+    module_memos(sepent.engine)
+
+
+def module_memos(module):
+    """The module's containers, each checked to be bounded as above."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
 
     def name(node):
         if isinstance(node, ast.Attribute):
@@ -448,10 +458,10 @@ def test_pure_caches_are_bounded():
                 in ("dict", "list", "set", "OrderedDict", "defaultdict", "deque")
             ):
                 kept.append(value)
-    assert kept, "the context memo is not a module-level container"
     for value in kept:
         assert isinstance(value, ast.Call) and name(value.func) == "deque", (
             ast.unparse(value)
         )
         size = next((k.value for k in value.keywords if k.arg == "maxlen"), None)
         assert literal_int(size), ast.unparse(value)
+    return kept

@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+from sepent.defs import SortDecl
 from sepent.syntax import (
     NULL,
     ArithEq,
@@ -65,3 +66,18 @@ def test_pure_part_membership_is_symmetric():
     assert h.add_pure([PtrNeq(x, y), ArithEq(IntLit(1), x)]) is h
     grown = h.add_pure([PtrEq(y, x), PtrNeq(y, x)])
     assert grown.pure == h.pure + (PtrEq(y, x),)
+
+
+def test_variables_compare_and_hash_by_name():
+    v = Var("x")
+    assert v == x and hash(v) == hash(x) == hash("x")
+    assert v != y and v != NULL and NULL != v and v != IntLit(0)
+    assert v != "x" and "x" != v  # a name is not a variable
+    assert v != SortDecl("x", ())  # nor is anything else named so
+    assert {v: 1}[Var("x")] == 1 and len({x, Var("x"), y}) == 2
+    for w in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert w == v and hash(w) == hash(v) and str(w) == "x"
+    assert repr(v) == "Var(name='x')"
+    with pytest.raises(AttributeError):
+        v.name = "y"
+    assert not hasattr(v, "__dict__")  # slots
