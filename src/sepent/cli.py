@@ -5,7 +5,8 @@
 The first output line is the verdict token, VALID or INVALID; with
 --oracle-check the next line is ORACLE-AGREES or ORACLE-DISAGREES.  Detail
 after that is for humans and suppressed by --quiet.  Exit codes: 0 verdict
-produced (and matching --expect if given), 1 verdict mismatch, 2 unreadable
+produced (and matching --expect if given), 1 verdict mismatch, 2 a bad option
+(such as a node budget below 1 or a negative oracle bound), unreadable
 input, parse or well-formedness error, or unwritable --proof-out, 3 node
 budget exceeded, 4 oracle disagreement.
 
@@ -29,6 +30,21 @@ from .parser import ProblemFile, parse_native
 from .slcomp import RoleAnnotationMissing, UnsupportedConstruct, parse_slcomp
 
 
+def _at_least(least: int):
+    """An argument type for integers no smaller than `least`."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        return n
+
+    return parse
+
+
 def _arg_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="sepent",
@@ -50,10 +66,10 @@ def _arg_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="confirm the verdict against the bounded model enumerator",
     )
-    p.add_argument("--oracle-depth", type=int, default=4, metavar="N")
-    p.add_argument("--oracle-locs", type=int, default=6, metavar="N")
+    p.add_argument("--oracle-depth", type=_at_least(0), default=4, metavar="N")
+    p.add_argument("--oracle-locs", type=_at_least(0), default=6, metavar="N")
     p.add_argument(
-        "--node-budget", type=int, default=DEFAULT_NODE_BUDGET, metavar="N"
+        "--node-budget", type=_at_least(1), default=DEFAULT_NODE_BUDGET, metavar="N"
     )
     p.add_argument("--expect", choices=("valid", "invalid"))
     p.add_argument("--quiet", action="store_true")

@@ -34,23 +34,34 @@ def _preorder(tree: ProofTree) -> Iterator[tuple[ProofNode, int, str]]:
     """Nodes in export order with their depth and label; a loop, so proof
     depth sets no recursion limit.
 
-    A node's left pure part usually continues its parent's with the same
-    atom objects, so its text continues the parent's text and only the
-    new atoms are printed."""
-    stack: list[tuple[int, int, tuple, str]] = [(tree.root, 0, (), "")]
+    A node usually keeps its parent's spatial part and right side as the
+    same objects, and continues its parent's left pure part with the same
+    atom objects. Its label then reuses the parent's text of each and
+    prints only the new pure atoms."""
+    # each entry: a node, its depth, and its parent's spatial part, pure
+    # part and right side with their texts
+    stack: list[tuple] = [(tree.root, 0, None, (), None, "", "", "")]
     while stack:
-        nid, depth, above, above_text = stack.pop()
+        nid, depth, up_sp, up_pure, up_rhs, sp_text, pure_text, rhs_text = stack.pop()
         n = tree.node(nid)
-        pure = n.ent.lhs.pure
-        k = len(above)
-        if pure is above:
-            text = above_text
-        elif 0 < k <= len(pure) and all(map(is_, above, pure)):
-            text = "".join([above_text, *(f" /\\ {a}" for a in pure[k:])])
+        sp, pure, rhs = n.ent.lhs.spatial, n.ent.lhs.pure, n.ent.rhs
+        if sp is not up_sp:
+            sp_text = n.ent.lhs.spatial_text(True)
+        k = len(up_pure)
+        if pure is up_pure:
+            pass
+        elif 0 < k <= len(pure) and all(map(is_, up_pure, pure)):
+            pure_text = "".join([pure_text, *(f" /\\ {a}" for a in pure[k:])])
         else:
-            text = " /\\ ".join(map(str, pure))
-        yield n, depth, f"e{n.id}: {n.ent.pretty(True, text)}{_suffix(n)}"
-        stack.extend((c, depth + 1, pure, text) for c in reversed(n.children))
+            pure_text = " /\\ ".join(map(str, pure))
+        if rhs is not up_rhs:
+            rhs_text = rhs.pretty()
+        left = f"{sp_text} /\\ {pure_text}" if pure else sp_text
+        yield n, depth, f"e{n.id}: {left} |- {rhs_text}{_suffix(n)}"
+        stack.extend(
+            (c, depth + 1, sp, pure, rhs, sp_text, pure_text, rhs_text)
+            for c in reversed(n.children)
+        )
 
 
 def _text(tree: ProofTree) -> str:

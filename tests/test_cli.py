@@ -89,6 +89,26 @@ class TestExitCodes:
         ) == 3
         assert "3-node budget" in capsys.readouterr().err
 
+    # A bound below its least value is refused while the arguments are
+    # read, in single-file and batch mode alike, before any search.
+    def refused(self, capsys, flag, value, least):
+        for target in (DATA / "golden.sep", DATA):
+            with pytest.raises(SystemExit) as e:
+                run_cli(["--input", str(target), flag, value], out=io.StringIO())
+            assert e.value.code == 2
+            err = capsys.readouterr().err
+            assert f"argument {flag}: must be at least {least}, got {value}" in err
+
+    def test_node_budget_below_one(self, capsys):
+        for value in ("0", "-5"):
+            self.refused(capsys, "--node-budget", value, 1)
+
+    def test_negative_oracle_depth(self, capsys):
+        self.refused(capsys, "--oracle-depth", "-1", 0)
+
+    def test_negative_oracle_locs(self, capsys):
+        self.refused(capsys, "--oracle-locs", "-1", 0)
+
     def test_oracle_disagreement(self):
         # with zero locations the oracle sees no premise models at all and
         # vacuously calls the sequent valid; the engine's INVALID verdict

@@ -70,13 +70,13 @@ def test_pure_part_membership_is_symmetric():
 
 def test_variables_compare_and_hash_by_name():
     v = Var("x")
-    assert v == x and hash(v) == hash(x) == hash("x")
+    assert v == x and hash(v) == hash(x) and v is x
     assert v != y and v != NULL and NULL != v and v != IntLit(0)
     assert v != "x" and "x" != v  # a name is not a variable
     assert v != SortDecl("x", ())  # nor is anything else named so
     assert {v: 1}[Var("x")] == 1 and len({x, Var("x"), y}) == 2
     for w in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
-        assert w == v and hash(w) == hash(v) and str(w) == "x"
+        assert w is v and w == v and hash(w) == hash(v) and str(w) == "x"
     assert repr(v) == "Var(name='x')"
     with pytest.raises(AttributeError):
         v.name = "y"
