@@ -329,6 +329,28 @@ def _check_c3(reg: Registry) -> list[str]:
     return out
 
 
+def shape_problems(heap: SymbolicHeap, reg: Registry) -> list[str]:
+    """The atoms of the heap the registry cannot interpret: cells of an
+    undeclared sort or with another number of fields than their sort has,
+    and occurrences of an undeclared predicate or with another number of
+    arguments than its parameters."""
+    out: list[str] = []
+    for a in heap.spatial:
+        if isinstance(a, PointsTo):
+            decl = reg.sorts.get(a.sort)
+            if decl is None:
+                out.append(f"unknown sort {a.sort!r}")
+            elif len(a.fields) != len(decl.fields):
+                out.append(f"{a.sort} has {len(decl.fields)} fields")
+        else:
+            d = reg.preds.get(a.pred)
+            if d is None:
+                out.append(f"unknown predicate {a.pred!r}")
+            elif len(a.args) != len(d.params):
+                out.append(f"{a.pred} expects {len(d.params)} arguments")
+    return out
+
+
 def existential_kinds(d: InductiveDef, reg: Registry) -> dict[str, Kind]:
     """Sort of each existential, read off the head cell (src existential is int)."""
     kinds: dict[str, Kind] = {}

@@ -41,8 +41,12 @@ from .defs import (
     order_of,
     rec_instance,
     seg_of,
+    shape_problems,
 )
-from .normalize import lbase_site, normalize_step, subst_site
+from .normalize import Edge, RuleChoice, case_split, in_place, spliced_fwd
+from .normalize import normalize_step  # perfbench/tracer.py wraps it here
+# perfbench/tracer.py wraps these two by name here; the engine calls neither
+from .normalize import lbase_site, subst_site  # noqa: F401
 from .oracle import Cell, HeapModel, OracleError, holds, kinds_of
 from .syntax import (
     ArithEq,
@@ -84,39 +88,6 @@ class UnsoundProof(RuntimeError):
 
 
 # ----------------------------------------------------------------- proof tree
-
-
-@dataclass(frozen=True)
-class Edge:
-    """Annotations on a parent-to-child step.
-
-    fwd maps each parent LHS spatial index to its surviving child index
-    (None when the atom was consumed); progressed holds parent indices whose
-    occurrence was unfolded with an incremented annotation on this step; sub
-    records a variable binding eliminated by Subst or LBase; peeled holds
-    the LHS atoms this premise of Star does not keep.
-    """
-
-    rule: str
-    fwd: tuple[Optional[int], ...]
-    progressed: frozenset[int] = frozenset()
-    sub: Optional[tuple[str, Expr]] = None
-    peeled: tuple[SpatialAtom, ...] = ()
-
-
-@dataclass(frozen=True)
-class RuleChoice:
-    """A selected rule instance: label, premises, and edge annotations.
-
-    Axioms have no premises; applying them closes the leaf.
-    """
-
-    label: str
-    premises: tuple[Entailment, ...]
-    edges: tuple[Edge, ...]
-
-    def __str__(self) -> str:
-        return self.label
 
 
 Status = Literal["open", "valid", "invalid", "bud"]
@@ -233,10 +204,6 @@ class Verdict:
 
 
 # -------------------------------------------------------------------- helpers
-
-
-def _ident_edge(label: str, ent: Entailment) -> Edge:
-    return Edge(label, tuple(range(len(ent.lhs.spatial))))
 
 
 def _match_identical(
@@ -367,8 +334,7 @@ def _stuck_case(ent: Entailment, reg: Registry) -> Optional[str]:
 def _eq_r(ent: Entailment, reg: Registry, fresh: FreshNames) -> Optional[RuleChoice]:
     for i, a in enumerate(ent.rhs.pure):
         if isinstance(a, (PtrEq, ArithEq)) and a.lhs == a.rhs:
-            prem = replace(ent, rhs=ent.rhs.drop_pure_at(i))
-            return RuleChoice("=R", (prem,), (_ident_edge("=R", ent),))
+            return in_place("=R", ent, replace(ent, rhs=ent.rhs.drop_pure_at(i)))
     return None
 
 
@@ -381,8 +347,7 @@ def _rbase(ent: Entailment, reg: Registry, fresh: FreshNames) -> Optional[RuleCh
         if pair is not None:
             src, tgt = pair
             rhs = rhs.add_pure([ArithEq(tgt, src)])
-        prem = replace(ent, rhs=rhs)
-        return RuleChoice("RBase", (prem,), (_ident_edge("RBase", ent),))
+        return in_place("RBase", ent, replace(ent, rhs=rhs))
     return None
 
 
@@ -398,7 +363,7 @@ def _hypothesis(
         return None
     keep = tuple(a for i, a in enumerate(ent.rhs.pure) if i not in drop)
     prem = replace(ent, rhs=SymbolicHeap(ent.rhs.spatial, keep))
-    return RuleChoice("Hypothesis", (prem,), (_ident_edge("Hypothesis", ent),))
+    return in_place("Hypothesis", ent, prem)
 
 
 def _rind(ent: Entailment, reg: Registry, fresh: FreshNames) -> Optional[RuleChoice]:
@@ -431,8 +396,7 @@ def _rind(ent: Entailment, reg: Registry, fresh: FreshNames) -> Optional[RuleCho
         rhs = ent.rhs.replace_spatial(j, inst).add_pure(
             subst_atom(p, smap) for p in pure
         )
-        prem = replace(ent, rhs=rhs)
-        return RuleChoice("RInd", (prem,), (_ident_edge("RInd", ent),))
+        return in_place("RInd", ent, replace(ent, rhs=rhs))
     return None
 
 
@@ -441,13 +405,9 @@ def _unfold_choice(
 ) -> RuleChoice:
     atoms, pure, _ = rec_instance(occ, reg, fresh)
     lhs = ent.lhs.replace_spatial(i, atoms).add_pure(pure)
-    prem = replace(ent, lhs=lhs)
-    n, grown = len(ent.lhs.spatial), len(atoms) - 1
-    fwd = tuple(
-        j if j < i else (i + grown if j == i else j + grown) for j in range(n)
-    )
+    fwd = spliced_fwd(len(ent.lhs.spatial), i, len(atoms))
     edge = Edge(label, fwd, progressed=frozenset((i,)))
-    return RuleChoice(label, (prem,), (edge,))
+    return RuleChoice(label, (replace(ent, lhs=lhs),), (edge,))
 
 
 def _frame(ent: Entailment, reg: Registry, fresh: FreshNames) -> Optional[RuleChoice]:
@@ -463,21 +423,30 @@ def _frame(ent: Entailment, reg: Registry, fresh: FreshNames) -> Optional[RuleCh
     return None
 
 
+def _kept_fwd(n: int, kept: list[int]) -> tuple[Optional[int], ...]:
+    """The index map of n left atoms into a premise that keeps the atoms
+    at the ascending positions `kept`."""
+    rank = {i: r for r, i in enumerate(kept)}
+    return tuple(rank.get(i) for i in range(n))
+
+
 def _star(ent: Entailment, reg: Registry, fresh: FreshNames) -> Optional[RuleChoice]:
     """Split off the pairs of structurally identical atoms.  The first
     premise proves the matched parts against each other; the second keeps
     everything else, including the whole pure context."""
-    m = _match_identical(ent.lhs.spatial, ent.rhs.spatial)
+    lhs, rhs = ent.lhs.spatial, ent.rhs.spatial
+    m = _match_identical(lhs, rhs)
     if not m:
         return None
-    if len(m) == len(ent.lhs.spatial) == len(ent.rhs.spatial) and not ent.rhs.pure:
+    if len(m) == len(lhs) == len(rhs) and not ent.rhs.pure:
         return None  # identity is an axiom, not a split
-    li = sorted(m.values())
-    ri = sorted(m)
-    k1 = tuple(ent.lhs.spatial[i] for i in li)
-    k = tuple(a for i, a in enumerate(ent.lhs.spatial) if i not in set(li))
-    k2 = tuple(ent.rhs.spatial[j] for j in ri)
-    kp = tuple(b for j, b in enumerate(ent.rhs.spatial) if j not in set(ri))
+    taken = set(m.values())
+    li = sorted(taken)
+    left = [i for i in range(len(lhs)) if i not in taken]
+    k1 = tuple(lhs[i] for i in li)
+    k = tuple(lhs[i] for i in left)
+    k2 = tuple(rhs[j] for j in sorted(m))
+    kp = tuple(b for j, b in enumerate(rhs) if j not in m)
     pi_fv = ent.lhs.pure_fv
     fv_k1 = SymbolicHeap(k1).fv() | pi_fv
     fv_k = SymbolicHeap(k).fv() | pi_fv
@@ -487,15 +456,8 @@ def _star(ent: Entailment, reg: Registry, fresh: FreshNames) -> Optional[RuleCho
         return None
     p1 = Entailment(ent.lhs.with_spatial(k1), SymbolicHeap(k2))
     p2 = Entailment(ent.lhs.with_spatial(k), SymbolicHeap(kp, ent.rhs.pure))
-    n = len(ent.lhs.spatial)
-    fwd1: list[Optional[int]] = [None] * n
-    for rank, i in enumerate(li):
-        fwd1[i] = rank
-    fwd2: list[Optional[int]] = [None] * n
-    for rank, i in enumerate(j for j in range(n) if j not in set(li)):
-        fwd2[i] = rank
-    e1 = Edge("Star", tuple(fwd1), peeled=k)
-    e2 = Edge("Star", tuple(fwd2), peeled=k1)
+    e1 = Edge("Star", _kept_fwd(len(lhs), li), peeled=k)
+    e2 = Edge("Star", _kept_fwd(len(lhs), left), peeled=k1)
     return RuleChoice("Star", (p1, p2), (e1, e2))
 
 
@@ -530,38 +492,11 @@ def _rhs_exm(ent: Entailment, reg: Registry, fresh: FreshNames) -> Optional[Rule
             continue
         if pure_solver.status_of_pair(ent.lhs.pure, e1, e2) != "unknown":
             continue
-        eq = replace(ent, lhs=ent.lhs.add_pure([PtrEq(e1, e2)]))
-        ne = replace(ent, lhs=ent.lhs.add_pure([PtrNeq(e1, e2)]))
-        ident = _ident_edge("ExM", ent)
-        return RuleChoice("ExM", (eq, ne), (ident, ident))
+        return case_split(ent, e1, e2)
     return None
 
 
 _REDUCTIONS = (_eq_r, _rbase, _hypothesis, _rind, _frame, _star, _lind, _rhs_exm)
-
-
-def _norm_choice(ent: Entailment, reg: Registry) -> Optional[RuleChoice]:
-    step = normalize_step(ent, reg)
-    if step is None:
-        return None
-    label, premises = step
-    n = len(ent.lhs.spatial)
-    ident = tuple(range(n))
-    if label == "Subst":
-        site = subst_site(ent)
-        assert site is not None
-        edges: tuple[Edge, ...] = (Edge(label, ident, sub=(site[1], site[2])),)
-    elif label == "LBase":
-        lsite = lbase_site(ent, reg)
-        assert lsite is not None
-        i, _, oriented = lsite
-        fwd = tuple(
-            j if j < i else (None if j == i else j - 1) for j in range(n)
-        )
-        edges = (Edge(label, fwd, sub=oriented),)
-    else:
-        edges = tuple(Edge(label, ident) for _ in premises)
-    return RuleChoice(label, tuple(premises), edges)
 
 
 def _select(
@@ -570,7 +505,7 @@ def _select(
     """The rule the search applies at a leaf, or the leaf's stuck case:
     normalization, axioms, stuck cases 2b-2d, reductions ending with the
     right-side case split, and otherwise 2a."""
-    choice = _norm_choice(ent, reg)
+    choice = normalize_step(ent, reg)
     if choice is not None:
         return choice
     choice = _axiom(ent, reg)
@@ -1058,13 +993,9 @@ def _validate_input(ent: Entailment, reg: Registry) -> None:
         raise UnsupportedFragment(
             f"conclusion variables missing from the premise: {', '.join(extra)}"
         )
-    for heap in (ent.lhs, ent.rhs):
-        for _, occ in heap.pred_occs():
-            d = reg.pred(occ.pred)  # raises KeyError on unknown predicates
-            if len(occ.args) != len(d.params):
-                raise UnsupportedFragment(
-                    f"{occ.pred} expects {len(d.params)} arguments"
-                )
+    problems = shape_problems(ent.lhs, reg) + shape_problems(ent.rhs, reg)
+    if problems:
+        raise UnsupportedFragment("; ".join(problems))
 
 
 def prove(

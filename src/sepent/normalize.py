@@ -8,8 +8,9 @@ equalities, substitute equalities away, collapse occurrences whose root
 meets their segment, materialize non-null and pairwise disequalities, and
 finally split undecided pairs (the only branching rule).
 
-Each applier performs a single step so the proof engine can record one rule
-per tree edge; normalize() drives them to a fixpoint. Outputs either pass
+Each applier returns one rule instance, a `RuleChoice` whose edges carry
+what the step consumed, kept and bound, which the proof engine records
+as it is; normalize() drives them to a fixpoint. Outputs either pass
 is_nf or have an unsatisfiable left side (closed by Inconsistency later).
 
 NeqNull and NeqStar add every disequality their scan finds missing in one
@@ -23,27 +24,26 @@ left side unsatisfiable. Chain proofs thus grow linearly in the chain
 length, not quadratically.
 
 What a proof node pays for. The left side carries what earlier steps
-computed or settled (see `SymbolicHeap`): the roots known non-null
-(`nonnull`), pairwise apart (`apart`) and pairwise decided (`decided`),
+computed or settled (see `SymbolicHeap`): the settled roots (`apart`),
 the positions of the equalities, and the roots and guards of the spatial
-atoms (`defs.guards`). NeqNull visits only the unsettled roots, and
-NeqStar and ExM only the pairs with an unsettled root, in the full
-scan's order, so they add the same atoms and pick the same split; each
-records the roots it settled on the heap it leaves. =L and Subst read
-the equalities alone. Appending pure atoms, replacing spatial atoms and
-Star's premises hand the facts of the pure part on, and those of the
-spatial part while it stays the same; a substitution (Subst, or LBase on
-an order pair) maps the settled roots through its binding, and =L's drop
-keeps them. So a node pays for its k new roots, about n*k pairs among n
-roots instead of n*n/2, and reads none of the pure part it shares with
-its parent. What is left per node: one look at each root's guard to find
-the known roots; the roots and guards again after a change to the
-spatial part; and the pure set, built anew after a substitution.
+atoms (`defs.guards`). NeqStar alone settles roots, on the heap it
+leaves, and runs only when NeqNull has nothing to add, so each settled
+root is non-null and every two are apart. NeqNull visits only the
+unsettled roots, and NeqStar and ExM only the pairs with an unsettled
+root, in the full scan's order; what they skip is present already, so
+they add the same atoms and pick the same split. =L and Subst read the
+equalities alone. Added atoms keep the settled roots, a substitution
+(Subst, or LBase on an order pair) maps them through its binding, and
+=L's drop keeps them. So a node pays for its k new roots, about n*k
+pairs among n roots instead of n*n/2. What is left per node: one look at
+each root's guard to find the known roots; the roots and guards again
+after a change to the spatial part or a dropped atom; and the pure set,
+built anew after a substitution.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import chain, combinations
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -59,12 +59,11 @@ from .syntax import (
     PredOcc,
     PtrEq,
     PtrNeq,
+    SpatialAtom,
     SymbolicHeap,
     Var,
     is_fresh_name,
 )
-
-Step = tuple[str, tuple[Entailment, ...]]
 
 
 # ---------------------------------------------------------------- normal form
@@ -110,15 +109,73 @@ def is_nf_entailment(ent: Entailment, reg: Registry) -> bool:
     return is_nf(ent.lhs, reg)
 
 
+# ------------------------------------------------------------ rule instances
+
+
+@dataclass(frozen=True)
+class Edge:
+    """Annotations on a parent-to-child step.
+
+    fwd maps each parent LHS spatial index to its surviving child index
+    (None when the atom was consumed); progressed holds parent indices whose
+    occurrence was unfolded with an incremented annotation on this step; sub
+    records a variable binding eliminated by Subst or LBase; peeled holds
+    the LHS atoms this premise of Star does not keep.
+    """
+
+    rule: str
+    fwd: tuple[Optional[int], ...]
+    progressed: frozenset[int] = frozenset()
+    sub: Optional[tuple[str, Expr]] = None
+    peeled: tuple[SpatialAtom, ...] = ()
+
+
+@dataclass(frozen=True)
+class RuleChoice:
+    """A selected rule instance: label, premises, and edge annotations.
+
+    Axioms have no premises; applying them closes the leaf.
+    """
+
+    label: str
+    premises: tuple[Entailment, ...]
+    edges: tuple[Edge, ...]
+
+    def __str__(self) -> str:
+        return self.label
+
+
+def in_place(label: str, ent: Entailment, *premises: Entailment) -> RuleChoice:
+    """A rule instance whose premises keep the left spatial part of `ent`
+    at the same positions."""
+    edge = Edge(label, tuple(range(len(ent.lhs.spatial))))
+    return RuleChoice(label, premises, (edge,) * len(premises))
+
+
+def spliced_fwd(n: int, i: int, k: int) -> tuple[Optional[int], ...]:
+    """The index map of n left atoms when atom i is replaced by k atoms:
+    atom i follows the last of them, and is consumed when k is 0."""
+    return tuple(
+        j if j < i else (j + k - 1 if j > i or k else None) for j in range(n)
+    )
+
+
+def case_split(ent: Entailment, e1: Expr, e2: Expr) -> RuleChoice:
+    """ExM on the pair: the left side assumes it equal, then apart."""
+    eq = replace(ent, lhs=ent.lhs.add_pure([PtrEq(e1, e2)]))
+    ne = replace(ent, lhs=ent.lhs.add_pure([PtrNeq(e1, e2)]))
+    return in_place("ExM", ent, eq, ne)
+
+
 # -------------------------------------------------------------- rule appliers
 
 
-def apply_eq_l(ent: Entailment, reg: Registry) -> Optional[Step]:
+def apply_eq_l(ent: Entailment, reg: Registry) -> Optional[RuleChoice]:
     pure = ent.lhs.pure
     for i in ent.lhs.equalities:
         a = pure[i]
         if a.lhs == a.rhs:
-            return "=L", (replace(ent, lhs=ent.lhs.drop_pure_at(i)),)
+            return in_place("=L", ent, replace(ent, lhs=ent.lhs.drop_pure_at(i)))
     return None
 
 
@@ -150,7 +207,7 @@ def subst_site(ent: Entailment) -> Optional[tuple[int, str, Expr]]:
     return None
 
 
-def apply_subst(ent: Entailment, reg: Registry) -> Optional[Step]:
+def apply_subst(ent: Entailment, reg: Registry) -> Optional[RuleChoice]:
     site = subst_site(ent)
     if site is None:
         return None
@@ -158,7 +215,9 @@ def apply_subst(ent: Entailment, reg: Registry) -> Optional[Step]:
     # the equality comes out reflexive, so dropping it keeps what the
     # substitution handed on
     out = ent.subst({name: repl})
-    return "Subst", (replace(out, lhs=out.lhs.drop_pure_at(i)),)
+    prem = replace(out, lhs=out.lhs.drop_pure_at(i))
+    edge = Edge("Subst", tuple(range(len(ent.lhs.spatial))), sub=(name, repl))
+    return RuleChoice("Subst", (prem,), (edge,))
 
 
 def lbase_site(
@@ -177,18 +236,18 @@ def lbase_site(
     return None
 
 
-def apply_lbase(ent: Entailment, reg: Registry) -> Optional[Step]:
+def apply_lbase(ent: Entailment, reg: Registry) -> Optional[RuleChoice]:
     site = lbase_site(ent, reg)
     if site is None:
         return None
     i, pair, oriented = site
     out = replace(ent, lhs=ent.lhs.replace_spatial(i, ()))
     if oriented is not None:
-        name, repl = oriented
-        out = out.subst({name: repl})
+        out = out.subst(dict([oriented]))
     elif pair is not None:
         out = replace(out, lhs=out.lhs.add_pure([ArithEq(*pair)]))
-    return "LBase", (out,)
+    edge = Edge("LBase", spliced_fwd(len(ent.lhs.spatial), i, 0), sub=oriented)
+    return RuleChoice("LBase", (out,), (edge,))
 
 
 def _known_roots(heap: SymbolicHeap, reg: Registry) -> list[Expr]:
@@ -222,24 +281,21 @@ def _pairs(
     return out
 
 
-def apply_neq_null(ent: Entailment, reg: Registry) -> Optional[Step]:
+def apply_neq_null(ent: Entailment, reg: Registry) -> Optional[RuleChoice]:
     have = ent.lhs.pure_set
-    roots = _known_roots(ent.lhs, reg)
-    settled = ent.lhs.nonnull
+    apart = ent.lhs.apart
     needs: dict[PtrNeq, None] = {}  # an insertion-ordered set
-    for r in roots:
-        if r not in settled:
+    for r in _known_roots(ent.lhs, reg):
+        if r not in apart:
             need = PtrNeq(r, NULL)
             if need not in have:
                 needs[need] = None
-    out = ent.lhs.add_pure(needs)
-    out.settle(nonnull=frozenset(roots))  # each is non-null now
     if not needs:
         return None
-    return "NeqNull", (replace(ent, lhs=out),)
+    return in_place("NeqNull", ent, replace(ent, lhs=ent.lhs.add_pure(needs)))
 
 
-def apply_neq_star(ent: Entailment, reg: Registry) -> Optional[Step]:
+def apply_neq_star(ent: Entailment, reg: Registry) -> Optional[RuleChoice]:
     have = ent.lhs.pure_set
     roots = _known_roots(ent.lhs, reg)
     needs: dict[PtrNeq, None] = {}
@@ -248,30 +304,26 @@ def apply_neq_star(ent: Entailment, reg: Registry) -> Optional[Step]:
         if need not in have:
             needs[need] = None
     out = ent.lhs.add_pure(needs)
-    out.settle(apart=frozenset(roots))  # every two are apart now
+    # NeqNull ran first and found every root non-null; now every two are apart
+    out.settle(frozenset(roots))
     if not needs:
         return None
-    return "NeqStar", (replace(ent, lhs=out),)
+    return in_place("NeqStar", ent, replace(ent, lhs=out))
 
 
-def apply_exm(ent: Entailment, reg: Registry) -> Optional[Step]:
+def apply_exm(ent: Entailment, reg: Registry) -> Optional[RuleChoice]:
     heap = ent.lhs
-    pi = heap.pure
     have = heap.pure_set
-    roots = heap.roots
     occ_pairs = [(g.lhs, g.rhs) for g in guards(heap, reg) if g is not None]
-    for e1, e2 in chain(occ_pairs, _pairs(roots, heap.decided)):
+    for e1, e2 in chain(occ_pairs, _pairs(heap.roots, heap.apart)):
         if e1 == e2 or PtrNeq(e1, e2) in have or PtrEq(e1, e2) in have:
             continue
-        if pure_solver.status_of_pair(pi, e1, e2) == "unknown":
-            eq = replace(ent, lhs=heap.add_pure([PtrEq(e1, e2)]))
-            ne = replace(ent, lhs=heap.add_pure([PtrNeq(e1, e2)]))
-            return "ExM", (eq, ne)
-    heap.settle(decided=frozenset(roots))
+        if pure_solver.status_of_pair(heap.pure, e1, e2) == "unknown":
+            return case_split(ent, e1, e2)
     return None
 
 
-_APPLIERS: tuple[Callable[[Entailment, Registry], Optional[Step]], ...] = (
+_APPLIERS: tuple[Callable[[Entailment, Registry], Optional[RuleChoice]], ...] = (
     apply_eq_l,
     apply_subst,
     apply_lbase,
@@ -281,7 +333,7 @@ _APPLIERS: tuple[Callable[[Entailment, Registry], Optional[Step]], ...] = (
 )
 
 
-def normalize_step(ent: Entailment, reg: Registry) -> Optional[Step]:
+def normalize_step(ent: Entailment, reg: Registry) -> Optional[RuleChoice]:
     """First applicable rule in the pinned order, or None when settled."""
     for applier in _APPLIERS:
         step = applier(ent, reg)
@@ -303,7 +355,6 @@ def normalize(
         if step is None:
             out.append((e, trace))
             continue
-        label, premises = step
-        for p in reversed(premises):
-            stack.append((p, trace + (label,)))
+        for p in reversed(step.premises):
+            stack.append((p, trace + (step.label,)))
     return out

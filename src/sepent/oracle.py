@@ -36,6 +36,7 @@ from .defs import (
     existential_kinds,
     known_problems,
     rec_instance,
+    shape_problems,
 )
 from .syntax import (
     ArithEq,
@@ -368,10 +369,13 @@ def kinds_of(heap: SymbolicHeap, reg: Registry) -> dict[str, Kind]:
 # ----------------------------------------------------------- model enumeration
 
 
-def _check_registry(reg: Registry) -> None:
+def _check_input(reg: Registry, *heaps: SymbolicHeap) -> None:
     """Refuse a registry outside the template, as `prove` does: the
-    semantics here reads an occurrence's root as its argument 0 too."""
+    semantics here reads an occurrence's root as its argument 0 too. Refuse
+    atoms of the heaps that the registry cannot interpret, too."""
     problems = known_problems(reg)
+    for heap in heaps:
+        problems += shape_problems(heap, reg)
     if problems:
         raise ValueError("; ".join(problems))
 
@@ -383,8 +387,9 @@ def models_of(
     self_check: bool = False,
 ) -> Iterator[HeapModel]:
     """All models of the heap up to the bound, canonically enumerated.
-    The registry is checked when this is called, not when it is iterated."""
-    _check_registry(reg)
+    The registry and the heap are checked when this is called, not when
+    it is iterated."""
+    _check_input(reg, heap)
     return _models(heap, reg, bound, self_check)
 
 
@@ -606,7 +611,8 @@ def oracle_entails(
     ent: Entailment, reg: Registry, bound: Bound = DEFAULT_BOUND
 ) -> OracleVerdict:
     """Search for a countermodel; absence only rules out models within bound.
-    `models_of` checks the registry."""
+    `models_of` checks the registry and the left side."""
+    _check_input(reg, ent.rhs)
     for m in models_of(ent.lhs, reg, bound):
         if not holds(m, ent.rhs, reg, bound):
             return OracleVerdict(False, m)
@@ -616,5 +622,5 @@ def oracle_entails(
 def confirm_countermodel(
     model: HeapModel, ent: Entailment, reg: Registry, bound: Bound = DEFAULT_BOUND
 ) -> bool:
-    _check_registry(reg)
+    _check_input(reg, ent.lhs, ent.rhs)
     return holds(model, ent.lhs, reg, bound) and not holds(model, ent.rhs, reg, bound)

@@ -195,10 +195,6 @@ def subst_atom(a: PureAtom, sub: Subst) -> PureAtom:
     return type(a)(lhs, rhs)
 
 
-def atom_vars(a: PureAtom) -> frozenset[str]:
-    return expr_vars(a.lhs) | expr_vars(a.rhs)
-
-
 # -------------------------------------------------------------- spatial atoms
 
 
@@ -299,59 +295,47 @@ class SymbolicHeap:
     - `pure_set`, the atoms as a frozenset, which membership tests read;
     - `equalities`, the positions of the `=` atoms, pointer or arithmetic;
     - `pure_fv`, the free variables;
-    - `nonnull`, roots each of which has its `!= null` atom in the pure
-      part;
-    - `apart`, roots whose every two distinct members have their `!=`
-      atom in the pure part;
-    - `decided`, roots whose every two members the pure part decides
-      equal or apart.
+    - `apart`, the settled roots: each has its `!= null` atom, and every
+      two distinct ones have their `!=` atom.
 
     Of the spatial part:
 
     - `roots`, the root of each atom;
-    - `skeleton`, the predicate names and cell sorts, sorted; a renaming
-      of variables keeps it and unfolding annotations do not enter it;
+    - `skeleton`, the predicate names and cell sorts, sorted; unfolding
+      annotations do not enter it;
     - the guard of each atom, which `defs.guards` keeps here for one
       registry.
 
-    Each is computed on first use, except that normalization records the
-    last three, the settled roots, as it settles them (see `settle`), or
-    else handed on by the heap this one is built from:
+    Each is computed on first use, except `apart`, which normalization
+    records as NeqStar settles roots (see `settle`), or else handed on by
+    the heap this one is built from:
 
     - Atoms appended to the pure part keep every pure fact true, so
-      `add_pure`, `with_spatial` and `replace_spatial` hand them on, and
-      the first three grow by the new atoms alone.
-    - `subst` maps the settled roots and the free variables through the
-      substitution, and keeps the positions and the skeleton: it maps the
-      atoms one for one, and whatever a pure part decides its image
-      decides too.
-    - `drop_pure_at` shifts the positions, and keeps the settled roots
+      `add_pure`, `with_spatial` and `replace_spatial` hand on `apart`,
+      the atom set and the equality positions, the last two grown by the
+      new atoms; with no new atom, the free variables too.
+    - `subst` maps `apart` through the substitution, which maps the atoms
+      one for one, and keeps the equality positions.
+    - `drop_pure_at` shifts the equality positions, and keeps `apart`
       when the dropped atom is a reflexive equality.
-    - The spatial facts pass on with an unchanged spatial part.
+    - The spatial facts pass on through those three while the spatial
+      part stays the same.
 
     A heap built any other way starts with nothing derived.
     """
 
     spatial: tuple[SpatialAtom, ...] = ()
     pure: tuple[PureAtom, ...] = ()
-    nonnull: ClassVar[frozenset[Expr]] = frozenset()
     apart: ClassVar[frozenset[Expr]] = frozenset()
-    decided: ClassVar[frozenset[Expr]] = frozenset()
 
     def subst(self, sub: Subst) -> "SymbolicHeap":
         out = SymbolicHeap(
             tuple(a.subst(sub) for a in self.spatial),
             tuple(subst_atom(p, sub) for p in self.pure),
         )
-        known, new = self.__dict__, out.__dict__
-        for name in ("nonnull", "apart", "decided"):
-            if name in known:
-                new[name] = frozenset(subst_expr(e, sub) for e in known[name])
-        if "pure_fv" in known:
-            new["pure_fv"] = frozenset(
-                n for v in known["pure_fv"] for n in expr_vars(sub.get(v, Var(v)))
-            )
-        self._hand_on(out, "equalities", "skeleton")
+        if "apart" in self.__dict__:
+            out.settle(frozenset(subst_expr(e, sub) for e in self.apart))
+        self._hand_on(out, "equalities")
         return out
 
     def fv(self) -> frozenset[str]:
@@ -389,10 +373,9 @@ class SymbolicHeap:
     def has_pure(self, atom: PureAtom) -> bool:
         return atom in self.pure_set
 
-    def settle(self, **roots: frozenset[Expr]) -> None:
-        """Record roots found non-null, apart or decided, by those names
-        (see the class docstring)."""
-        self.__dict__.update(roots)
+    def settle(self, apart: frozenset[Expr]) -> None:
+        """Record the roots found non-null and pairwise apart."""
+        self.__dict__["apart"] = apart
 
     def _hand_on(self, out: "SymbolicHeap", *names: str) -> None:
         known, new = self.__dict__, out.__dict__
@@ -404,7 +387,7 @@ class SymbolicHeap:
         self, spatial: tuple[SpatialAtom, ...], extra: tuple[PureAtom, ...] = ()
     ) -> "SymbolicHeap":
         out = SymbolicHeap(spatial, self.pure + extra)
-        self._hand_on(out, "nonnull", "apart", "decided")
+        self._hand_on(out, "apart")
         if spatial is self.spatial:
             self._hand_on(out, "roots", "skeleton", "guards")
         known, new = self.__dict__, out.__dict__
@@ -418,8 +401,6 @@ class SymbolicHeap:
             new["equalities"] = known["equalities"] + tuple(
                 k + i for i, a in enumerate(extra) if isinstance(a, (PtrEq, ArithEq))
             )
-        if "pure_fv" in known:
-            new["pure_fv"] = known["pure_fv"].union(*map(atom_vars, extra))
         return out
 
     def add_pure(self, atoms: Iterable[PureAtom]) -> "SymbolicHeap":
@@ -432,14 +413,13 @@ class SymbolicHeap:
 
     def drop_pure_at(self, idx: int) -> "SymbolicHeap":
         out = SymbolicHeap(self.spatial, self.pure[:idx] + self.pure[idx + 1 :])
-        self._hand_on(out, "roots", "skeleton", "guards")
         if "equalities" in self.__dict__:
             out.__dict__["equalities"] = tuple(
                 i - (i > idx) for i in self.equalities if i != idx
             )
         a = self.pure[idx]
         if isinstance(a, (PtrEq, ArithEq)) and a.lhs == a.rhs:
-            self._hand_on(out, "nonnull", "apart", "decided")
+            self._hand_on(out, "apart")
         return out
 
     def with_spatial(self, spatial: tuple[SpatialAtom, ...]) -> "SymbolicHeap":

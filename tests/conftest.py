@@ -31,6 +31,28 @@ def _p(name):
     return Var(name)
 
 
+# Atoms `make_registry()` cannot interpret, one per shape, each with the
+# problem `defs.shape_problems` reports; the parsers refuse them all.
+MALFORMED_ATOMS = {
+    "field-count": (
+        PointsTo(Var("x"), "c1", (Var("y"), Var("z"))),
+        "c1 has 1 fields",
+    ),
+    "unknown-sort": (
+        PointsTo(Var("x"), "nosuch", (Var("y"),)),
+        "unknown sort 'nosuch'",
+    ),
+    "unknown-predicate": (
+        PredOcc("nosuch", (Var("x"), Var("y"))),
+        "unknown predicate 'nosuch'",
+    ),
+    "argument-count": (
+        PredOcc("ll", (Var("x"), Var("y"), Var("z"))),
+        "ll expects 2 arguments",
+    ),
+}
+
+
 def make_registry() -> Registry:
     sorts = {
         "c1": SortDecl("c1", (("next", "c1"),)),

@@ -3,8 +3,10 @@
 Every fact a proof node carries, whether computed on it or handed on from
 its parent, must equal what a fresh heap with the same two parts computes;
 the settled roots must still be settled; and the memoized materialization
-must equal `base_of` with new fresh names.  Checked at every node of the
-suite proofs, of the chain family and of generated entailments.
+must equal `base_of` with new fresh names.  Every normalization edge must
+be the one the engine built when it searched the Subst and LBase sites a
+second time.  Checked at every node of the suite proofs, of the chain
+family and of generated entailments.
 """
 
 from dataclasses import replace
@@ -18,14 +20,21 @@ from conftest import entailments, make_registry, parse_query
 from sepent import normalize as normalize_module
 from sepent.defs import Role, base_of, guard_of, guards
 from sepent.engine import (
+    Edge,
     ResourceLimit,
+    RuleChoice,
     UnsupportedFragment,
     _base_pure,
     _star,
     prove,
 )
-from sepent.normalize import _known_roots, normalize
-from sepent.pure import PureContext
+from sepent.normalize import (
+    _known_roots,
+    lbase_site,
+    normalize,
+    normalize_step,
+    subst_site,
+)
 from sepent.syntax import (
     NULL,
     ArithEq,
@@ -68,18 +77,13 @@ def reference_known_roots(heap, reg):
 
 
 def assert_settled(heap):
-    """Every `nonnull` root has its `!= null` atom, every two `apart`
-    roots have their `!=` atom, and a new context decides every two
-    `decided` roots."""
+    """Every `apart` root has its `!= null` atom, and every two `apart`
+    roots have their `!=` atom."""
     have = frozenset(heap.pure)
-    for r in heap.nonnull:
+    for r in heap.apart:
         assert PtrNeq(r, NULL) in have, r
     for r, s in combinations(heap.apart, 2):
         assert PtrNeq(r, s) in have, (r, s)
-    ctx = PureContext(heap.pure)
-    for r, s in combinations(heap.decided, 2):
-        pair = ctx._class_pair(PtrNeq(r, s))
-        assert pair is None or not ctx.sat or pair in ctx.apart, (r, s)
 
 
 def assert_facts_fresh(heap, reg):
@@ -107,6 +111,50 @@ def assert_tree_facts(tree, reg):
     return seen
 
 
+def reference_norm_choice(ent, reg):
+    """The engine's `_norm_choice` from before the normalization appliers
+    recorded their own edges, verbatim but for reading the label and the
+    premises off the record `normalize_step` now returns."""
+    step = normalize_step(ent, reg)
+    if step is None:
+        return None
+    label, premises = step.label, step.premises
+    n = len(ent.lhs.spatial)
+    ident = tuple(range(n))
+    if label == "Subst":
+        site = subst_site(ent)
+        assert site is not None
+        edges = (Edge(label, ident, sub=(site[1], site[2])),)
+    elif label == "LBase":
+        lsite = lbase_site(ent, reg)
+        assert lsite is not None
+        i, _, oriented = lsite
+        fwd = tuple(
+            j if j < i else (None if j == i else j - 1) for j in range(n)
+        )
+        edges = (Edge(label, fwd, sub=oriented),)
+    else:
+        edges = tuple(Edge(label, ident) for _ in premises)
+    return RuleChoice(label, tuple(premises), edges)
+
+
+def assert_norm_edges(tree, reg):
+    """Every normalization step of the tree has the premises and edges
+    the reference builds; returns the rules compared."""
+    seen = set()
+    for n in tree.nodes.values():
+        if not n.children:
+            continue
+        want = reference_norm_choice(n.ent, reg)
+        if want is None:
+            continue  # a reduction, the right side's ExM among them
+        kids = [tree.node(c) for c in n.children]
+        assert tuple(k.edge for k in kids) == want.edges
+        assert tuple(k.ent for k in kids) == want.premises
+        seen.add(want.label)
+    return seen
+
+
 def assert_tree_bases(tree, reg):
     for n in tree.nodes.values():
         fresh = SymbolicHeap(n.ent.lhs.spatial, n.ent.lhs.pure)
@@ -122,13 +170,15 @@ SEQUENTS = [s for _, s, _ in SUITE] + [chain_sequent(n) for n in range(1, 17)]
 
 
 def test_suite_and_chain_nodes_carry_fresh_facts(reg):
-    rules = set()
+    rules, norm = set(), set()
     for sequent in SEQUENTS:
         tree = prove(parse_query(sequent), reg).tree
         rules |= assert_tree_facts(tree, reg)
         assert_tree_bases(tree, reg)
+        norm |= assert_norm_edges(tree, reg)
     # the rules that rebuild a left side; =L is left to the next test
     assert {"Subst", "LBase", "Star"} <= rules
+    assert {"Subst", "LBase", "NeqNull", "NeqStar", "ExM"} <= norm
 
 
 @given(entailments())
@@ -141,6 +191,7 @@ def test_generated_nodes_carry_fresh_facts(e):
         return
     assert_tree_facts(tree, reg)
     assert_tree_bases(tree, reg)
+    assert_norm_edges(tree, reg)
 
 
 @given(entailments(lhs_atoms=4))
@@ -161,11 +212,12 @@ def test_subst_maps_settled_roots_through_the_binding(registry):
     cells = (PointsTo(x, "c1", (NULL,)), PointsTo(z, "c1", (NULL,)))
     e = Entailment(SymbolicHeap(cells, (PtrNeq(x, NULL),)), SymbolicHeap())
     ((settled, _),) = normalize(e, registry)
-    assert settled.lhs.nonnull == settled.lhs.apart == settled.lhs.decided == {x, z}
+    assert settled.lhs.apart == {x, z}
     eq = replace(settled, lhs=settled.lhs.add_pure([PtrEq(z, y)]))
-    label, (prem,) = normalize_module.apply_subst(eq, registry)
-    assert label == "Subst"
-    assert prem.lhs.nonnull == prem.lhs.apart == prem.lhs.decided == {x, y}
+    choice = normalize_module.apply_subst(eq, registry)
+    assert choice.label == "Subst"
+    (prem,) = choice.premises
+    assert prem.lhs.apart == {x, y}
     assert_facts_fresh(prem.lhs, registry)
     visited = []
     real = normalize_module._pairs
@@ -185,19 +237,20 @@ def test_dropping_a_reflexive_equality_keeps_settled_roots(registry):
     e = Entailment(SymbolicHeap(cells, (PtrNeq(x, NULL),)), SymbolicHeap())
     ((settled, _),) = normalize(e, registry)
     refl = replace(settled, lhs=settled.lhs.add_pure([PtrEq(z, z)]))
-    label, (prem,) = normalize_module.apply_eq_l(refl, registry)
-    assert label == "=L" and prem.lhs.pure == settled.lhs.pure
-    assert prem.lhs.nonnull == prem.lhs.apart == prem.lhs.decided == {x, y}
+    choice = normalize_module.apply_eq_l(refl, registry)
+    (prem,) = choice.premises
+    assert choice.label == "=L" and prem.lhs.pure == settled.lhs.pure
+    assert prem.lhs.apart == {x, y}
     assert_facts_fresh(prem.lhs, registry)
     # any other dropped atom leaves nothing settled
     for atom in (PtrNeq(y, z), PtrEq(x, z)):
         grown = settled.lhs.add_pure([atom])
-        assert grown.decided == {x, y}
+        assert grown.apart == {x, y}
         other = grown.drop_pure_at(len(grown.pure) - 1)
-        assert not other.nonnull and not other.apart and not other.decided
+        assert not other.apart
 
 
-PURE_FACTS = ("pure_set", "pure_fv", "equalities", "nonnull", "apart", "decided")
+PURE_FACTS = ("pure_set", "pure_fv", "equalities", "apart")
 
 
 def test_star_premises_keep_the_pure_facts(reg):
@@ -205,7 +258,7 @@ def test_star_premises_keep_the_pure_facts(reg):
     tree = prove(e, reg).tree
     (at,) = {n.parent for n in tree.nodes.values() if n.edge and n.edge.rule == "Star"}
     parent = tree.node(at).ent
-    assert parent.lhs.apart and parent.lhs.decided
+    assert parent.lhs.apart
     choice = _star(parent, reg, FreshNames())
     assert choice.label == "Star"
     for prem in choice.premises:

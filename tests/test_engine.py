@@ -6,6 +6,7 @@ against the model enumerator; the hand-built certificates at the end must
 each be rejected by check_cyclic_soundness for the stated reason.
 """
 
+import re
 import time
 from unittest import mock
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import entailments, make_registry, parse_query
+from conftest import MALFORMED_ATOMS, entailments, make_registry, parse_query
 from sepent import engine, normalize
 from sepent.defs import InductiveDef, Param, RecBranch, Registry, Role
 from sepent.engine import (
@@ -853,6 +854,19 @@ class TestInputValidation:
         )
         with pytest.raises(UnsupportedFragment, match="ll expects 2 arguments"):
             prove(ent, registry)
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_ATOMS))
+    def test_malformed_atom_rejected(self, registry, shape):
+        # with one field in c1, x->c1(y, z) |- ll(x, y) raised KeyError and
+        # x->c1(y, z) |- x->c1(y, z) was VALID
+        atom, msg = MALFORMED_ATOMS[shape]
+        premise = heap((PointsTo(x, "c1", (y,)),), (PtrNeq(z, NULL),))
+        for ent in (
+            Entailment(heap((atom,)), heap((atom,))),
+            Entailment(premise, heap((atom,))),
+        ):
+            with pytest.raises(UnsupportedFragment, match=re.escape(msg)):
+                prove(ent, registry)
 
     def test_root_second_registry_rejected(self, registry):
         # the root-second list ll(seg F, root r), built by hand: the rules

@@ -22,6 +22,7 @@ from sepent.normalize import (
     apply_neq_null,
     apply_neq_star,
     apply_subst,
+    in_place,
     is_nf,
     is_nf_entailment,
     nf_failures,
@@ -69,7 +70,7 @@ def reference_apply_neq_null(ent, reg):
                 continue  # nonemptiness not yet established
         need = PtrNeq(a.root, NULL)
         if need not in have:
-            return "NeqNull", (replace(ent, lhs=ent.lhs.add_pure([need])),)
+            return in_place("NeqNull", ent, replace(ent, lhs=ent.lhs.add_pure([need])))
     return None
 
 
@@ -85,7 +86,9 @@ def reference_apply_neq_star(ent, reg):
                 continue
             need = PtrNeq(atoms[i].root, atoms[j].root)
             if need not in have:
-                return "NeqStar", (replace(ent, lhs=ent.lhs.add_pure([need])),)
+                return in_place(
+                    "NeqStar", ent, replace(ent, lhs=ent.lhs.add_pure([need]))
+                )
     return None
 
 
@@ -97,6 +100,11 @@ def reference_appliers():
         apply_neq_star: reference_apply_neq_star,
     }
     return tuple(swap.get(f, f) for f in normalize_module._APPLIERS)
+
+
+def unpack(choice):
+    """A rule instance as (label, premises)."""
+    return choice.label, choice.premises
 
 
 def collapse_runs(labels):
@@ -123,7 +131,7 @@ def reference_full_apply_neq_null(ent, reg):
             needs[need] = None
     if not needs:
         return None
-    return "NeqNull", (replace(ent, lhs=ent.lhs.add_pure(needs)),)
+    return in_place("NeqNull", ent, replace(ent, lhs=ent.lhs.add_pure(needs)))
 
 
 def reference_full_apply_neq_star(ent, reg):
@@ -137,7 +145,7 @@ def reference_full_apply_neq_star(ent, reg):
                 needs[need] = None
     if not needs:
         return None
-    return "NeqStar", (replace(ent, lhs=ent.lhs.add_pure(needs)),)
+    return in_place("NeqStar", ent, replace(ent, lhs=ent.lhs.add_pure(needs)))
 
 
 def _exm_pairs(heap, reg):
@@ -161,7 +169,7 @@ def reference_full_apply_exm(ent, reg):
         if pure_solver.status_of_pair(pi, e1, e2) == "unknown":
             eq = replace(ent, lhs=ent.lhs.add_pure([PtrEq(e1, e2)]))
             ne = replace(ent, lhs=ent.lhs.add_pure([PtrNeq(e1, e2)]))
-            return "ExM", (eq, ne)
+            return in_place("ExM", ent, eq, ne)
     return None
 
 
@@ -186,9 +194,8 @@ def normalize_fresh(ent, reg):
         if step is None:
             out.append((e, trace))
             continue
-        label, premises = step
-        for p in reversed(premises):
-            stack.append((p, trace + (label,)))
+        for p in reversed(step.premises):
+            stack.append((p, trace + (step.label,)))
     return out
 
 
@@ -253,39 +260,38 @@ class TestNormalForm:
 
 class TestAppliers:
     def test_eq_l_drops_reflexive_pointer_equality(self, registry):
-        step = apply_eq_l(ent(lpure=(PtrEq(x, x),)), registry)
-        label, (out,) = step
+        label, (out,) = unpack(apply_eq_l(ent(lpure=(PtrEq(x, x),)), registry))
         assert label == "=L"
         assert out.lhs.pure == ()
 
     def test_eq_l_drops_reflexive_arith_equality(self, registry):
         step = apply_eq_l(ent(lpure=(ArithEq(mi, mi),)), registry)
-        assert step is not None and step[1][0].lhs.pure == ()
+        assert step is not None and step.premises[0].lhs.pure == ()
 
     def test_eq_l_skips_real_equations(self, registry):
         assert apply_eq_l(ent(lpure=(PtrEq(x, y),)), registry) is None
 
     def test_eq_l_looks_past_real_equations(self, registry):
         pure = (PtrEq(x, y), PtrNeq(x, z), ArithEq(mi, mi), PtrEq(z, z))
-        label, (prem,) = apply_eq_l(ent(lpure=pure), registry)
+        label, (prem,) = unpack(apply_eq_l(ent(lpure=pure), registry))
         assert prem.lhs.pure == (PtrEq(x, y), PtrNeq(x, z), PtrEq(z, z))
         assert prem.lhs.equalities == (0, 2)
 
     def test_subst_null_side_wins(self, registry):
         e = ent((PointsTo(x, "c1", (y,)),), (PtrEq(x, NULL),))
-        _, (out,) = apply_subst(e, registry)
+        _, (out,) = unpack(apply_subst(e, registry))
         assert out.lhs.spatial == (PointsTo(NULL, "c1", (y,)),)
         assert out.lhs.pure == ()
 
     def test_subst_fresh_name_loses(self, registry):
         X = Var("X#1")
         e = ent((PointsTo(X, "c1", (y,)),), (PtrEq(X, x),))
-        _, (out,) = apply_subst(e, registry)
+        _, (out,) = unpack(apply_subst(e, registry))
         assert out.lhs.spatial == (PointsTo(x, "c1", (y,)),)
 
     def test_subst_lexicographically_larger_name_goes(self, registry):
         e = ent((PointsTo(z, "c1", (y,)),), (PtrEq(z, x),))
-        _, (out,) = apply_subst(e, registry)
+        _, (out,) = unpack(apply_subst(e, registry))
         assert out.lhs.spatial == (PointsTo(x, "c1", (y,)),)
 
     def test_subst_rewrites_both_sides(self, registry):
@@ -293,7 +299,7 @@ class TestAppliers:
             heap((PredOcc("ll", (x, y)),), (PtrEq(y, NULL),)),
             heap((PredOcc("ll", (x, y)),)),
         )
-        _, (out,) = apply_subst(e, registry)
+        _, (out,) = unpack(apply_subst(e, registry))
         assert out.lhs.spatial == (PredOcc("ll", (x, NULL)),)
         assert out.rhs.spatial == (PredOcc("ll", (x, NULL)),)
 
@@ -304,13 +310,13 @@ class TestAppliers:
 
     def test_lbase_drops_empty_segment(self, registry):
         e = ent((PredOcc("ll", (x, x)),), ())
-        label, (out,) = apply_lbase(e, registry)
+        label, (out,) = unpack(apply_lbase(e, registry))
         assert label == "LBase"
         assert out.lhs.spatial == ()
 
     def test_lbase_identifies_order_pair(self, registry):
         e = ent((PredOcc("lls", (x, x, mi, ma)),), ())
-        _, (out,) = apply_lbase(e, registry)
+        _, (out,) = unpack(apply_lbase(e, registry))
         assert out.lhs.spatial == ()
         # mi loses to ma by name orientation, matching the target-for-source
         # substitution here
@@ -323,7 +329,7 @@ class TestAppliers:
             (ArithLeq(IntLit(0), mi),),
             rpure=(ArithLeq(mi, IntLit(5)),),
         )
-        _, (out,) = apply_lbase(e, registry)
+        _, (out,) = unpack(apply_lbase(e, registry))
         assert out.lhs.pure == (ArithLeq(IntLit(0), ma),)
         assert out.rhs.pure == (ArithLeq(ma, IntLit(5)),)
 
@@ -333,14 +339,14 @@ class TestAppliers:
 
     def test_neq_null_covers_cells_unconditionally(self, registry):
         e = ent((PointsTo(x, "c1", (y,)),), ())
-        label, (out,) = apply_neq_null(e, registry)
+        label, (out,) = unpack(apply_neq_null(e, registry))
         assert label == "NeqNull"
         assert out.lhs.pure == (PtrNeq(x, NULL),)
 
     def test_neq_null_requires_guard_on_occurrences(self, registry):
         assert apply_neq_null(ent((PredOcc("ll", (x, F)),), ()), registry) is None
         e = ent((PredOcc("ll", (x, F)),), (PtrNeq(x, F),))
-        _, (out,) = apply_neq_null(e, registry)
+        _, (out,) = unpack(apply_neq_null(e, registry))
         assert PtrNeq(x, NULL) in out.lhs.pure
 
     def test_neq_star_needs_both_guards(self, registry):
@@ -348,13 +354,13 @@ class TestAppliers:
         e = ent(cells, (PtrNeq(x, NULL), PtrNeq(z, NULL)))
         assert apply_neq_star(e, registry) is None
         e = ent(cells, (PtrNeq(x, NULL), PtrNeq(z, NULL), PtrNeq(z, F)))
-        _, (out,) = apply_neq_star(e, registry)
+        _, (out,) = unpack(apply_neq_star(e, registry))
         assert PtrNeq(x, z) in out.lhs.pure
 
     def test_neq_star_adds_every_missing_pair_in_one_step(self, registry):
         cells = tuple(PointsTo(v, "c1", (NULL,)) for v in (x, y, z))
         nonnull = (PtrNeq(x, NULL), PtrNeq(y, NULL), PtrNeq(z, NULL))
-        label, (out,) = apply_neq_star(ent(cells, nonnull), registry)
+        label, (out,) = unpack(apply_neq_star(ent(cells, nonnull), registry))
         assert label == "NeqStar"
         assert out.lhs.pure == nonnull + (
             PtrNeq(x, y),
@@ -367,7 +373,7 @@ class TestAppliers:
 
     def test_exm_splits_root_against_segment(self, registry):
         e = ent((PredOcc("ll", (x, F)),), ())
-        label, (eq, neq) = apply_exm(e, registry)
+        label, (eq, neq) = unpack(apply_exm(e, registry))
         assert label == "ExM"
         assert PtrEq(x, F) in eq.lhs.pure
         assert PtrNeq(x, F) in neq.lhs.pure
@@ -386,7 +392,7 @@ class TestAppliers:
     def test_rule_priority_order(self, registry):
         # a reflexive equality is consumed before any substitution fires
         e = ent((PredOcc("ll", (x, x)),), (PtrEq(y, y), PtrEq(y, NULL)))
-        label, _ = normalize_step(e, registry)
+        label, _ = unpack(normalize_step(e, registry))
         assert label == "=L"
 
 
@@ -593,32 +599,30 @@ def test_new_root_is_paired_with_the_settled_ones_only(registry):
             yield pair
 
     with mock.patch.object(normalize_module, "_pairs", spy):
-        prem = apply_neq_null(grown, registry)[1][0]
+        prem = apply_neq_null(grown, registry).premises[0]
         assert prem.lhs.apart == settled.apart
-        label, (prem,) = apply_neq_star(prem, registry)
+        label, (prem,) = unpack(apply_neq_star(prem, registry))
     assert label == "NeqStar"
     assert len(visited) == 5 and all(w in pair for pair in visited)
     assert prem.lhs.apart == settled.apart | {w}
 
 
 def test_settled_roots_are_the_current_roots(registry):
-    # A root that left the heap leaves the settled sets, so it is paired
+    # A root that left the heap leaves the settled set, so it is paired
     # with every root again when it comes back.
     e = ent([_cell(x), _cell(y)], [PtrNeq(x, y), PtrNeq(y, z)])
     assert apply_exm(e, registry) is None
-    assert e.lhs.decided == {x, y}
     moved = replace(e, lhs=e.lhs.replace_spatial(0, [_cell(z)]))
     assert apply_exm(moved, registry) is None
-    assert moved.lhs.decided == {y, z}
     back = replace(moved, lhs=moved.lhs.replace_spatial(1, [_cell(y), _cell(x)]))
-    label, (eq, ne) = apply_exm(back, registry)
+    label, (eq, ne) = unpack(apply_exm(back, registry))
     assert eq.lhs.pure[-1] == PtrEq(z, x) and ne.lhs.pure[-1] == PtrNeq(z, x)
     full = ent([_cell(x), _cell(y)], [PtrNeq(x, NULL), PtrNeq(y, NULL)])
-    label, (prem,) = apply_neq_star(full, registry)
+    label, (prem,) = unpack(apply_neq_star(full, registry))
     assert prem.lhs.apart == {x, y}
     moved = replace(prem, lhs=prem.lhs.replace_spatial(0, [_cell(z)]))
-    moved = apply_neq_null(moved, registry)[1][0]
-    label, (prem,) = apply_neq_star(moved, registry)
+    moved = apply_neq_null(moved, registry).premises[0]
+    label, (prem,) = unpack(apply_neq_star(moved, registry))
     assert prem.lhs.apart == {y, z}
 
 
@@ -627,19 +631,19 @@ def test_root_listed_twice_is_unsettled(registry):
     # A second atom at a settled root pairs the root with itself, and
     # NeqStar adds the disequality that makes the left side unsatisfiable.
     e = ent([_cell(x), _cell(y)], [PtrNeq(x, NULL), PtrNeq(y, NULL)])
-    settled = apply_neq_star(e, registry)[1][0]
+    settled = apply_neq_star(e, registry).premises[0]
     assert settled.lhs.apart == {x, y}
     twice = replace(settled, lhs=settled.lhs.replace_spatial(1, [_cell(y), _cell(x)]))
-    label, (prem,) = apply_neq_star(twice, registry)
+    label, (prem,) = unpack(apply_neq_star(twice, registry))
     assert prem.lhs.pure[-1] == PtrNeq(x, x)
 
 
 def test_neq_null_visits_unsettled_roots_only(registry):
-    # A root recorded as non-null is not looked at again; here the record
-    # is forged, so the missing x!=null shows that x was skipped.
+    # A settled root is not looked at again; here the record is forged,
+    # so the missing x!=null shows that x was skipped.
     e = ent([_cell(x), _cell(y)])
-    e.lhs.settle(nonnull=frozenset({x}))
-    label, (prem,) = apply_neq_null(e, registry)
+    e.lhs.settle(frozenset({x}))
+    label, (prem,) = unpack(apply_neq_null(e, registry))
     assert prem.lhs.pure == (PtrNeq(y, NULL),)
-    assert prem.lhs.nonnull == {x, y}
+    assert prem.lhs.apart == {x}
     assert apply_neq_null(prem, registry) is None

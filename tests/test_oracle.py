@@ -10,11 +10,12 @@ iterative versions must agree with them model for model.
 
 import ast
 import itertools
+import re
 from pathlib import Path
 
 import pytest
 
-from conftest import parse_query
+from conftest import MALFORMED_ATOMS, parse_query
 from suite_cases import SUITE
 from sepent import oracle
 from sepent.defs import (
@@ -204,9 +205,15 @@ def _package_imports(path):
     return out
 
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "sepent"
+
+
 def test_oracle_imports_only_syntax_and_defs():
-    path = Path(__file__).resolve().parents[1] / "src" / "sepent" / "oracle.py"
-    assert _package_imports(path) == {"syntax", "defs"}
+    assert _package_imports(SRC / "oracle.py") == {"syntax", "defs"}
+
+
+def test_normalize_imports_nothing_from_engine():
+    assert "engine" not in _package_imports(SRC / "normalize.py")
 
 
 # ------------------------------------------------------------------ bad_model
@@ -446,6 +453,25 @@ def test_root_second_registry_rejected(registry):
         models_of(e.lhs, reg, Bound(3, 3))  # at the call, before iterating
     with pytest.raises(ValueError, match=msg):
         confirm_countermodel(model, e, reg, Bound(3, 3))
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_ATOMS))
+def test_malformed_atom_rejected(registry, shape):
+    # with one field in c1, oracle_entails answered x->c1(y, z) |- ll(x, y)
+    # with a one-value c1 cell, and an unknown sort or predicate raised
+    # KeyError
+    atom, msg = MALFORMED_ATOMS[shape]
+    z = Var("z")
+    premise = heap([PointsTo(x, "c1", (y,))], [PtrNeq(z, NULL)])
+    model = HeapModel({"x": 1, "y": 0, "z": 2}, {1: Cell("c1", (0,))}, frozenset("xyz"))
+    match = re.escape(msg)
+    with pytest.raises(ValueError, match=match):
+        models_of(heap([atom]), registry, Bound(3, 3))
+    for e in (ent(heap([atom]), heap([])), ent(premise, heap([atom]))):
+        with pytest.raises(ValueError, match=match):
+            oracle_entails(e, registry, Bound(3, 3))
+        with pytest.raises(ValueError, match=match):
+            confirm_countermodel(model, e, registry, Bound(3, 3))
 
 
 # ------------------------------------------------- reference implementations

@@ -6,7 +6,7 @@ import io
 from pathlib import Path
 from types import SimpleNamespace
 
-from sepent import cli, engine, export, oracle, pure
+from sepent import cli, engine, export, normalize, oracle, pure
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,3 +44,9 @@ def test_tracer_wraps_every_name_it_needs():
     assert {"cli", "parser", "prove", "select", "pure"} <= {s.layer for s in t.spans}
     after = {(name, attr): getattr(getattr(mods, name), attr) for name, attr in before}
     assert after == before
+
+
+def test_engine_keeps_the_site_searches_the_tracer_wraps():
+    # the engine calls neither, but the tracer wraps both by name there
+    assert engine.subst_site is normalize.subst_site
+    assert engine.lbase_site is normalize.lbase_site
