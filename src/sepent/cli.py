@@ -6,19 +6,25 @@ The first output line is the verdict token, VALID or INVALID; with
 --oracle-check the next line is ORACLE-AGREES or ORACLE-DISAGREES.  Detail
 after that is for humans and suppressed by --quiet.  Exit codes: 0 verdict
 produced (and matching --expect if given), 1 verdict mismatch, 2 a bad option
-(such as a node budget below 1 or a negative oracle bound), unreadable
-input, parse or well-formedness error, or unwritable --proof-out, 3 node
-budget exceeded, 4 oracle disagreement.
+(such as a node budget below 1, a negative oracle bound, or --proof-out
+with a directory), unreadable input, parse or well-formedness error, or
+unwritable --proof-out, 3 node budget exceeded, 4 oracle disagreement.
 
 --input may name a directory: every *.sep and *.smt2 under it is checked
 against its own expectation annotation (or --expect as a fallback), files
 using constructs outside the supported subset are reported and skipped,
-and the run fails with exit 1 on any mismatch.
+and the run fails with exit 1 on any mismatch.  --proof-out takes a
+single problem file; with a directory it is refused with exit 2.
+
+A process that calls `run_cli` many times builds the argument parser
+once, on the first call, and reuses it; each call gets its own namespace,
+so nothing carries over between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Optional
@@ -45,6 +51,7 @@ def _at_least(least: int):
     return parse
 
 
+@functools.lru_cache(maxsize=1)
 def _arg_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="sepent",
@@ -203,6 +210,12 @@ def run_cli(argv: Optional[list[str]] = None, out=None) -> int:
     args = _arg_parser().parse_args(argv)
     path = Path(args.input)
     if path.is_dir():
+        if args.proof_out:
+            print(
+                f"sepent: {path}: --proof-out needs a single problem file",
+                file=sys.stderr,
+            )
+            return 2
         return _check_dir(path, args, out)
     try:
         pf = _parse_file(path, args.format)

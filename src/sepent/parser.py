@@ -29,12 +29,25 @@ both operands one kind, and each argument of a self-occurrence shares the
 kind of the parameter at its position; both are propagated to a fixpoint.
 Whatever is still unconstrained, border and trans parameters included, is a
 pointer.
+
+Problems of one family repeat the same definitions, so the parser
+remembers the 64 definitions it parsed or reused last, for the rest of
+the process.
+A definition's key is the texts of its tokens from `pred` through the
+closing `;`, with what reading the block consults in the registry: the
+declaration of each sort named after `->`, and the parameters (hence the
+arity and the argument kinds) of each other predicate it applies, None
+where there is none.  A block parses the same way wherever these agree,
+so a block with a remembered key takes the remembered definition and is
+skipped.  Only definitions that parsed are remembered, and a
+redeclaration is reported before the memo is consulted, so every error
+keeps its message and position.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -67,7 +80,6 @@ from .syntax import (
 )
 
 RESERVED = frozenset({"data", "pred", "check", "expect", "exists", "emp", "null"})
-ROLE_WORDS = {r.value: r for r in Role}
 
 
 class ParseError(ValueError):
@@ -97,29 +109,31 @@ class Token(NamedTuple):
 # Unnamed alternatives are blanks and comments; "bad" catches any other
 # character.  Punctuation is tried longest first.
 _TOKEN = re.compile(
-    r"(?P<newline>\n)|[ \t\r]+|//[^\n]*"
+    r"[ \t\r]+|//[^\n]*"
     r"|(?P<ident>[^\W\d]\w*'*)|(?P<int>-?\d+)"
     r"|(?P<punct>:=|\|-|->|/\\|\\/|!=|<=|>=|[=(){},;.*:])"
     r"|(?P<bad>.)"
 )
 
+# Builds a Token without the Python-level __new__ NamedTuple generates,
+# which took a third of the lexer's time.
+_new_tuple = tuple.__new__
+
 
 def _lex(text: str) -> list[Token]:
     toks: list[Token] = []
-    line, start = 1, 0  # start: offset of the current line
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        if kind == "newline":
-            line, start = line + 1, m.end()
-        elif kind == "bad":
-            raise ParseError(
-                f"unexpected character {m.group()!r}", line, m.start() - start + 1
-            )
-        else:
-            toks.append(Token(kind, m.group(), line, m.start() - start + 1))
-    toks.append(Token("eof", "", line, len(text) - start + 1))
+    for line, row in enumerate(text.split("\n"), 1):
+        for m in _TOKEN.finditer(row):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise ParseError(
+                    f"unexpected character {m.group()!r}", line, m.start() + 1
+                )
+            if kind is not None:
+                toks.append(
+                    _new_tuple(Token, (kind, m.group(), line, m.start() + 1))
+                )
+    toks.append(Token("eof", "", line, len(row) + 1))
     return toks
 
 
@@ -330,10 +344,15 @@ def assemble_rec(
 
 # ------------------------------------------------------------------ parser
 
+# Recent definitions, most recent last, each with its key; see
+# `_Parser.def_key` for what the key holds.
+_defs: deque[tuple[tuple, InductiveDef]] = deque(maxlen=64)
+
 
 class _Parser:
     def __init__(self, text: str):
         self.toks = _lex(text)
+        self.texts = [t.text for t in self.toks]
         self.pos = 0
         self.reg = Registry(sorts={}, preds={})
         # Arity of every predicate declared so far, the one whose body is
@@ -443,24 +462,59 @@ class _Parser:
             self.expect(";")
         sorts[name.text] = SortDecl(name.text, tuple(fields))
 
+    def def_key(self, start: int) -> Optional[tuple]:
+        """The memo key of the definition whose `pred` token is at `start`:
+        the token texts through the first `;`, then the declaration of each
+        sort named after `->` and the parameters of each other predicate
+        applied (None where the registry has none).  Nothing else that
+        reading the block consults can differ, so equal keys parse alike:
+        the block's own arity is in its tokens, and its own name is
+        undeclared, as `pred_def` checks first.  None when no `;` follows."""
+        texts = self.texts
+        try:
+            end = texts.index(";", start)
+        except ValueError:
+            return None
+        sorts, preds, own = self.reg.sorts, self.reg.preds, texts[start + 1]
+        used: list = []
+        for i in range(start + 3, end):
+            t = texts[i]
+            if t == "->":
+                used.append(sorts.get(texts[i + 1]))
+            elif t == "(" and texts[i - 2] != "->" and texts[i - 1] != own:
+                d = preds.get(texts[i - 1])
+                used.append(None if d is None else d.params)
+        return tuple(texts[start:end + 1]), tuple(used)
+
     def pred_def(self) -> str:
+        start = self.pos
         self.expect("pred")
         name = self.ident("predicate name")
         if name.text in self.arity:
             raise ParseError(
                 f"predicate {name.text} redeclared", name.line, name.col
             )
+        key = self.def_key(start)
+        for i, (k, d) in enumerate(_defs):
+            if k == key:
+                del _defs[i]
+                _defs.append((k, d))
+                self.arity[name.text] = len(d.params)
+                self.reg.preds[name.text] = d
+                self.pos = start + len(k[0])
+                return name.text
         self.expect("(")
         raw_params: list[tuple[Role, Token]] = []
         while True:
             role_tok = self.next()
-            role = ROLE_WORDS.get(role_tok.text)
-            if role is None:
+            try:
+                role = Role(role_tok.text)
+            except ValueError:
                 raise ParseError(
                     f"expected a role keyword, found {role_tok.text!r}",
                     role_tok.line,
                     role_tok.col,
-                )
+                ) from None
             raw_params.append((role, self.ident("parameter name")))
             if not self.accept(","):
                 break
@@ -515,7 +569,10 @@ class _Parser:
             pure[len(b_raw):],
             fail,
         )
-        self.reg.preds[name.text] = InductiveDef(name.text, params, rec)
+        d = InductiveDef(name.text, params, rec)
+        self.reg.preds[name.text] = d
+        if key is not None:
+            _defs.append((key, d))
         return name.text
 
     # formulas

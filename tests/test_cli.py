@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sepent.cli import run_cli
+from sepent.cli import _arg_parser, run_cli
 
 DATA = Path(__file__).parent / "data"
 
@@ -182,6 +182,15 @@ class TestProofOutput:
         assert capsys.readouterr().err == f"sepent: {target}: no such file\n"
 
 
+    def test_directory_input_refused(self, tmp_path, capsys):
+        target = tmp_path / "proof.txt"
+        code, lines = run("--input", str(DATA), "--proof-out", str(target))
+        assert (code, lines) == (2, [])
+        err = capsys.readouterr().err
+        assert err == f"sepent: {DATA}: --proof-out needs a single problem file\n"
+        assert not target.exists()
+
+
 class TestBatch:
     def test_bundled_directory_is_clean(self):
         code, lines = run("--input", str(DATA))
@@ -274,3 +283,50 @@ class TestInstalledScript:
         assert proc.stdout.splitlines()[-1] == (
             "checked 10 files: 0 mismatches, 0 errors"
         )
+
+
+class TestSharedArgumentParser:
+    """One process builds the argument parser once; every call still
+    answers as a fresh process does."""
+
+    @staticmethod
+    def in_process(argv, capsys):
+        out = io.StringIO()
+        try:
+            code = run_cli(argv, out=out)
+        except SystemExit as e:
+            code = e.code
+        return code, out.getvalue(), capsys.readouterr().err
+
+    @staticmethod
+    def fresh(argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sepent.cli", *argv],
+            capture_output=True, text=True,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def check(self, calls, capsys):
+        for argv in calls:
+            assert self.in_process(argv, capsys) == self.fresh(argv), argv
+
+    def test_built_once(self):
+        assert _arg_parser() is _arg_parser()
+
+    def test_refused_option_then_good_call(self, capsys):
+        golden = str(DATA / "golden.sep")
+        got = self.in_process(["--input", golden, "--node-budget", "0"], capsys)
+        assert got[0] == 2
+        self.check(
+            [["--input", golden, "--node-budget", "0"], ["--input", golden]],
+            capsys,
+        )
+
+    def test_no_namespace_leaks_between_calls(self, capsys):
+        golden = str(DATA / "golden.sep")
+        calls = [["--input", golden, "--expect", "invalid"], ["--input", golden]]
+        assert [self.in_process(a, capsys)[0] for a in calls] == [1, 0]
+        self.check(calls, capsys)
+
+    def test_directory_twice(self, capsys):
+        self.check([["--input", str(DATA)], ["--input", str(DATA)]], capsys)

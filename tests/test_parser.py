@@ -6,11 +6,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import NATIVE_CORPUS, make_registry
+from conftest import NATIVE_CORPUS, entailments, make_registry
+from sepent import parser
 from sepent.engine import prove
 from sepent.oracle import Bound, oracle_entails
-from sepent.parser import ParseError, Token, _lex, parse_native, problem_text
+from sepent.parser import (
+    ParseError,
+    ProblemFile,
+    Token,
+    _lex,
+    parse_native,
+    problem_text,
+)
 from sepent.syntax import NULL, ArithEq, PointsTo, PredOcc, PtrNeq, Var
+from suite_cases import SUITE
 
 DATA = Path(__file__).parent / "data"
 
@@ -325,3 +334,132 @@ class TestDiagnostics:
         )
         with pytest.raises(ParseError):
             parse_native(text)
+
+
+# ------------------------------------------------------- the definition memo
+
+
+def outcome(text):
+    """A parse's result, rendered too so that order counts, or its error."""
+    try:
+        pf = parse_native(text)
+    except ParseError as e:
+        return (str(e), e.line, e.col)
+    return pf, problem_text(pf)
+
+
+def cold(text):
+    parser._defs.clear()
+    return outcome(text)
+
+
+def warm(text, *before):
+    """Parse `text` after the memo has seen `before` and `text` itself."""
+    parser._defs.clear()
+    for t in (*before, text):
+        outcome(t)
+    return outcome(text)
+
+
+MEMO_SORTS = (
+    "data c1 { c1 next; }\n"
+    "data c3 { c3 next; c1 down; }\n"
+    "data c4 { c4 next; int val; }\n"
+)
+# q in three shapes: a pointer border, an integer border, no border
+Q_PTR = (
+    "pred q(root r, seg F, border B) := emp /\\ r=F \\/ "
+    "exists X. r->c1(X) * q(X, F, B) /\\ r!=F;\n"
+)
+Q_INT = (
+    "pred q(root r, seg F, border B) := emp /\\ r=F \\/ "
+    "exists X, d. r->c4(X, d) * q(X, F, B) /\\ r!=F /\\ B<=d;\n"
+)
+Q_TWO = (
+    "pred q(root r, seg F) := emp /\\ r=F \\/ "
+    "exists X. r->c1(X) * q(X, F) /\\ r!=F;\n"
+)
+# p reads c3 and q: its border takes the kind of q's
+P_BLOCK = (
+    "pred p(root r, seg F, border B) := emp /\\ r=F \\/ "
+    "exists X, Z. r->c3(X, Z) * q(Z, null, B) * p(X, F, B) /\\ r!=F;\n"
+)
+# s reads c2, whose second field decides the kind of d
+S_BLOCK = (
+    "pred s(root r, seg F) := emp /\\ r=F \\/ "
+    "exists X, d. r->c2(X, d) * s(X, F) /\\ r!=F /\\ d<=0;\n"
+)
+QUERY = "check emp |- emp\n"
+
+
+class TestDefinitionMemo:
+    """A parse with a warm memo gives what a cold one gives: the same
+    ProblemFile, or the same error at the same place."""
+
+    def test_warm_parse_hands_back_the_remembered_definitions(self):
+        text = NATIVE_CORPUS + QUERY
+        parser._defs.clear()
+        first, second = parse_native(text), parse_native(text)
+        assert first == second
+        for name, d in first.registry.preds.items():
+            assert second.registry.preds[name] is d
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.sep")))
+    def test_data_files(self, name):
+        others = [p.read_text() for p in sorted(DATA.glob("*.sep"))]
+        text = (DATA / name).read_text()
+        assert warm(text, *others) == cold(text)
+
+    def test_suite_case_files(self):
+        texts = [NATIVE_CORPUS + f"check {seq}\n" for _, seq, _ in SUITE]
+        want = [cold(t) for t in texts]
+        parser._defs.clear()
+        assert [outcome(t) for t in texts] == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(entailments())
+    def test_generated_problems(self, ent):
+        text = problem_text(ProblemFile(make_registry(), ent))
+        assert warm(text, NATIVE_CORPUS + QUERY) == cold(text)
+
+    def test_sort_changes_its_field_kinds(self):
+        ptr = MEMO_SORTS + "data c2 { c2 next; c2 down; }\n" + S_BLOCK + QUERY
+        num = MEMO_SORTS + "data c2 { c2 next; int val; }\n" + S_BLOCK + QUERY
+        assert cold(ptr) == ("line 5, col 86: mixed pointer/integer use of 'd'", 5, 86)
+        assert isinstance(cold(num)[0], ProblemFile)
+        assert warm(ptr, num) == cold(ptr)
+        assert warm(num, ptr) == cold(num)
+
+    @pytest.mark.parametrize(
+        "before,after",
+        [(Q_PTR, Q_INT), (Q_INT, Q_PTR), (Q_PTR, Q_TWO), (Q_PTR, "")],
+        ids=["ptr_to_int", "int_to_ptr", "arity", "missing"],
+    )
+    def test_referenced_predicate_changes(self, before, after):
+        old = MEMO_SORTS + before + P_BLOCK + QUERY
+        new = MEMO_SORTS + after + P_BLOCK + QUERY
+        assert cold(old) != cold(new)
+        assert warm(new, old) == cold(new)
+
+    def test_changed_kind_and_arity_and_absence_show_cold(self):
+        kinds = lambda text: [p.kind for p in cold(text)[0].registry.preds["p"].params]
+        assert kinds(MEMO_SORTS + Q_PTR + P_BLOCK + QUERY) == ["ptr", "ptr", "ptr"]
+        assert kinds(MEMO_SORTS + Q_INT + P_BLOCK + QUERY) == ["ptr", "ptr", "int"]
+        assert cold(MEMO_SORTS + Q_TWO + P_BLOCK + QUERY)[0].endswith(
+            "q expects 2 arguments"
+        )
+        assert cold(MEMO_SORTS + P_BLOCK + QUERY)[0].endswith(
+            "unknown predicate 'q'"
+        )
+
+    def test_redeclared_after_a_warm_hit(self):
+        once = MEMO_SORTS + Q_PTR + P_BLOCK + QUERY
+        twice = MEMO_SORTS + Q_PTR + P_BLOCK + P_BLOCK + QUERY
+        assert cold(twice) == ("line 6, col 6: predicate p redeclared", 6, 6)
+        assert warm(twice, once) == cold(twice)
+
+    def test_failed_block_fails_again_where_it_stands(self):
+        bad = MEMO_SORTS + "data c2 { c2 next; c2 down; }\n" + S_BLOCK + QUERY
+        moved = "// moved\n\n" + bad
+        assert warm(moved, bad) == cold(moved)
+        assert cold(moved)[1:] == (7, 86)

@@ -5,8 +5,10 @@ from pathlib import Path
 
 from hypothesis import example, given, strategies as st
 
+import sepent.cli
 import sepent.defs
 import sepent.engine
+import sepent.parser
 import sepent.pure
 from sepent.oracle import eval_pure_atom
 from sepent.pure import (
@@ -413,14 +415,17 @@ def test_memo_finds_contexts_by_identity_and_extends_them():
 
 
 def test_pure_caches_are_bounded():
-    """Every memo in pure.py, defs.py and engine.py names a literal integer
-    size, so a long batch cannot keep every pure part or materialization
-    it has seen alive: each `lru_cache` has a literal `maxsize`, and each
-    container the module keeps is a `deque` with a literal `maxlen`.
-    pure.py must keep its context memo so."""
+    """Every memo in pure.py, defs.py, engine.py, parser.py and cli.py
+    names a literal integer size, so a long batch cannot keep every pure
+    part, materialization or definition it has seen alive: each
+    `lru_cache` has a literal `maxsize`, and each container the module
+    keeps is a `deque` with a literal `maxlen`.  pure.py must keep its
+    context memo so, and parser.py its definition memo."""
     assert module_memos(sepent.pure), "the context memo is not a module-level"
+    assert module_memos(sepent.parser), "the definition memo is not a module-level"
     module_memos(sepent.defs)
     module_memos(sepent.engine)
+    module_memos(sepent.cli)
 
 
 def module_memos(module):
