@@ -12,12 +12,21 @@ and in a nonempty segment the head cell's fields determine the values of
 every head-field existential, so the check is a loop that consumes one cell
 per nonempty step. A non-head-field existential (only the inner order source
 can be one) is the one choice point; it ranges over the data values in
-sight.
+sight. The check is compiled once per call: every term of the heap, and of
+every definition step it reaches, becomes a variable to look up or a
+constant. `oracle_entails` compiles its right side once for all the models
+it checks.
 
 Model enumeration is canonical: allocated cells take locations 1..n in
 expansion order and dangling values use fresh locations in first-use order,
-which quotients away isomorphic duplicates. An unfolding whose equalities
-contradict its own disequalities has no models and is skipped.
+so isomorphic models come out as one. Two unfoldings never yield the same
+model: in each, every occurrence takes the branch that the model's own root
+and segment values select. Within one unfolding a variable the model does
+not show, such as a non-head existential seen only in pure atoms, can take
+several values for the same model. Only an unfolding with such a variable
+keeps the models it has yielded, and only while it is enumerated, so the
+enumerator holds at most one unfolding's models. An unfolding whose
+equalities contradict its own disequalities has no models and is skipped.
 """
 
 from __future__ import annotations
@@ -25,10 +34,9 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .defs import (
-    CoverPlan,
     InductiveDef,
     Kind,
     Registry,
@@ -50,6 +58,7 @@ from .syntax import (
     PtrEq,
     PtrNeq,
     PureAtom,
+    SpatialAtom,
     SymbolicHeap,
     Var,
 )
@@ -73,10 +82,13 @@ class Bound:
 DEFAULT_BOUND = Bound()
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     sort: str
     values: tuple[int, ...]
+
+
+# Builds a Cell without the Python-level __new__ NamedTuple generates.
+_new_tuple = tuple.__new__
 
 
 @dataclass
@@ -119,82 +131,178 @@ class HeapModel:
 Env = dict[str, int]
 
 
-def _ptr_val(e: Expr, env: Env) -> int:
+# ---------------------------------------------------------------- compiled terms
+
+
+class _Wrong(NamedTuple):
+    """A constant of the wrong kind for its position: the error its
+    evaluation raises."""
+
+    message: str
+
+
+# A term compiled for evaluation: a variable name, a constant, or a constant
+# of the wrong kind. Its value is `o if type(o) is int else env[o]`, so a
+# wrong-kind constant is looked up like a variable and, bound in no
+# environment, fails as an unbound variable does; `_lookup_error` turns
+# either KeyError into its OracleError.
+Operand = Union[str, int, _Wrong]
+
+
+def _operand(e: Expr, ptr: bool) -> Operand:
+    # Callers that compile many terms test for a variable before calling:
+    # a call per term showed in the cost of one-off `holds` calls.
     if type(e) is Var:
-        try:
-            return env[e.name]
-        except KeyError:
-            raise OracleError(f"unbound variable {e.name}") from None
-    if isinstance(e, Null):
-        return 0
-    raise OracleError(f"integer literal {e} in pointer position")
+        return e.name
+    if ptr:
+        return 0 if isinstance(e, Null) else _Wrong(f"integer literal {e} in pointer position")
+    return e.value if isinstance(e, IntLit) else _Wrong("null in arithmetic position")
 
 
-def _data_val(e: Expr, env: Env) -> int:
-    if type(e) is Var:
-        try:
-            return env[e.name]
-        except KeyError:
-            raise OracleError(f"unbound variable {e.name}") from None
-    if isinstance(e, IntLit):
-        return e.value
-    raise OracleError("null in arithmetic position")
+def _lookup_error(key: object) -> OracleError:
+    if type(key) is _Wrong:
+        return OracleError(key.message)
+    return OracleError(f"unbound variable {key}")
 
 
-def _field_val(e: Expr, ftype: str, env: Env) -> int:
-    return _data_val(e, env) if ftype == "int" else _ptr_val(e, env)
-
-
-def eval_pure_atom(a: PureAtom, env: Env) -> bool:
-    if isinstance(a, PtrEq):
-        return _ptr_val(a.lhs, env) == _ptr_val(a.rhs, env)
-    if isinstance(a, PtrNeq):
-        return _ptr_val(a.lhs, env) != _ptr_val(a.rhs, env)
-    if isinstance(a, ArithEq):
-        return _data_val(a.lhs, env) == _data_val(a.rhs, env)
-    if isinstance(a, ArithLeq):
-        return _data_val(a.lhs, env) <= _data_val(a.rhs, env)
-    raise TypeError(a)
-
-
-# A pure atom compiled for evaluation: a comparison and its two operands, each
-# a variable name or a constant. An atom holding a constant of the wrong kind
-# compiles to (None, atom, None) and is left to eval_pure_atom, which raises.
-Check = tuple
+# A pure atom compiled for evaluation: a comparison and its two operands.
+Check = tuple[Callable[[int, int], bool], Operand, Operand]
 
 _COMPARE = {PtrEq: operator.eq, PtrNeq: operator.ne, ArithEq: operator.eq, ArithLeq: operator.le}
 
 
-def _operand(e: Expr, ptr: bool) -> Optional[str | int]:
-    if type(e) is Var:
-        return e.name
-    if ptr:
-        return 0 if isinstance(e, Null) else None
-    return e.value if isinstance(e, IntLit) else None
-
-
 def _compile(a: PureAtom) -> Check:
+    op = _COMPARE.get(type(a))
+    if op is None:
+        raise TypeError(a)
     ptr = isinstance(a, (PtrEq, PtrNeq))
-    lhs, rhs = _operand(a.lhs, ptr), _operand(a.rhs, ptr)
-    if lhs is None or rhs is None:
-        return (None, a, None)
-    return (_COMPARE[type(a)], lhs, rhs)
+    lhs, rhs = a.lhs, a.rhs
+    return (
+        op,
+        lhs.name if type(lhs) is Var else _operand(lhs, ptr),
+        rhs.name if type(rhs) is Var else _operand(rhs, ptr),
+    )
 
 
-def _all_hold(checks: list[Check], env: Env) -> bool:
-    """Are the compiled atoms true?  Every variable they name must be bound."""
-    for op, lhs, rhs in checks:
-        if op is None:
-            if not eval_pure_atom(lhs, env):
+def _all_hold(checks: tuple[Check, ...] | list[Check], env: Env) -> bool:
+    """Are the compiled atoms true?  Evaluated in order, each left operand
+    before its right one; an operand without a value raises."""
+    try:
+        for op, lhs, rhs in checks:
+            if not op(
+                lhs if type(lhs) is int else env[lhs], rhs if type(rhs) is int else env[rhs]
+            ):
                 return False
-        elif not op(
-            env[lhs] if type(lhs) is str else lhs, env[rhs] if type(rhs) is str else rhs
-        ):
-            return False
+    except KeyError as e:
+        raise _lookup_error(e.args[0]) from None
     return True
 
 
+def eval_pure_atom(a: PureAtom, env: Env) -> bool:
+    return _all_hold((_compile(a),), env)
+
+
 # ------------------------------------------------------------------ satisfaction
+
+
+class _Cell(NamedTuple):
+    """A points-to atom, compiled."""
+
+    root: Operand
+    sort: str
+    fields: tuple[Operand, ...]  # each as its field's kind
+
+
+class _Occ(NamedTuple):
+    """A predicate occurrence, compiled: root and segment as pointers, the
+    order pair as data, every argument as its parameter's kind."""
+
+    step: _Step
+    root: Operand
+    seg: Operand
+    pair: Optional[tuple[Operand, Operand]]
+    args: tuple[Operand, ...]
+
+
+class _Step:
+    """A definition's nonempty step (its `CoverPlan`), compiled. Its terms
+    are names in the step's own environment: the parameters, then the
+    existentials."""
+
+    __slots__ = ("sort", "params", "head", "unbound", "ex_error", "side", "pushed")
+
+
+def _field_operands(c: PointsTo, reg: Registry) -> tuple[Operand, ...]:
+    fields = reg.sorts[c.sort].fields
+    return tuple(
+        [
+            e.name if type(e) is Var else _operand(e, ftype != "int")
+            for (_, ftype), e in zip(fields, c.fields)
+        ]
+    )
+
+
+def _compile_atom(a: SpatialAtom, reg: Registry, steps: dict[str, _Step]) -> _Cell | _Occ:
+    """The atom compiled, and the step of each definition it reaches, once
+    per call, in `steps`."""
+    if type(a) is PointsTo:
+        return _new_tuple(_Cell, (_operand(a.root, True), a.sort, _field_operands(a, reg)))
+    d = reg.preds[a.pred]
+    step = steps.get(a.pred)
+    if step is None:
+        step = steps[a.pred] = _Step()
+        _compile_step(step, d, reg, steps)
+    args = a.args
+    params = d.plan.params
+    ops = tuple(
+        [e.name if type(e) is Var else _operand(e, ptr) for (_, ptr), e in zip(params, args)]
+    )
+    # Root and segment are read as pointers, the order pair as data,
+    # whatever kinds the parameters declare.
+    seg = d.seg_index
+    pair = d.order_pair
+    if pair is not None:
+        src, tgt = pair
+        pair = (
+            _operand(args[src], False) if params[src][1] else ops[src],
+            _operand(args[tgt], False) if params[tgt][1] else ops[tgt],
+        )
+    return _new_tuple(
+        _Occ,
+        (
+            step,
+            ops[0] if params[0][1] else _operand(args[0], True),
+            ops[seg] if params[seg][1] else _operand(args[seg], True),
+            pair,
+            ops,
+        ),
+    )
+
+
+def _compile_step(step: _Step, d: InductiveDef, reg: Registry, steps: dict[str, _Step]) -> None:
+    """Compile the step of `d` in place; it is in `steps` already, so a
+    recursive occurrence finds it."""
+    plan = d.plan
+    step.sort = plan.sort
+    step.params = tuple([name for name, _ in plan.params])
+    # Per head field: the existential its value binds and None, or None and
+    # the term the value is checked against.
+    step.head = tuple(
+        [
+            (name, None if name is not None else _operand(e, ftype != "int"))
+            for (_, ftype), (e, name) in zip(reg.sorts[plan.sort].fields, plan.head)
+        ]
+    )
+    step.unbound = plan.unbound
+    step.ex_error = None  # raised when the step is taken
+    if plan.unbound:
+        kinds = existential_kinds(d, reg)
+        for w in plan.unbound:
+            if kinds.get(w, "int") != "int":
+                step.ex_error = f"{d.name}: existential {w} not determined by head cell"
+                break
+    step.side = tuple([_compile(a) for a in plan.side])
+    step.pushed = tuple([_compile_atom(m, reg, steps) for m in plan.pushed])
 
 
 # Pending atoms of the cover check form an immutable cons list of
@@ -205,14 +313,29 @@ Pending = Optional[tuple]
 def holds(
     model: HeapModel, heap: SymbolicHeap, reg: Registry, bound: Bound = DEFAULT_BOUND
 ) -> bool:
-    """Does the model satisfy the symbolic heap (exact heap cover)?"""
-    env = model.stack
-    if not all(eval_pure_atom(a, env) for a in heap.pure):
-        return False
-    pending: Pending = None
-    for a in reversed(heap.spatial):
-        pending = (a, env, pending)
-    return _covers(model, pending, reg, bound)
+    """Does the model satisfy the symbolic heap (exact heap cover)?  The
+    heap is compiled for this one call."""
+    return _satisfaction(heap, reg, bound)(model)
+
+
+def _satisfaction(
+    heap: SymbolicHeap, reg: Registry, bound: Bound
+) -> Callable[[HeapModel], bool]:
+    """`holds` against the heap, compiled once for any number of models."""
+    pure = tuple([_compile(a) for a in heap.pure])
+    steps: dict[str, _Step] = {}
+    spatial = [_compile_atom(a, reg, steps) for a in reversed(heap.spatial)]
+
+    def check(model: HeapModel) -> bool:
+        env = model.stack
+        if not _all_hold(pure, env):
+            return False
+        pending: Pending = None
+        for a in spatial:
+            pending = (a, env, pending)
+        return _covers(model, pending, bound)
+
+    return check
 
 
 def _data_hint(model: HeapModel, bound: Bound) -> tuple[int, ...]:
@@ -223,119 +346,108 @@ def _data_hint(model: HeapModel, bound: Bound) -> tuple[int, ...]:
     return tuple(sorted(vals))
 
 
-def _covers(model: HeapModel, pending: Pending, reg: Registry, bound: Bound) -> bool:
+def _covers(model: HeapModel, pending: Pending, bound: Bound) -> bool:
     """Do the pending atoms cover the model's heap exactly?
 
     An occurrence whose root equals its segment can only take its empty
-    branch and any other only its nonempty one, so the walk is a loop. Its
+    branch, which reads nothing but the root, the segment and the order
+    pair, and any other only its nonempty one, so the walk is a loop. Its
     only choice points are existentials the head cell leaves unbound; their
     alternatives wait on an explicit stack, and a failure resumes the latest
     one after giving back the cells consumed since.
     """
     cells = model.heap
-    preds, sorts = reg.preds, reg.sorts
     used: set[int] = set()
     trail: list[int] = []  # consumed locations, in order
-    # (alternatives left, head bindings, plan, continuation, trail length)
-    choices: list[tuple[Iterator[Env], Env, CoverPlan, Pending, int]] = []
+    # (alternatives left, head bindings, step, continuation, trail length)
+    choices: list[tuple[Iterator[tuple[int, ...]], Env, _Step, Pending, int]] = []
     hint: Optional[tuple[int, ...]] = None
-    while True:
-        ok = True
-        while pending is not None:
-            atom, env, pending = pending
-            if type(atom) is PointsTo:
-                loc = _ptr_val(atom.root, env)
-                cell = cells.get(loc)
-                if loc == 0 or cell is None or loc in used or cell.sort != atom.sort:
+    try:
+        while True:
+            ok = True
+            while pending is not None:
+                atom, env, pending = pending
+                if type(atom) is _Cell:
+                    root, sort, fields = atom
+                    loc = root if type(root) is int else env[root]
+                    cell = cells.get(loc)
+                    if loc == 0 or cell is None or loc in used or cell.sort != sort:
+                        ok = False
+                        break
+                    for o, v in zip(fields, cell.values):
+                        if (o if type(o) is int else env[o]) != v:
+                            ok = False
+                            break
+                    if not ok:
+                        break
+                    used.add(loc)
+                    trail.append(loc)
+                    continue
+
+                step, root, seg, pair, args = atom
+                rootv = root if type(root) is int else env[root]
+                if rootv == (seg if type(seg) is int else env[seg]):
+                    if pair is not None:
+                        src, tgt = pair
+                        if (src if type(src) is int else env[src]) != (
+                            tgt if type(tgt) is int else env[tgt]
+                        ):
+                            ok = False
+                            break
+                    continue
+                cell = cells.get(rootv)
+                if rootv == 0 or cell is None or rootv in used or cell.sort != step.sort:
                     ok = False
                     break
-                for (_, ftype), e, v in zip(sorts[atom.sort].fields, atom.fields, cell.values):
-                    if _field_val(e, ftype, env) != v:
+                benv: Env = {}
+                for name, o in zip(step.params, args):
+                    benv[name] = o if type(o) is int else env[o]
+                for (name, o), v in zip(step.head, cell.values):
+                    if name is not None:
+                        benv[name] = v
+                    elif (o if type(o) is int else benv[o]) != v:
                         ok = False
                         break
                 if not ok:
                     break
-                used.add(loc)
-                trail.append(loc)
-                continue
-
-            d = preds[atom.pred]
-            plan = d.plan
-            args = atom.args
-            rootv = _ptr_val(args[0], env)
-            if rootv == _ptr_val(args[d.seg_index], env):
-                pair = d.order_pair
-                if pair is not None and _data_val(args[pair[0]], env) != _data_val(
-                    args[pair[1]], env
-                ):
+                used.add(rootv)
+                trail.append(rootv)
+                if step.unbound:
+                    if step.ex_error is not None:
+                        raise OracleError(step.ex_error)
+                    if hint is None:
+                        hint = _data_hint(model, bound)
+                    alts = itertools.product(hint, repeat=len(step.unbound))
+                    choices.append((alts, benv, step, pending, len(trail)))
+                    ok = False  # the first alternative is taken below
+                    break
+                if not _all_hold(step.side, benv):
                     ok = False
                     break
-                continue
-            cell = cells.get(rootv)
-            if rootv == 0 or cell is None or rootv in used or cell.sort != plan.sort:
-                ok = False
-                break
-            benv: Env = {}
-            for (name, is_ptr), a in zip(plan.params, args):
-                if type(a) is Var and a.name in env:
-                    benv[name] = env[a.name]
-                else:
-                    benv[name] = _ptr_val(a, env) if is_ptr else _data_val(a, env)
-            for (_, ftype), (e, name), v in zip(sorts[plan.sort].fields, plan.head, cell.values):
-                if name is not None:
-                    benv[name] = v
-                elif _field_val(e, ftype, benv) != v:
-                    ok = False
+                for m in step.pushed:
+                    pending = (m, benv, pending)
+            if ok and len(used) == len(cells):
+                return True
+
+            while True:
+                if not choices:
+                    return False
+                alts, benv, step, rest, mark = choices[-1]
+                used.difference_update(trail[mark:])
+                del trail[mark:]
+                combo = next(alts, None)
+                if combo is None:
+                    choices.pop()
+                    continue
+                env2 = benv.copy()
+                env2.update(zip(step.unbound, combo))
+                if _all_hold(step.side, env2):
+                    pending = rest
+                    for m in step.pushed:
+                        pending = (m, env2, pending)
                     break
-            if not ok:
-                break
-            used.add(rootv)
-            trail.append(rootv)
-            if plan.unbound:
-                if hint is None:
-                    hint = _data_hint(model, bound)
-                alts = _ex_choices(d, reg, hint)
-                choices.append((alts, benv, plan, pending, len(trail)))
-                ok = False  # the first alternative is taken below
-                break
-            for a in plan.side:
-                if not eval_pure_atom(a, benv):
-                    ok = False
-                    break
-            if not ok:
-                break
-            for m in plan.pushed:
-                pending = (m, benv, pending)
-        if ok and len(used) == len(cells):
-            return True
-
-        while True:
-            if not choices:
-                return False
-            alts, benv, plan, rest, mark = choices[-1]
-            used.difference_update(trail[mark:])
-            del trail[mark:]
-            ext = next(alts, None)
-            if ext is None:
-                choices.pop()
-                continue
-            env2 = benv | ext
-            if all(eval_pure_atom(a, env2) for a in plan.side):
-                pending = rest
-                for m in plan.pushed:
-                    pending = (m, env2, pending)
-                break
-
-
-def _ex_choices(d: InductiveDef, reg: Registry, hint: tuple[int, ...]) -> Iterator[Env]:
-    """Every assignment of hint values to the existentials no head field binds."""
-    unbound = d.plan.unbound
-    kinds = existential_kinds(d, reg)
-    for w in unbound:
-        if kinds.get(w, "int") != "int":
-            raise OracleError(f"{d.name}: existential {w} not determined by head cell")
-    for combo in itertools.product(hint, repeat=len(unbound)):
-        yield dict(zip(unbound, combo))
+    except KeyError as e:
+        raise _lookup_error(e.args[0]) from None
 
 
 def kinds_of(heap: SymbolicHeap, reg: Registry) -> dict[str, Kind]:
@@ -381,51 +493,100 @@ def _check_input(reg: Registry, *heaps: SymbolicHeap) -> None:
 
 
 def models_of(
-    heap: SymbolicHeap,
-    reg: Registry,
-    bound: Bound = DEFAULT_BOUND,
-    self_check: bool = False,
+    heap: SymbolicHeap, reg: Registry, bound: Bound = DEFAULT_BOUND
 ) -> Iterator[HeapModel]:
-    """All models of the heap up to the bound, canonically enumerated.
-    The registry and the heap are checked when this is called, not when
-    it is iterated."""
+    """All models of the heap up to the bound, canonically enumerated, each
+    once. Two unfoldings never yield the same model; within one, a variable
+    the models do not show (an existential no head field binds) can yield
+    a model again. Only such an unfolding keeps the models it has yielded,
+    until it is done, so at most one unfolding's models are kept. The
+    registry and the heap are checked when this is called, not when it is
+    iterated."""
     _check_input(reg, heap)
-    return _models(heap, reg, bound, self_check)
+    return _models(heap, reg, bound)
 
 
-def _models(
-    heap: SymbolicHeap, reg: Registry, bound: Bound, self_check: bool
-) -> Iterator[HeapModel]:
+def _models(heap: SymbolicHeap, reg: Registry, bound: Bound) -> Iterator[HeapModel]:
     fresh = FreshNames()
     stack_names = tuple(sorted(heap.fv()))
     # A stack variable an unfolding drops keeps the kind the input gives it.
     input_kinds = kinds_of(heap, reg)
     ptr_vars = frozenset(n for n in stack_names if input_kinds.get(n) == "ptr")
-    seen: set[tuple] = set()
+    hides = _hides(heap, reg)
     for cells, pure_atoms in _expand(heap, reg, bound, fresh):
         kinds = input_kinds | kinds_of(SymbolicHeap(cells, pure_atoms), reg)
         if _refuted(pure_atoms):
             continue
-        layout = [
-            (i + 1, c.sort, tuple(zip(reg.sort_of(c.sort).fields, c.fields)))
-            for i, c in enumerate(cells)
-        ]
+        layout = shown = seen = None  # made at the unfolding's first model
         for env in _assignments(cells, pure_atoms, stack_names, kinds, bound):
-            hp = tuple(
-                (loc, sort, tuple([_field_val(e, ftype, env) for (_, ftype), e in fields]))
-                for loc, sort, fields in layout
-            )
-            stack = tuple([(n, env[n]) for n in stack_names])
-            key = (stack, hp)  # HeapModel.key() of the model below
-            if key in seen:
-                continue
-            seen.add(key)
-            model = HeapModel(
-                dict(stack), {loc: Cell(sort, vals) for loc, sort, vals in hp}, ptr_vars
-            )
-            if self_check and not holds(model, heap, reg, bound):
-                raise OracleError("enumerator produced a non-model")
+            if layout is None:
+                layout, shown = _layout(cells, pure_atoms, stack_names, reg, hides)
+                if shown is not None:
+                    seen = set()
+            if seen is not None:
+                key = tuple([env[n] for n in shown])
+                if key in seen:
+                    continue
+                seen.add(key)
+            try:
+                model = HeapModel(
+                    {n: env[n] for n in stack_names},
+                    {
+                        loc: _new_tuple(
+                            Cell, (sort, tuple([o if type(o) is int else env[o] for o in ops]))
+                        )
+                        for loc, sort, ops in layout
+                    },
+                    ptr_vars,
+                )
+            except KeyError as e:
+                raise _lookup_error(e.args[0]) from None
             yield model
+
+
+def _hides(heap: SymbolicHeap, reg: Registry) -> bool:
+    """Can an unfolding of the heap name a variable its models do not show?
+    Only an existential that no head field binds can be one."""
+    todo = [a.pred for a in heap.spatial if type(a) is not PointsTo]
+    seen: set[str] = set()
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            plan = reg.preds[name].plan
+            if plan.unbound:
+                return True
+            todo.extend(m.pred for m in plan.pushed)
+    return False
+
+
+def _layout(
+    cells: tuple[PointsTo, ...],
+    pure_atoms: tuple[PureAtom, ...],
+    stack_names: tuple[str, ...],
+    reg: Registry,
+    hides: bool,
+) -> tuple[list[tuple[int, str, tuple[Operand, ...]]], Optional[tuple[str, ...]]]:
+    """The unfolding's cells compiled, as (location, sort, field operands),
+    and the variables its models show, or None when they show every
+    variable the assignment binds.
+
+    A model shows the stack and the cell fields, and the cell roots are
+    fixed, so a variable named only in pure atoms can tell apart two
+    assignments that make the same model; `hides` says whether the heap's
+    unfoldings can have one.
+    """
+    layout = [(i + 1, c.sort, _field_operands(c, reg)) for i, c in enumerate(cells)]
+    if not hides:
+        return layout, None
+    shown = dict.fromkeys(stack_names)
+    shown.update((o, None) for _, _, ops in layout for o in ops if type(o) is str)
+    fixed = {c.root.name for c in cells if type(c.root) is Var}
+    for a in pure_atoms:
+        for e in (a.lhs, a.rhs):
+            if type(e) is Var and e.name not in shown and e.name not in fixed:
+                return layout, tuple(shown)
+    return layout, None
 
 
 def _refuted(pure_atoms: tuple[PureAtom, ...]) -> bool:
@@ -613,8 +774,10 @@ def oracle_entails(
     """Search for a countermodel; absence only rules out models within bound.
     `models_of` checks the registry and the left side."""
     _check_input(reg, ent.rhs)
-    for m in models_of(ent.lhs, reg, bound):
-        if not holds(m, ent.rhs, reg, bound):
+    models = models_of(ent.lhs, reg, bound)
+    satisfies_rhs = _satisfaction(ent.rhs, reg, bound)
+    for m in models:
+        if not satisfies_rhs(m):
             return OracleVerdict(False, m)
     return OracleVerdict(True, None)
 

@@ -11,11 +11,14 @@ iterative versions must agree with them model for model.
 import ast
 import itertools
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import MALFORMED_ATOMS, parse_query
+from conftest import MALFORMED_ATOMS, entailments, make_registry, parse_query
 from suite_cases import SUITE
 from sepent import oracle
 from sepent.defs import (
@@ -273,16 +276,11 @@ def test_model_counts_at_default_bound(registry, spatial, count):
 
 
 def test_models_pass_self_check(registry):
-    n = sum(
-        1
-        for _ in models_of(
-            heap([PredOcc("lls", (x, NULL, mi, ma))]),
-            registry,
-            Bound(max_unfold=3),
-            self_check=True,
-        )
-    )
-    assert n == 1000
+    h = heap([PredOcc("lls", (x, NULL, mi, ma))])
+    bound = Bound(max_unfold=3)
+    models = list(models_of(h, registry, bound))
+    assert len(models) == 1000
+    assert all(holds(m, h, registry, bound) for m in models)
 
 
 def test_enumeration_is_deterministic(registry):
@@ -317,6 +315,38 @@ def test_enumeration_is_deterministic(registry):
 )
 def test_refuted_variants(atoms, refuted):
     assert oracle._refuted(atoms) is refuted
+
+
+def test_oracle_keeps_one_model_at_a_time(registry):
+    # The premise has no variable its models do not show, so nothing is
+    # kept between its models; a set of every model's key would peak at
+    # about 2 MiB here.
+    e = parse_query("lls(x, null, mi, ma) /\\ x!=null |- llb(x, null, mi)")
+    bound = Bound(4, 6)
+    assert sum(1 for _ in models_of(e.lhs, registry, bound)) == 2992
+    oracle_entails(e, registry, bound)  # one-time allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        assert oracle_entails(e, registry, bound).bounded_valid
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+
+
+def test_right_side_compiled_once_per_call(registry, monkeypatch):
+    # 22 models, each with a nonempty step of ll on the right: the step is
+    # compiled once, before the first of them
+    compiled = []
+    compile_step = oracle._compile_step
+    monkeypatch.setattr(
+        oracle,
+        "_compile_step",
+        lambda step, d, *rest: (compiled.append(d.name), compile_step(step, d, *rest))[1],
+    )
+    e = parse_query("ll(x, y) * ll(y, null) |- ll(x, null)")
+    assert oracle_entails(e, registry).bounded_valid
+    assert compiled == ["ll"]
 
 
 def test_long_premise_enumerates_without_deep_recursion(registry):
@@ -753,3 +783,90 @@ def test_unbound_existential_agrees_with_reference(sequent):
     models = _assert_agrees(pf.query, pf.registry, SMALL)
     assert models
     assert any(ref_holds(m, pf.query.rhs, pf.registry, SMALL) for m in models)
+
+
+# ------------------------------------------------------- edge cases of the cover
+
+
+w = Var("w")
+_ONE_C4 = HeapModel({"x": 1, "y": 0, "a": 2}, {1: Cell("c4", (0, 3))}, frozenset("xy"))
+_NO_CELLS = HeapModel({"x": 0, "y": 0, "a": 2}, {}, frozenset("xy"))
+_INT_IN_PTR = "integer literal 1 in pointer position"
+_NULL_IN_ARITH = "null in arithmetic position"
+
+
+@pytest.mark.parametrize(
+    "spatial,pure,model,outcome",
+    [
+        # an integer literal in pointer position
+        ([], [PtrEq(x, IntLit(1))], _NO_CELLS, ("OracleError", _INT_IN_PTR)),
+        ([PointsTo(IntLit(1), "c4", (NULL, a_))], [], _ONE_C4, ("OracleError", _INT_IN_PTR)),
+        ([PredOcc("ll", (IntLit(1), NULL))], [], _NO_CELLS, ("OracleError", _INT_IN_PTR)),
+        # null in arithmetic position
+        ([], [ArithLeq(NULL, a_)], _NO_CELLS, ("OracleError", _NULL_IN_ARITH)),
+        # a wrong-kind constant in a right-side cell, raised once reached
+        ([PointsTo(x, "c4", (NULL, NULL))], [], _ONE_C4, ("OracleError", _NULL_IN_ARITH)),
+        ([PointsTo(x, "c4", (IntLit(1), a_))], [], _ONE_C4, ("OracleError", _INT_IN_PTR)),
+        ([PointsTo(x, "c4", (x, NULL))], [], _ONE_C4, False),
+        # a wrong-kind constant in a predicate argument: the segment and the
+        # order pair are read on the empty branch, the rest on a nonempty step
+        ([PredOcc("ll", (x, IntLit(1)))], [], _NO_CELLS, ("OracleError", _INT_IN_PTR)),
+        ([PredOcc("lls", (x, NULL, NULL, a_))], [], _NO_CELLS, ("OracleError", _NULL_IN_ARITH)),
+        ([PredOcc("llb", (x, NULL, NULL))], [], _ONE_C4, ("OracleError", _NULL_IN_ARITH)),
+        ([PredOcc("llb", (x, NULL, NULL))], [], _NO_CELLS, True),
+        # an unbound variable
+        ([], [PtrNeq(x, w)], _NO_CELLS, ("OracleError", "unbound variable w")),
+        ([PointsTo(x, "c4", (w, a_))], [], _ONE_C4, ("OracleError", "unbound variable w")),
+        ([PredOcc("ll", (x, w))], [], _NO_CELLS, ("OracleError", "unbound variable w")),
+        ([PredOcc("llb", (x, NULL, w))], [], _ONE_C4, ("OracleError", "unbound variable w")),
+        ([], [PtrEq(x, y), PtrNeq(x, w)], _ONE_C4, False),
+        # root equal to segment: the empty branch leaves the rest unread
+        ([PredOcc("llb", (x, x, w))], [], _NO_CELLS, True),
+        ([PredOcc("llb", (x, x, w))], [], _ONE_C4, False),
+        ([PredOcc("lls", (x, x, w, a_))], [], _NO_CELLS, ("OracleError", "unbound variable w")),
+    ],
+)
+def test_cover_edge_cases_agree_with_reference(registry, spatial, pure, model, outcome):
+    h = heap(spatial, pure)
+    assert _outcome(lambda: holds(model, h, registry)) == outcome
+    assert _outcome(lambda: ref_holds(model, h, registry)) == outcome
+
+
+def test_wrong_kind_constant_in_a_premise_cell_raises(registry):
+    h = heap([PointsTo(x, "c4", (IntLit(1), a_))])
+    want = _outcome(lambda: list(ref_models_of(h, registry, SMALL)))
+    assert want == ("OracleError", _INT_IN_PTR)
+    assert _outcome(lambda: list(models_of(h, registry, SMALL))) == want
+
+
+# ----------------------------------------------- each model once, none kept
+
+
+LSX_CONCAT = "lsx(x, y, a, b) * lsx(y, null, b, c) |- lsx(x, null, a, c)"
+
+
+def _lsx_problem(sequent):
+    pf = parse_native(LSX + f"\ncheck {sequent}\n")
+    return pf.query, pf.registry
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(entailments(), st.just(make_registry())))
+@example(_lsx_problem(LSX_CONCAT))
+def test_models_match_reference_key_for_key(problem):
+    # The enumerator keeps no set across unfoldings, the reference keeps
+    # one over all of them: equal sequences of distinct keys show that no
+    # two unfoldings yield the same model.
+    e, reg = problem
+    for side in (e.lhs, e.rhs):
+        got = _outcome(lambda: [m.key() for m in models_of(side, reg, SMALL)])
+        assert got == _outcome(lambda: [m.key() for m in ref_models_of(side, reg, SMALL)])
+        if isinstance(got, list):
+            assert len(set(got)) == len(got)
+
+
+def test_unshown_existential_models_are_told_apart():
+    # lsx's m1 shows in no cell: 67,990 assignments make 3,310 models
+    e, reg = _lsx_problem(LSX_CONCAT)
+    keys = [m.key() for m in models_of(e.lhs, reg, Bound(4, 6))]
+    assert len(keys) == len(set(keys)) == 3310
