@@ -1,4 +1,4 @@
-r"""Inductive definitions: the template, wellformedness, unfolding, bases.
+r"""Inductive definitions: the template, wellformedness, and unfolding.
 
 A definition has one implicit base branch (emp /\ root=seg [/\ src=tgt]) and one
 recursive branch consisting of a head cell at the root, a matrix of nested
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Literal, NamedTuple, Optional
+from typing import Literal, Optional
 
 from .syntax import (
     ArithEq,
@@ -74,21 +74,6 @@ class RecBranch:
     arith: tuple[PureAtom, ...]
 
 
-class CoverPlan(NamedTuple):
-    """How the oracle matches one nonempty step of a definition against a
-    heap cell, fixed by the definition alone."""
-
-    params: tuple[tuple[str, bool], ...]  # (name, is pointer) per parameter
-    sort: str  # of the head cell
-    # Per head field: its expression and the existential the cell's value
-    # binds there, or None when the field is checked against the values
-    # bound so far.
-    head: tuple[tuple[Expr, Optional[str]], ...]
-    unbound: tuple[str, ...]  # existentials no head field binds
-    side: tuple[PureAtom, ...]  # order atom, then the arithmetic atoms
-    pushed: tuple[PredOcc, ...]  # recursive occurrence, then the matrix reversed
-
-
 @dataclass(frozen=True)
 class InductiveDef:
     name: str
@@ -99,7 +84,6 @@ class InductiveDef:
     # the parameters; a missing segment reads as None.
     seg_index: int = field(init=False, repr=False, compare=False)
     order_pair: Optional[tuple[int, int]] = field(init=False, repr=False, compare=False)
-    plan: CoverPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         roles = [p.role for p in self.params]
@@ -109,27 +93,6 @@ class InductiveDef:
             pair = (roles.index(Role.SRC), roles.index(Role.TGT))
         object.__setattr__(self, "seg_index", seg)
         object.__setattr__(self, "order_pair", pair)
-        object.__setattr__(self, "plan", self._cover_plan())
-
-    def _cover_plan(self) -> CoverPlan:
-        rb = self.rec
-        bound = {p.name for p in self.params}
-        ex = set(rb.exists)
-        head: list[tuple[Expr, Optional[str]]] = []
-        for e in rb.head.fields:
-            if isinstance(e, Var) and e.name in ex and e.name not in bound:
-                bound.add(e.name)
-                head.append((e, e.name))
-            else:
-                head.append((e, None))
-        return CoverPlan(
-            params=tuple((p.name, p.kind == "ptr") for p in self.params),
-            sort=rb.head.sort,
-            head=tuple(head),
-            unbound=tuple(w for w in rb.exists if w not in bound),
-            side=(() if rb.order is None else (rb.order,)) + rb.arith,
-            pushed=(rb.rec,) + rb.matrix[::-1],
-        )
 
     def param_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.params)

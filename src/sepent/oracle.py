@@ -41,7 +41,6 @@ from .defs import (
     Kind,
     Registry,
     base_instance,
-    existential_kinds,
     known_problems,
     rec_instance,
     shape_problems,
@@ -225,11 +224,26 @@ class _Occ(NamedTuple):
 
 
 class _Step:
-    """A definition's nonempty step (its `CoverPlan`), compiled. Its terms
-    are names in the step's own environment: the parameters, then the
-    existentials."""
+    """A definition's nonempty step, compiled from its recursive branch.
+    Its terms are names in the step's own environment: the parameters, then
+    the existentials."""
 
-    __slots__ = ("sort", "params", "head", "unbound", "ex_error", "side", "pushed")
+    __slots__ = ("sort", "params", "head", "unbound", "side", "pushed")
+
+
+def _bindings(d: InductiveDef) -> tuple[list[Optional[str]], tuple[str, ...]]:
+    """Per head field, the existential its value binds or None, and the
+    existentials no head field binds. A field binds an existential that no
+    parameter and no earlier field has bound."""
+    free = set(d.rec.exists)
+    for p in d.params:
+        free.discard(p.name)
+    binds: list[Optional[str]] = []
+    for e in d.rec.head.fields:
+        name = e.name if type(e) is Var and e.name in free else None
+        free.discard(name)
+        binds.append(name)
+    return binds, (tuple([w for w in d.rec.exists if w in free]) if free else ())
 
 
 def _field_operands(c: PointsTo, reg: Registry) -> tuple[Operand, ...]:
@@ -253,9 +267,8 @@ def _compile_atom(a: SpatialAtom, reg: Registry, steps: dict[str, _Step]) -> _Ce
         step = steps[a.pred] = _Step()
         _compile_step(step, d, reg, steps)
     args = a.args
-    params = d.plan.params
     ops = tuple(
-        [e.name if type(e) is Var else _operand(e, ptr) for (_, ptr), e in zip(params, args)]
+        [e.name if type(e) is Var else _operand(e, p.kind == "ptr") for p, e in zip(d.params, args)]
     )
     # Root and segment are read as pointers, the order pair as data,
     # whatever kinds the parameters declare.
@@ -264,15 +277,15 @@ def _compile_atom(a: SpatialAtom, reg: Registry, steps: dict[str, _Step]) -> _Ce
     if pair is not None:
         src, tgt = pair
         pair = (
-            _operand(args[src], False) if params[src][1] else ops[src],
-            _operand(args[tgt], False) if params[tgt][1] else ops[tgt],
+            ops[src] if type(args[src]) is Var else _operand(args[src], False),
+            ops[tgt] if type(args[tgt]) is Var else _operand(args[tgt], False),
         )
     return _new_tuple(
         _Occ,
         (
             step,
-            ops[0] if params[0][1] else _operand(args[0], True),
-            ops[seg] if params[seg][1] else _operand(args[seg], True),
+            ops[0] if type(args[0]) is Var else _operand(args[0], True),
+            ops[seg] if type(args[seg]) is Var else _operand(args[seg], True),
             pair,
             ops,
         ),
@@ -282,27 +295,18 @@ def _compile_atom(a: SpatialAtom, reg: Registry, steps: dict[str, _Step]) -> _Ce
 def _compile_step(step: _Step, d: InductiveDef, reg: Registry, steps: dict[str, _Step]) -> None:
     """Compile the step of `d` in place; it is in `steps` already, so a
     recursive occurrence finds it."""
-    plan = d.plan
-    step.sort = plan.sort
-    step.params = tuple([name for name, _ in plan.params])
+    rb = d.rec
+    binds, step.unbound = _bindings(d)
+    step.sort = rb.head.sort
+    step.params = tuple([p.name for p in d.params])
     # Per head field: the existential its value binds and None, or None and
     # the term the value is checked against.
+    fields = zip(reg.sorts[rb.head.sort].fields, rb.head.fields, binds)
     step.head = tuple(
-        [
-            (name, None if name is not None else _operand(e, ftype != "int"))
-            for (_, ftype), (e, name) in zip(reg.sorts[plan.sort].fields, plan.head)
-        ]
+        [(n, None if n is not None else _operand(e, t != "int")) for (_, t), e, n in fields]
     )
-    step.unbound = plan.unbound
-    step.ex_error = None  # raised when the step is taken
-    if plan.unbound:
-        kinds = existential_kinds(d, reg)
-        for w in plan.unbound:
-            if kinds.get(w, "int") != "int":
-                step.ex_error = f"{d.name}: existential {w} not determined by head cell"
-                break
-    step.side = tuple([_compile(a) for a in plan.side])
-    step.pushed = tuple([_compile_atom(m, reg, steps) for m in plan.pushed])
+    step.side = tuple([_compile(a) for a in (rb.order,) + rb.arith if a is not None])
+    step.pushed = tuple([_compile_atom(m, reg, steps) for m in (rb.rec,) + rb.matrix[::-1]])
 
 
 # Pending atoms of the cover check form an immutable cons list of
@@ -413,8 +417,6 @@ def _covers(model: HeapModel, pending: Pending, bound: Bound) -> bool:
                 used.add(rootv)
                 trail.append(rootv)
                 if step.unbound:
-                    if step.ex_error is not None:
-                        raise OracleError(step.ex_error)
                     if hint is None:
                         hint = _data_hint(model, bound)
                     alts = itertools.product(hint, repeat=len(step.unbound))
@@ -553,10 +555,10 @@ def _hides(heap: SymbolicHeap, reg: Registry) -> bool:
         name = todo.pop()
         if name not in seen:
             seen.add(name)
-            plan = reg.preds[name].plan
-            if plan.unbound:
+            d = reg.preds[name]
+            if _bindings(d)[1]:
                 return True
-            todo.extend(m.pred for m in plan.pushed)
+            todo.extend(m.pred for m in d.rec.matrix)  # d.rec.rec is d itself
     return False
 
 

@@ -16,9 +16,11 @@ parameter roles from comment lines
 
     ;; roles: lls(root, seg, src, tgt)
 
-one per predicate.  Anything outside the subset raises
-UnsupportedConstruct naming the offending s-expression; a definition
-without a roles line raises RoleAnnotationMissing.
+one per predicate.  As in the native format, a term in a position of the
+other kind (an integer as a cell root, nil as an Int argument) raises
+SlcompError.  Anything outside the subset raises UnsupportedConstruct
+naming the offending s-expression; a definition without a roles line
+raises RoleAnnotationMissing.
 """
 
 from __future__ import annotations
@@ -152,6 +154,7 @@ class _Reader:
         self.ctor_sort: dict[str, str] = {}
         self.heap_map: dict[str, str] = {}  # address sort -> record sort
         self.const_kind: dict[str, str] = {}
+        self.param_kinds: dict[str, tuple[str, ...]] = {}  # per definition
         self.defs: list[Sexpr] = []
         self.asserts: list[Sexpr] = []
         self.expect: Optional[str] = None
@@ -257,6 +260,7 @@ class _Reader:
             kind = "int" if psort == "Int" else "ptr"
             env[pname] = kind
             params.append(Param(pname, role, kind))
+        self.param_kinds[name] = tuple(p.kind for p in params)
 
         if not (isinstance(body, list) and body and body[0] == "or"):
             raise UnsupportedConstruct(_show(body))
@@ -318,6 +322,12 @@ class _Reader:
             return env.get(x.name) or self.const_kind[x.name]
         return "ptr"
 
+    def check_kind(self, x: Expr, kind: str, env: dict[str, str], what: str, e: Sexpr) -> None:
+        """Refuse a term of the other kind than its position takes."""
+        if self.kind_of(x, env) != kind:
+            want = "an Int" if kind == "int" else "a pointer"
+            raise SlcompError(f"{what} takes {want}, not {x}: {_show(e)}")
+
     def formula(
         self,
         e: Sexpr,
@@ -352,11 +362,17 @@ class _Reader:
             fields = tuple(self.term(v, env) for v in vals)
             if len(fields) != len(self.sort_fields[sort]):
                 raise SlcompError(f"{ctor} takes {len(self.sort_fields[sort])} fields")
+            self.check_kind(root, "ptr", env, "points-to root", e)
+            for (fname, ftype), x in zip(reg.sorts[sort].fields, fields):
+                kind = "int" if ftype == "int" else "ptr"
+                self.check_kind(x, kind, env, f"field {fname}", e)
             satoms.append(PointsTo(root, sort, fields))
         elif head == "distinct":
             args = [self.term(x, env) for x in e[1:]]
             if len(args) < 2:
                 raise SlcompError(f"bad distinct {_show(e)}")
+            if any(self.kind_of(x, env) == "int" for x in args):
+                raise UnsupportedConstruct(_show(e))  # no integer disequality
             for i in range(len(args)):
                 for j in range(i + 1, len(args)):
                     pures.append(PtrNeq(args[i], args[j]))
@@ -377,13 +393,11 @@ class _Reader:
             pures.append(ArithLeq(a, b) if head == "<=" else ArithLeq(b, a))
         elif isinstance(head, str) and (head == pred or head in reg.preds):
             args = tuple(self.term(x, env) for x in e[1:])
-            want = (
-                len(self.roles.get(pred, []))
-                if head == pred and head not in reg.preds
-                else len(reg.preds[head].params)
-            )
-            if len(args) != want:
-                raise SlcompError(f"{head} expects {want} arguments")
+            kinds = self.param_kinds[head]
+            if len(args) != len(kinds):
+                raise SlcompError(f"{head} expects {len(kinds)} arguments")
+            for i, (x, kind) in enumerate(zip(args, kinds)):
+                self.check_kind(x, kind, env, f"argument {i + 1} of {head}", e)
             satoms.append(PredOcc(head, args))
         else:
             raise UnsupportedConstruct(_show(e))

@@ -238,6 +238,23 @@ class TestBatch:
             "checked 2 files: 1 mismatches, 1 errors",
         ]
 
+    def test_ill_kinded_term_counts_as_error(self, tmp_path):
+        # an integer cell root: INVALID and then ORACLE-DISAGREES before the
+        # reader checked kinds
+        (tmp_path / "root.smt2").write_text(
+            (DATA / "ls_concat.smt2").read_text().replace(
+                "(assert (sep (ls x E) (ls E (as nil RefSll_t))))",
+                "(assert (sep (pto 5 (c_Sll_t E)) (ls x E)))",
+            )
+        )
+        code, lines = run("--input", str(tmp_path), "--oracle-check")
+        assert code == 2
+        assert lines == [
+            "root.smt2: ERROR (points-to root takes a pointer, not 5:"
+            " (pto 5 (c_Sll_t E)))",
+            "checked 1 files: 0 mismatches, 1 errors",
+        ]
+
     def test_dangling_symlink_counts_as_error(self, tmp_path, capsys):
         (tmp_path / "gone.sep").symlink_to(tmp_path / "missing.sep")
         (tmp_path / "wrong.sep").write_text(

@@ -13,6 +13,7 @@ import itertools
 import re
 import tracemalloc
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +28,7 @@ from sepent.defs import (
     RecBranch,
     Registry,
     Role,
+    SortDecl,
     base_of,
     existential_kinds,
 )
@@ -42,10 +44,12 @@ from sepent.oracle import (
     oracle_entails,
 )
 from sepent.parser import parse_native
+from sepent.slcomp import parse_slcomp
 from sepent.syntax import (
     ArithEq,
     ArithLeq,
     Entailment,
+    Expr,
     FreshNames,
     IntLit,
     NULL,
@@ -54,6 +58,7 @@ from sepent.syntax import (
     PredOcc,
     PtrEq,
     PtrNeq,
+    PureAtom,
     SymbolicHeap,
     Var,
 )
@@ -779,7 +784,7 @@ pred lsx(root r, seg F, src mi, tgt ma) :=
 )
 def test_unbound_existential_agrees_with_reference(sequent):
     pf = parse_native(LSX + f"\ncheck {sequent}\n")
-    assert pf.registry.pred("lsx").plan.unbound == ("m1",)
+    assert oracle._bindings(pf.registry.pred("lsx"))[1] == ("m1",)
     models = _assert_agrees(pf.query, pf.registry, SMALL)
     assert models
     assert any(ref_holds(m, pf.query.rhs, pf.registry, SMALL) for m in models)
@@ -870,3 +875,187 @@ def test_unshown_existential_models_are_told_apart():
     e, reg = _lsx_problem(LSX_CONCAT)
     keys = [m.key() for m in models_of(e.lhs, reg, Bound(4, 6))]
     assert len(keys) == len(set(keys)) == 3310
+
+
+# ------------------------------------------------- the step, compiled in one stage
+#
+# Definitions once carried an oracle-only view of their nonempty step, built
+# by `_cover_plan` below (then a method, hence `self`); the oracle now
+# compiles its step straight from the recursive branch. The plan is kept
+# verbatim as the reference the compiled steps must match.
+
+
+class CoverPlan(NamedTuple):
+    """How the oracle matches one nonempty step of a definition against a
+    heap cell, fixed by the definition alone."""
+
+    params: tuple[tuple[str, bool], ...]  # (name, is pointer) per parameter
+    sort: str  # of the head cell
+    # Per head field: its expression and the existential the cell's value
+    # binds there, or None when the field is checked against the values
+    # bound so far.
+    head: tuple[tuple[Expr, Optional[str]], ...]
+    unbound: tuple[str, ...]  # existentials no head field binds
+    side: tuple[PureAtom, ...]  # order atom, then the arithmetic atoms
+    pushed: tuple[PredOcc, ...]  # recursive occurrence, then the matrix reversed
+
+
+def _cover_plan(self) -> CoverPlan:
+    rb = self.rec
+    bound = {p.name for p in self.params}
+    ex = set(rb.exists)
+    head: list[tuple[Expr, Optional[str]]] = []
+    for e in rb.head.fields:
+        if isinstance(e, Var) and e.name in ex and e.name not in bound:
+            bound.add(e.name)
+            head.append((e, e.name))
+        else:
+            head.append((e, None))
+    return CoverPlan(
+        params=tuple((p.name, p.kind == "ptr") for p in self.params),
+        sort=rb.head.sort,
+        head=tuple(head),
+        unbound=tuple(w for w in rb.exists if w not in bound),
+        side=(() if rb.order is None else (rb.order,)) + rb.arith,
+        pushed=(rb.rec,) + rb.matrix[::-1],
+    )
+
+
+_LSX_REGISTRY = parse_native(LSX + "\ncheck emp |- emp\n").registry
+
+
+def _readable_registries():
+    """(name, registry) of every bundled input the readers accept that
+    defines a predicate."""
+    data = Path(__file__).parent / "data"
+    out = [("suite", make_registry()), ("LSX", _LSX_REGISTRY)]
+    for path in sorted(data.glob("*.sep")) + sorted(data.glob("*.smt2")):
+        read = parse_native if path.suffix == ".sep" else parse_slcomp
+        try:
+            reg = read(path.read_text()).registry
+        except ValueError:
+            continue  # outside the readers' fragment, such as wand.smt2
+        if reg.preds:
+            out.append((path.name, reg))
+    return out
+
+
+def _odd_heads_registry():
+    """Definitions outside the template that `holds` still compiles: head
+    cells with more and with fewer fields than their sort, an existential
+    named like a parameter, one bound twice among the head fields, one in
+    pure atoms only, and constants of both kinds among the head fields."""
+    sorts = {"c2": SortDecl("c2", (("next", "c2"), ("val", "int")))}
+    r, F, X, Y, d, u = (Var(n) for n in ("r", "F", "X", "Y", "d", "u"))
+    params = (Param("r", Role.ROOT), Param("F", Role.SEG), Param("u", Role.BORDER, "int"))
+
+    def define(name, exists, fields, arith=()):
+        rb = RecBranch(
+            exists=exists,
+            head=PointsTo(r, "c2", fields),
+            matrix=(),
+            rec=PredOcc(name, (X, F, u)),
+            order=None,
+            arith=arith,
+        )
+        return InductiveDef(name, params, rb)
+
+    preds = {
+        "longer": define("longer", ("X", "d", "Y"), (X, d, Y)),
+        "shorter": define("shorter", ("X", "d"), (X,), (ArithLeq(u, d),)),
+        "shadow": define("shadow", ("X", "u"), (X, u)),
+        "twice": define("twice", ("X",), (X, X)),
+        "consts": define("consts", ("X", "d"), (IntLit(1), NULL), (ArithEq(d, u),)),
+    }
+    return Registry(sorts, preds)
+
+
+_PLAN_REGISTRIES = _readable_registries() + [("odd-heads", _odd_heads_registry())]
+
+
+@pytest.mark.parametrize(
+    "reg", [reg for _, reg in _PLAN_REGISTRIES], ids=[name for name, _ in _PLAN_REGISTRIES]
+)
+def test_compiled_steps_match_the_cover_plan(reg):
+    for d in reg.preds.values():
+        plan = _cover_plan(d)
+        steps = {}
+        step = steps[d.name] = oracle._Step()
+        oracle._compile_step(step, d, reg, steps)
+        assert step.sort == plan.sort
+        assert step.params == tuple(name for name, _ in plan.params)
+        assert step.head == tuple(
+            (name, None if name is not None else oracle._operand(e, ftype != "int"))
+            for (_, ftype), (e, name) in zip(reg.sorts[plan.sort].fields, plan.head)
+        )
+        assert step.unbound == plan.unbound
+        assert oracle._bindings(d) == ([name for _, name in plan.head], plan.unbound)
+        assert step.side == tuple(oracle._compile(a) for a in plan.side)
+        assert step.pushed == tuple(oracle._compile_atom(m, reg, steps) for m in plan.pushed)
+        # parameter kinds: a constant argument compiles as its parameter's kind
+        for const in (NULL, IntLit(1)):
+            args = (Var("x"),) + (const,) * (len(d.params) - 1)
+            occ = oracle._compile_atom(PredOcc(d.name, args), reg, steps)
+            assert occ.args == tuple(
+                e.name if type(e) is Var else oracle._operand(e, ptr)
+                for (_, ptr), e in zip(plan.params, args)
+            )
+
+
+def test_odd_heads_bind_as_the_cover_plan_did():
+    reg = _odd_heads_registry()
+    unbound = {name: oracle._bindings(d)[1] for name, d in reg.preds.items()}
+    assert unbound == {
+        "longer": (),  # Y binds beyond the sort's two fields
+        "shorter": ("d",),
+        "shadow": (),  # u is the parameter
+        "twice": (),
+        "consts": ("X", "d"),
+    }
+    # Y is bound, but the cover reads only the sort's fields
+    satisfies = oracle._satisfaction(heap([PredOcc("longer", (x, y, a_))]), reg, SMALL)
+    model = HeapModel({"x": 1, "y": 0, "a": 2}, {1: Cell("c2", (0, 5))}, frozenset("xy"))
+    assert satisfies(model)
+
+
+_TERMS = [Var(n) for n in ("r", "F", "u", "X", "Y", "m")] + [NULL, IntLit(0)]
+
+
+@st.composite
+def definitions(draw):
+    """A definition over one sort with a registry holding both, template
+    or not: any roles, names, existentials, head arity and head terms. The
+    recursive occurrence has one argument per parameter, which
+    `existential_kinds` reads for the inner order source."""
+    names = [t.name for t in _TERMS if type(t) is Var]
+    kinds = draw(st.lists(st.sampled_from(("c", "int")), min_size=1, max_size=3))
+    sort = SortDecl("c", tuple((f"f{i}", k) for i, k in enumerate(kinds)))
+    params = tuple(
+        Param(draw(st.sampled_from(names)), role, draw(st.sampled_from(("ptr", "int"))))
+        for role in draw(st.lists(st.sampled_from(list(Role)), min_size=1, max_size=4))
+    )
+    exists = tuple(draw(st.lists(st.sampled_from(names), max_size=4)))
+    fields = tuple(draw(st.lists(st.sampled_from(_TERMS), max_size=4)))
+    args = tuple(draw(st.sampled_from(_TERMS)) for _ in params)
+    order = draw(
+        st.one_of(st.none(), st.builds(ArithLeq, st.sampled_from(_TERMS), st.sampled_from(_TERMS)))
+    )
+    rb = RecBranch(exists, PointsTo(Var("r"), "c", fields), (), PredOcc("p", args), order, ())
+    d = InductiveDef("p", params, rb)
+    return d, Registry({"c": sort}, {"p": d})
+
+
+@settings(max_examples=300, deadline=None)
+@given(definitions())
+@example((_LSX_REGISTRY.pred("lsx"), _LSX_REGISTRY))
+def test_unbound_existentials_are_never_pointers(problem):
+    # The oracle once raised "existential w not determined by head cell"
+    # for an unbound existential that existential_kinds called a pointer.
+    # A head field names every existential it gives a kind, and the first
+    # such field binds it unless a parameter has, so the error was dead.
+    d, reg = problem
+    plan = _cover_plan(d)
+    assert oracle._bindings(d)[1] == plan.unbound
+    kinds = existential_kinds(d, reg)
+    for w in plan.unbound:
+        assert kinds.get(w, "int") == "int"

@@ -211,6 +211,69 @@ class TestRejections:
             parse_slcomp(text)
 
 
+
+# Each term in a position of the other kind, as the native parser refuses
+# it: an integer where a pointer goes (cell root, pointer field, pointer
+# argument) and nil where an Int goes (Int field, Int argument).
+_ILL_KINDED_DEFINITIONS = [
+    ("(pto r (c_Sll_t X m1))", "(pto 5 (c_Sll_t X m1))", "points-to root takes a pointer, not 5"),
+    ("(pto r (c_Sll_t X m1))", "(pto mi (c_Sll_t X m1))", "points-to root takes a pointer, not mi"),
+    ("(pto r (c_Sll_t X m1))", "(pto r (c_Sll_t 5 m1))", "field next takes a pointer, not 5"),
+    ("(pto r (c_Sll_t X m1))", "(pto r (c_Sll_t m1 m1))", "field next takes a pointer, not m1"),
+    ("(pto r (c_Sll_t X m1))", "(pto r (c_Sll_t X nil))", "field val takes an Int, not null"),
+    ("(pto r (c_Sll_t X m1))", "(pto r (c_Sll_t X X))", "field val takes an Int, not X"),
+    ("(lls X F m1 ma)", "(lls 5 F m1 ma)", "argument 1 of lls takes a pointer, not 5"),
+    ("(lls X F m1 ma)", "(lls X ma m1 ma)", "argument 2 of lls takes a pointer, not ma"),
+    ("(lls X F m1 ma)", "(lls X F nil ma)", "argument 3 of lls takes an Int, not null"),
+    ("(llb X F b)", "(llb X F (as nil RefSll_t))", "argument 3 of llb takes an Int, not null"),
+]
+
+
+@pytest.mark.parametrize("old,new,msg", _ILL_KINDED_DEFINITIONS)
+def test_ill_kinded_term_in_a_definition(old, new, msg):
+    assert old in GOLDEN
+    with pytest.raises(SlcompError) as exc:
+        parse_slcomp(GOLDEN.replace(old, new, 1))
+    assert str(exc.value) == f"{msg}: {new}"
+
+
+# The golden query with a cell in its premise.
+_CELL = "(pto x (c_Sll_t x mi))"
+_CELL_QUERY = GOLDEN.replace("(distinct x (as nil RefSll_t))", _CELL)
+_LLS = "(lls x (as nil RefSll_t) mi ma)"
+_LLB = "(llb x (as nil RefSll_t) mi)"
+
+
+@pytest.mark.parametrize(
+    "old,new,msg",
+    [
+        (_CELL, "(pto 5 (c_Sll_t x mi))", "points-to root takes a pointer, not 5"),
+        (_CELL, "(pto ma (c_Sll_t x mi))", "points-to root takes a pointer, not ma"),
+        (_CELL, "(pto x (c_Sll_t 5 mi))", "field next takes a pointer, not 5"),
+        (_CELL, "(pto x (c_Sll_t ma mi))", "field next takes a pointer, not ma"),
+        (_CELL, "(pto x (c_Sll_t x nil))", "field val takes an Int, not null"),
+        (_LLS, "(lls 5 nil mi ma)", "argument 1 of lls takes a pointer, not 5"),
+        (_LLS, "(lls x mi mi ma)", "argument 2 of lls takes a pointer, not mi"),
+        (_LLS, "(lls x nil nil ma)", "argument 3 of lls takes an Int, not null"),
+        (_LLB, "(llb x nil nil)", "argument 3 of llb takes an Int, not null"),
+    ],
+)
+def test_ill_kinded_term_in_the_query(old, new, msg):
+    pf = parse_slcomp(_CELL_QUERY)
+    assert str(pf.query.lhs) == "lls(x, null, mi, ma) * x->Sll_t(x, mi)"
+    assert old in _CELL_QUERY
+    with pytest.raises(SlcompError) as exc:
+        parse_slcomp(_CELL_QUERY.replace(old, new, 1))
+    assert str(exc.value) == f"{msg}: {new}"
+
+
+@pytest.mark.parametrize("where", ["(distinct r F)", "(distinct x (as nil RefSll_t))"])
+def test_integer_disequality_is_unsupported(where):
+    # the fragment has pointer disequalities only
+    with pytest.raises(UnsupportedConstruct) as exc:
+        parse_slcomp(GOLDEN.replace(where, "(distinct mi ma)", 1))
+    assert exc.value.construct == "(distinct mi ma)"
+
 @pytest.mark.parametrize(
     "text,forms",
     [
