@@ -114,12 +114,6 @@ class Registry:
         default=None, init=False, repr=False, compare=False
     )
 
-    def sort_of(self, name: str) -> SortDecl:
-        return self.sorts[name]
-
-    def pred(self, name: str) -> InductiveDef:
-        return self.preds[name]
-
 
 def _expr_name(e: Expr) -> Optional[str]:
     return e.name if isinstance(e, Var) else None
@@ -314,31 +308,17 @@ def shape_problems(heap: SymbolicHeap, reg: Registry) -> list[str]:
     return out
 
 
-def existential_kinds(d: InductiveDef, reg: Registry) -> dict[str, Kind]:
-    """Sort of each existential, read off the head cell (src existential is int)."""
-    kinds: dict[str, Kind] = {}
-    decl = reg.sorts[d.rec.head.sort]
-    ex = set(d.rec.exists)
-    for (_, ftype), e in zip(decl.fields, d.rec.head.fields):
-        if isinstance(e, Var) and e.name in ex:
-            kinds[e.name] = "int" if ftype == "int" else "ptr"
-    src_ex = d.src_existential()
-    if src_ex is not None:
-        kinds.setdefault(src_ex, "int")
-    return kinds
-
-
 # -------------------------------------------------------------------- unfolding
 
 
 def seg_of(occ: PredOcc, reg: Registry) -> Expr:
     """The occurrence's segment argument."""
-    return occ.args[reg.pred(occ.pred).seg_index]
+    return occ.args[reg.preds[occ.pred].seg_index]
 
 
 def order_of(occ: PredOcc, reg: Registry) -> Optional[tuple[Expr, Expr]]:
     """The occurrence's (src, tgt) arguments, or None without an order pair."""
-    pair = reg.pred(occ.pred).order_pair
+    pair = reg.preds[occ.pred].order_pair
     return None if pair is None else (occ.args[pair[0]], occ.args[pair[1]])
 
 
@@ -359,14 +339,14 @@ def rec_instance(
     Returns (spatial atoms, pure atoms, substitution used). The recursive
     occurrence carries occ.unfold + 1 and matrix occurrences carry 0.
     """
-    d = reg.pred(occ.pred)
+    d = reg.preds[occ.pred]
     sub: dict[str, Expr] = dict(zip(d.param_names(), occ.args))
     for w in d.rec.exists:
         sub[w] = Var(fresh.make(w))
     head = d.rec.head.subst(sub)
     matrix = tuple(m.subst(sub).with_unfold(0) for m in d.rec.matrix)
     rec = d.rec.rec.subst(sub).with_unfold(occ.unfold + 1)
-    pure: list[PureAtom] = [PtrNeq(occ.root, seg_of(occ, reg))]
+    pure: list[PureAtom] = [guard_of(occ, reg)]
     if d.rec.order is not None:
         pure.append(subst_atom(d.rec.order, sub))
     pure.extend(subst_atom(a, sub) for a in d.rec.arith)
@@ -432,7 +412,7 @@ def _materialize(
     pure: list[PureAtom],
     active: frozenset[str],
 ) -> None:
-    d = reg.pred(occ.pred)
+    d = reg.preds[occ.pred]
     sub: dict[str, Expr] = dict(zip(d.param_names(), occ.args))
     rec_root = d.rec.rec.root
     assert isinstance(rec_root, Var)
@@ -460,7 +440,7 @@ def _materialize(
             sub[root.name] = Var(fresh.make(root.name))
 
     spatial.append(d.rec.head.subst(sub))
-    pure.append(PtrNeq(occ.root, seg_of(occ, reg)))
+    pure.append(guard_of(occ, reg))
     if d.rec.order is not None:
         pure.append(subst_atom(d.rec.order, sub))
     pure.extend(subst_atom(a, sub) for a in d.rec.arith)

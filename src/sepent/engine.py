@@ -47,7 +47,7 @@ from .normalize import Edge, RuleChoice, case_split, in_place, spliced_fwd
 from .normalize import normalize_step  # perfbench/tracer.py wraps it here
 # perfbench/tracer.py wraps these two by name here; the engine calls neither
 from .normalize import lbase_site, subst_site  # noqa: F401
-from .oracle import Cell, HeapModel, OracleError, holds, kinds_of
+from .oracle import Cell, HeapModel, OracleError, confirm_countermodel, holds, kinds_of
 from .syntax import (
     ArithEq,
     Entailment,
@@ -58,7 +58,6 @@ from .syntax import (
     PointsTo,
     PredOcc,
     PtrEq,
-    PtrNeq,
     PureAtom,
     SpatialAtom,
     SymbolicHeap,
@@ -228,7 +227,7 @@ def _reaches(atom: SpatialAtom, e: Expr, reg: Registry) -> bool:
     occurrence, or any pointer field of a cell."""
     if isinstance(atom, PredOcc):
         return seg_of(atom, reg) == e
-    decl = reg.sort_of(atom.sort)
+    decl = reg.sorts[atom.sort]
     return any(
         f == e for (_, ft), f in zip(decl.fields, atom.fields) if ft != "int"
     )
@@ -376,9 +375,9 @@ def _rind(ent: Entailment, reg: Registry, fresh: FreshNames) -> Optional[RuleCho
         cell = ent.lhs.atom_at_root(x)
         if not isinstance(cell, PointsTo):
             continue
-        if cell.sort != reg.pred(occ.pred).rec.head.sort:
+        if cell.sort != reg.preds[occ.pred].rec.head.sort:
             continue
-        if not pure_solver.entails(ent.lhs.pure, PtrNeq(x, seg_of(occ, reg))):
+        if not pure_solver.entails(ent.lhs.pure, guard_of(occ, reg)):
             continue
         if any(isinstance(b, PointsTo) and b.root == x for b in ent.rhs.spatial):
             continue
@@ -470,7 +469,7 @@ def _lind(ent: Entailment, reg: Registry, fresh: FreshNames) -> Optional[RuleCho
         at = _occ_at(ent.lhs, occ.root)
         if at is None:
             continue
-        if not pure_solver.entails(ent.lhs.pure, PtrNeq(occ.root, seg_of(occ, reg))):
+        if not pure_solver.entails(ent.lhs.pure, guard_of(occ, reg)):
             continue
         i, a = at
         rest = [b for t, b in enumerate(ent.rhs.spatial) if t != j]
@@ -830,6 +829,20 @@ def _val(e: Expr, stack: dict[str, int]) -> int:
     return stack[e.name]
 
 
+def _place(
+    cells: Sequence[SpatialAtom], stack: dict[str, int], heap: dict[int, Cell]
+) -> bool:
+    """Put each cell into `heap` at its root's value; False at a null root
+    or at a location already taken."""
+    for atom in cells:
+        assert isinstance(atom, PointsTo)
+        loc = _val(atom.root, stack)
+        if loc == 0 or loc in heap:
+            return False
+        heap[loc] = Cell(atom.sort, tuple(_val(f, stack) for f in atom.fields))
+    return True
+
+
 def bad_model(heap: SymbolicHeap, reg: Registry) -> HeapModel:
     """A concrete model of a base formula in normal form: each class of
     pointer variables that the pure part equates gets its own location, 0
@@ -843,12 +856,8 @@ def bad_model(heap: SymbolicHeap, reg: Registry) -> HeapModel:
     stack = dict(pure_solver.pointer_model(heap.pure, ptr_names))
     stack.update(pure_solver.arith_model(heap.pure, int_names))
     cells: dict[int, Cell] = {}
-    for atom in heap.spatial:
-        assert isinstance(atom, PointsTo)
-        loc = _val(atom.root, stack)
-        if loc == 0 or loc in cells:
-            raise OracleError("input is not a separated base formula in NF")
-        cells[loc] = Cell(atom.sort, tuple(_val(f, stack) for f in atom.fields))
+    if not _place(heap.spatial, stack, cells):
+        raise OracleError("input is not a separated base formula in NF")
     model = HeapModel(stack, cells, frozenset(ptr_names))
     if not holds(model, heap, reg):
         raise OracleError("bad_model construction failed its own check")
@@ -887,7 +896,7 @@ def _add_peeled(
     needed: list[tuple[str, str]] = []
     for atom in cells:
         assert isinstance(atom, PointsTo)
-        decl = reg.sort_of(atom.sort)
+        decl = reg.sorts[atom.sort]
         if isinstance(atom.root, Var):
             needed.append((atom.root.name, "ptr"))
         for (_, ft), f in zip(decl.fields, atom.fields):
@@ -895,12 +904,8 @@ def _add_peeled(
                 needed.append((f.name, "int" if ft == "int" else "ptr"))
     stack, ptrs = _fresh_values(needed, model)
     heap = dict(model.heap)
-    for atom in cells:
-        assert isinstance(atom, PointsTo)
-        loc = _val(atom.root, stack)
-        if loc == 0 or loc in heap:
-            return None
-        heap[loc] = Cell(atom.sort, tuple(_val(f, stack) for f in atom.fields))
+    if not _place(cells, stack, heap):
+        return None
     return HeapModel(stack, heap, frozenset(ptrs))
 
 
@@ -950,9 +955,7 @@ def _lift_counter(
         frozenset(n for n in m.ptr_vars if n in names),
     )
     m = _complete_stack(m, root, reg)
-    if holds(m, root.lhs, reg) and not holds(m, root.rhs, reg):
-        return m
-    return None
+    return m if confirm_countermodel(m, root, reg) else None
 
 
 def _leaf_witness(

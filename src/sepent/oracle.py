@@ -118,7 +118,7 @@ class HeapModel:
             lines.append("heap:  (empty)")
         for l in sorted(self.heap):
             cell = self.heap[l]
-            decl = reg.sort_of(cell.sort)
+            decl = reg.sorts[cell.sort]
             vals = [
                 str(v) if ftype == "int" else loc(v)
                 for (_, ftype), v in zip(decl.fields, cell.values)
@@ -466,11 +466,11 @@ def kinds_of(heap: SymbolicHeap, reg: Registry) -> dict[str, Kind]:
     for atom in heap.spatial:
         if isinstance(atom, PointsTo):
             note(atom.root, "ptr")
-            decl = reg.sort_of(atom.sort)
+            decl = reg.sorts[atom.sort]
             for (_, ftype), e in zip(decl.fields, atom.fields):
                 note(e, "int" if ftype == "int" else "ptr")
         else:
-            d = reg.pred(atom.pred)
+            d = reg.preds[atom.pred]
             for p, a in zip(d.params, atom.args):
                 note(a, p.kind)
     for a in heap.pure:

@@ -415,6 +415,8 @@ class _Parser:
                 self.next()
                 query = self.query()
             elif t.text == "expect":
+                if expect is not None:
+                    raise self.err("a file holds at most one expect line")
                 self.next()
                 w = self.next()
                 if w.text not in ("valid", "invalid"):

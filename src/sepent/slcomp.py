@@ -18,9 +18,10 @@ parameter roles from comment lines
 
 one per predicate.  As in the native format, a term in a position of the
 other kind (an integer as a cell root, nil as an Int argument) raises
-SlcompError.  Anything outside the subset raises UnsupportedConstruct
-naming the offending s-expression; a definition without a roles line
-raises RoleAnnotationMissing.
+SlcompError, and so does a second declaration of a predicate, sort,
+constructor, constant or address sort.  Anything outside the subset
+raises UnsupportedConstruct naming the offending s-expression; a
+definition without a roles line raises RoleAnnotationMissing.
 """
 
 from __future__ import annotations
@@ -79,6 +80,12 @@ def _need(ok: object, what: str, e: Sexpr) -> None:
         raise SlcompError(f"bad {what} {_show(e)}")
 
 
+def _refuse_redeclared(name: str, declared: dict, what: str) -> None:
+    """Refuse a second declaration of `name`; `declared` holds the first ones."""
+    if name in declared:
+        raise SlcompError(f"{what} {name} redeclared")
+
+
 def _pairs(e: Sexpr, second: type = str) -> bool:
     """Is `e` a list of (symbol x) pairs with x a `second`?"""
     return isinstance(e, list) and all(
@@ -91,44 +98,35 @@ def _pairs(e: Sexpr, second: type = str) -> bool:
 # ------------------------------------------------------------------ reading
 
 
+# One token per match: a comment, blanks, a parenthesis, a |quoted| symbol,
+# a '|' that opens no quoted symbol, an integer, or any other atom.
+_SEXPR_TOKEN = re.compile(
+    r";[^\n]*|\s+|(?P<open>\()|(?P<close>\))|\|(?P<quoted>[^|]*)\||(?P<lone>\|)"
+    r"|(?P<int>-?\d+(?![^\s();]))|(?P<atom>[^\s();|][^\s();]*)"
+)
+
+
 def _read_all(text: str) -> list[Sexpr]:
     """The S-expressions of `text`. A |quoted| symbol is always a symbol,
     even when it reads like a parenthesis or a number."""
     out: list[Sexpr] = []
     stack: list[list] = []
-
-    def put(x: Sexpr) -> None:
-        (stack[-1] if stack else out).append(x)
-
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif c == "(":
+    for m in _SEXPR_TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        if kind == "open":
             stack.append([])
-            i += 1
-        elif c == ")":
+            continue
+        if kind == "close":
             if not stack:
                 raise SlcompError("unbalanced ')'")
-            put(stack.pop())
-            i += 1
-        elif c.isspace():
-            i += 1
-        elif c == "|":
-            j = text.find("|", i + 1)
-            if j < 0:
-                raise SlcompError("unterminated |..| symbol")
-            put(text[i + 1 : j])
-            i = j + 1
+            x: Sexpr = stack.pop()
+        elif kind == "lone":
+            raise SlcompError("unterminated |..| symbol")
         else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "();":
-                j += 1
-            t = text[i:j]
-            put(int(t) if re.fullmatch(r"-?\d+", t) else t)
-            i = j
+            x = int(m.group()) if kind == "int" else m.group(kind)
+        (stack[-1] if stack else out).append(x)
     if stack:
         raise SlcompError("unbalanced '('")
     return out
@@ -169,7 +167,9 @@ class _Reader:
             if head in ("set-logic", "check-sat", "exit", "declare-heap"):
                 if head == "declare-heap":
                     _need(_pairs(form[1:]), "heap declaration", form)
-                    self.heap_map.update(form[1:])
+                    for ref, record in form[1:]:
+                        _refuse_redeclared(ref, self.heap_map, "address sort")
+                        self.heap_map[ref] = record
             elif head == "set-info":
                 if len(form) == 3 and form[1] == ":status" and isinstance(form[2], str):
                     self.expect = {"unsat": "valid", "sat": "invalid"}.get(form[2])
@@ -190,6 +190,7 @@ class _Reader:
                     self.datatype(name, body)
             elif head == "declare-const":
                 _need(len(form) == 3 and isinstance(form[1], str), "constant", form)
+                _refuse_redeclared(form[1], self.const_kind, "constant")
                 self.const_kind[form[1]] = "int" if form[2] == "Int" else "ptr"
             elif head == "define-fun-rec":
                 self.defs.append(form)
@@ -208,6 +209,8 @@ class _Reader:
             and _pairs(ctor[1:]),
             "constructor", ctor,
         )
+        _refuse_redeclared(name, self.sort_fields, "sort")
+        _refuse_redeclared(ctor[0], self.ctor_sort, "constructor")
         self.ctor_sort[ctor[0]] = name
         self.sort_fields[name] = [(f, t) for f, t in ctor[1:]]
 
@@ -242,6 +245,7 @@ class _Reader:
             raise UnsupportedConstruct(_show(form))
         _, name, sig, _, body = form
         _need(isinstance(name, str) and _pairs(sig), "definition header", form[:3])
+        _refuse_redeclared(name, reg.preds, "predicate")
         role_words = self.roles.get(name)
         if role_words is None:
             raise RoleAnnotationMissing(name)

@@ -10,8 +10,9 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import disjunction_equivalent, make_registry, parse_query
+from conftest import disjunction_equivalent, entailments, make_registry, parse_query
 from sepent.cli import run_cli
 from sepent.engine import Edge, check_cyclic_soundness, prove
 from sepent.export import export_proof
@@ -100,6 +101,23 @@ def test_suite_agreement_with_oracle(reg, suite_runs):
         f"suite agreement: PASS  {len(runs)} cases, 100% agreement, "
         f"{confirmed} countermodels confirmed, {total:.2f} s"
     )
+
+
+GENERATED_BOUND = Bound(max_unfold=2, max_locs=4, data_min=-1, data_max=3)
+
+
+@given(entailments(lhs_atoms=4, rhs_atoms=3))
+@settings(max_examples=150, deadline=None)
+def test_engine_agrees_with_oracle_on_generated_inputs(e):
+    """Beyond the curated suite: a VALID verdict holds in every model up to
+    the bound, and every countermodel the engine gives refutes the input
+    there. A counterexample found here becomes a named suite case."""
+    reg = make_registry()
+    verdict = prove(e, reg, node_budget=3000)
+    if verdict.valid:
+        assert oracle_entails(e, reg, GENERATED_BOUND).bounded_valid
+    if verdict.counter is not None:
+        assert confirm_countermodel(verdict.counter, e, reg, GENERATED_BOUND)
 
 
 def test_unfolding_numbers_stay_within_two(suite_runs):

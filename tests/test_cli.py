@@ -255,6 +255,18 @@ class TestBatch:
             "checked 1 files: 0 mismatches, 1 errors",
         ]
 
+    def test_redeclaration_counts_as_error(self, tmp_path):
+        # the reader once kept the later of two definitions of ls
+        text = (DATA / "ls_concat.smt2").read_text()
+        ls = text[text.index("(define-fun-rec") : text.index("(declare-const")]
+        (tmp_path / "twice.smt2").write_text(text.replace(ls, ls + ls.replace("X", "Y")))
+        code, lines = run("--input", str(tmp_path))
+        assert code == 2
+        assert lines == [
+            "twice.smt2: ERROR (predicate ls redeclared)",
+            "checked 1 files: 0 mismatches, 1 errors",
+        ]
+
     def test_dangling_symlink_counts_as_error(self, tmp_path, capsys):
         (tmp_path / "gone.sep").symlink_to(tmp_path / "missing.sep")
         (tmp_path / "wrong.sep").write_text(

@@ -14,7 +14,6 @@ from sepent.defs import (
     SortDecl,
     base_instance,
     check_wellformed,
-    existential_kinds,
     known_problems,
     rec_instance,
 )
@@ -88,7 +87,7 @@ def test_matrix_root_must_be_head_field(registry):
             arith=(),
         ),
     )
-    reg = Registry(sorts=dict(registry.sorts), preds={"ll": registry.pred("ll"), "q": bad})
+    reg = Registry(sorts=dict(registry.sorts), preds={"ll": registry.preds["ll"], "q": bad})
     problems = check_wellformed(reg)
     assert any("C2" in p for p in problems)
 
@@ -135,14 +134,6 @@ def test_lls_base_branch_equates_order_pair(registry):
     occ = PredOcc("lls", (Var("x"), Var("y"), Var("mi"), Var("ma")))
     base = base_instance(occ, registry)
     assert len(base) == 2  # x=y plus mi=ma
-
-
-def test_existential_kinds(registry):
-    d = registry.pred("lls")
-    kinds = existential_kinds(d, registry)
-    assert kinds == {"X": "ptr", "m1": "int"}
-    d = registry.pred("nll")
-    assert existential_kinds(d, registry) == {"X": "ptr", "Z": "ptr"}
 
 
 LAYOUT_NAMES = {"seg_index", "order_pair", "index_of_role", "Role"}

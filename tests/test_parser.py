@@ -282,6 +282,8 @@ DIAGNOSTICS = [
      2, 90, "p: need the base branch and one recursive branch"),
     ("bad_expect", NATIVE_CORPUS + "check emp |- emp\nexpect maybe\n",
      44, 8, "expect takes 'valid' or 'invalid'"),
+    ("two_expects", NATIVE_CORPUS + "check emp |- emp\nexpect valid\nexpect invalid\n",
+     45, 1, "a file holds at most one expect line"),
     ("pure_only_without_emp", NATIVE_CORPUS + "check x!=null |- emp\n",
      43, 7, "expected a cell, a predicate occurrence, or emp"),
     ("body_unknown_predicate",

@@ -2,9 +2,12 @@
 resolution, role comments, and rejection of out-of-scope constructs."""
 
 import random
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import parse_query
 from sepent.defs import Role
@@ -274,6 +277,31 @@ def test_integer_disequality_is_unsupported(where):
         parse_slcomp(GOLDEN.replace(where, "(distinct mi ma)", 1))
     assert exc.value.construct == "(distinct mi ma)"
 
+# A second declaration of a name is refused where it stands, as the native
+# parser refuses one; the reader once kept the later declaration, or failed
+# further on with a message about its consequence.
+_LAST_DECLARATION = "(declare-const E RefSll_t)"
+_LS = LS_CONCAT[LS_CONCAT.index("(define-fun-rec") : LS_CONCAT.index("(declare-const")]
+
+
+@pytest.mark.parametrize(
+    "again,msg",
+    [
+        (_LS.replace("X", "Y"), "predicate ls redeclared"),
+        ("(declare-datatype Sll_t ((c_Other (next RefSll_t) (val Int))))", "sort Sll_t redeclared"),
+        ("(declare-datatype Other ((c_Sll_t (next RefSll_t))))", "constructor c_Sll_t redeclared"),
+        ("(declare-const E Int)", "constant E redeclared"),
+        ("(declare-heap (RefSll_t Sll_t))", "address sort RefSll_t redeclared"),
+    ],
+    ids=["predicate", "sort", "constructor", "constant", "address-sort"],
+)
+def test_redeclaration_is_refused(again, msg):
+    text = LS_CONCAT.replace(_LAST_DECLARATION, f"{_LAST_DECLARATION}\n{again}")
+    with pytest.raises(SlcompError) as exc:
+        parse_slcomp(text)
+    assert str(exc.value) == msg
+
+
 @pytest.mark.parametrize(
     "text,forms",
     [
@@ -285,6 +313,71 @@ def test_integer_disequality_is_unsupported(where):
 def test_quoted_symbols(text, forms):
     """A |quoted| symbol reads as a symbol, never as structure or a number."""
     assert _read_all(text) == forms
+
+
+# The character-by-character reader that `_read_all` replaced, kept
+# verbatim as the reference it must match, values and errors alike.
+def _ref_read_all(text: str):
+    out = []
+    stack = []
+
+    def put(x):
+        (stack[-1] if stack else out).append(x)
+
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c == ";":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+        elif c == "(":
+            stack.append([])
+            i += 1
+        elif c == ")":
+            if not stack:
+                raise SlcompError("unbalanced ')'")
+            put(stack.pop())
+            i += 1
+        elif c.isspace():
+            i += 1
+        elif c == "|":
+            j = text.find("|", i + 1)
+            if j < 0:
+                raise SlcompError("unterminated |..| symbol")
+            put(text[i + 1 : j])
+            i = j + 1
+        else:
+            j = i
+            while j < len(text) and not text[j].isspace() and text[j] not in "();":
+                j += 1
+            t = text[i:j]
+            put(int(t) if re.fullmatch(r"-?\d+", t) else t)
+            i = j
+    if stack:
+        raise SlcompError("unbalanced '('")
+    return out
+
+
+def _read_outcome(read, text):
+    try:
+        return read(text)
+    except SlcompError as e:
+        return f"SlcompError: {e}"
+
+
+_PIECES = ["(", ")", "|", ";", " ", "\n", "\t", "\x1c", "\u3000", "x", "ab", "-", "-12", "7", "0x", "\u0663"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.lists(st.sampled_from(_PIECES), max_size=30).map("".join), st.text()))
+def test_reader_matches_reference(text):
+    assert _read_outcome(_read_all, text) == _read_outcome(_ref_read_all, text)
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.smt2")), ids=lambda p: p.name)
+def test_reader_matches_reference_on_bundled_files(path):
+    text = path.read_text()
+    assert _read_all(text) == _ref_read_all(text)
 
 
 @pytest.mark.parametrize(
