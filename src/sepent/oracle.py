@@ -17,6 +17,16 @@ every definition step it reaches, becomes a variable to look up or a
 constant. `oracle_entails` compiles its right side once for all the models
 it checks.
 
+It walks that right side once per pointer shape, not once per model
+(partial evaluation). The models of one unfolding that give its pointer
+variables the same values differ only in data, so the walk runs over the
+shape with each data value left as its variable's name. It ends in False
+or in the comparisons it could not decide, which each model of the shape
+is then checked against. Where the walk needs the data to go on (a choice
+point, a name in a root or segment position, a failed lookup), and for a
+model that shows no data, the models are checked one by one, so every
+error is raised where the model-by-model check raises it.
+
 Model enumeration is canonical: allocated cells take locations 1..n in
 expansion order and dangling values use fresh locations in first-use order,
 so isomorphic models come out as one. Two unfoldings never yield the same
@@ -74,6 +84,18 @@ class Bound:
     data_min: int = -3
     data_max: int = 6
 
+    def __post_init__(self) -> None:
+        # An ill-formed bound leaves out models that every well-formed one
+        # keeps, so an invalid entailment could come out bounded-valid.
+        if self.max_unfold < 0:
+            raise ValueError(f"max_unfold must be at least 0, not {self.max_unfold}")
+        if self.max_locs < 0:
+            raise ValueError(f"max_locs must be at least 0, not {self.max_locs}")
+        if self.data_min > self.data_max:
+            raise ValueError(
+                f"data_min {self.data_min} is above data_max {self.data_max}"
+            )
+
     def data_range(self) -> range:
         return range(self.data_min, self.data_max + 1)
 
@@ -128,6 +150,10 @@ class HeapModel:
 
 
 Env = dict[str, int]
+
+# A value in a model; in a pointer shape, a data value can be the name of
+# the premise variable that holds it.
+Value = Union[int, str]
 
 
 # ---------------------------------------------------------------- compiled terms
@@ -313,45 +339,99 @@ def _compile_step(step: _Step, d: InductiveDef, reg: Registry, steps: dict[str, 
 # (atom, env, rest) triples, so a choice point keeps its continuation as is.
 Pending = Optional[tuple]
 
+# A heap compiled for the cover check: its pure atoms, and its spatial atoms
+# in reverse order, ready to push onto the pending list.
+_Compiled = tuple[tuple[Check, ...], list[Union[_Cell, _Occ]]]
+
+
+def _compile_heap(heap: SymbolicHeap, reg: Registry) -> _Compiled:
+    steps: dict[str, _Step] = {}
+    return (
+        tuple([_compile(a) for a in heap.pure]),
+        [_compile_atom(a, reg, steps) for a in reversed(heap.spatial)],
+    )
+
 
 def holds(
     model: HeapModel, heap: SymbolicHeap, reg: Registry, bound: Bound = DEFAULT_BOUND
 ) -> bool:
     """Does the model satisfy the symbolic heap (exact heap cover)?  The
     heap is compiled for this one call."""
-    return _satisfaction(heap, reg, bound)(model)
+    return _holds(_compile_heap(heap, reg), model, bound)
 
 
-def _satisfaction(
-    heap: SymbolicHeap, reg: Registry, bound: Bound
-) -> Callable[[HeapModel], bool]:
-    """`holds` against the heap, compiled once for any number of models."""
-    pure = tuple([_compile(a) for a in heap.pure])
-    steps: dict[str, _Step] = {}
-    spatial = [_compile_atom(a, reg, steps) for a in reversed(heap.spatial)]
+def _holds(heap: _Compiled, model: HeapModel, bound: Bound) -> bool:
+    """`holds` against a compiled heap."""
+    try:
+        return _covers(heap, model.stack, model.heap, bound, None)
+    except KeyError as e:
+        raise _lookup_error(e.args[0]) from None
 
-    def check(model: HeapModel) -> bool:
-        env = model.stack
-        if not _all_hold(pure, env):
+
+class _Undecided(Exception):
+    """The walk over a pointer shape met what only a concrete model decides."""
+
+
+def _residual(
+    heap: _Compiled, shape: HeapModel, bound: Bound
+) -> Union[bool, tuple[Check, ...], None]:
+    """The heap walked over a pointer shape, a model whose data values are
+    the names of premise variables: False when no model of the shape
+    satisfies the heap, else the comparisons a model of the shape must
+    pass to satisfy it, or None when the walk cannot tell without the
+    data."""
+    residual: list[Check] = []
+    try:
+        if not _covers(heap, shape.stack, shape.heap, bound, residual):
             return False
-        pending: Pending = None
-        for a in spatial:
-            pending = (a, env, pending)
-        return _covers(model, pending, bound)
-
-    return check
+    except (KeyError, _Undecided):
+        return None
+    return tuple(residual)
 
 
-def _data_hint(model: HeapModel, bound: Bound) -> tuple[int, ...]:
+def _decide(
+    checks: tuple[Check, ...], env: dict[str, Value], residual: Optional[list[Check]]
+) -> bool:
+    """`_all_hold` within the cover walk: a comparison of two ints is
+    decided, one involving a name is appended to `residual`. Lookups
+    raise KeyError."""
+    for op, lhs, rhs in checks:
+        u = lhs if type(lhs) is int else env[lhs]
+        v = rhs if type(rhs) is int else env[rhs]
+        if type(u) is int and type(v) is int:
+            if not op(u, v):
+                return False
+        else:
+            residual.append((op, u, v))
+    return True
+
+
+def _differ(u: Value, v: Value, residual: Optional[list[Check]]) -> bool:
+    """Given u != v, do the two differ in every model?  Two ints do; an
+    equality with a name in it is appended to `residual` instead."""
+    if type(u) is int and type(v) is int:
+        return True
+    residual.append((operator.eq, u, v))
+    return False
+
+
+def _data_hint(stack: Env, cells: dict[int, Cell], bound: Bound) -> tuple[int, ...]:
     vals = set(bound.data_range())
-    vals.update(model.stack.values())
-    for c in model.heap.values():
+    vals.update(stack.values())
+    for c in cells.values():
         vals.update(c.values)
     return tuple(sorted(vals))
 
 
-def _covers(model: HeapModel, pending: Pending, bound: Bound) -> bool:
-    """Do the pending atoms cover the model's heap exactly?
+def _covers(
+    heap: _Compiled,
+    stack: dict[str, Value],
+    cells: dict[int, Cell],
+    bound: Bound,
+    residual: Optional[list[Check]],
+) -> bool:
+    """Does the model with this stack and these cells satisfy the heap
+    (exact heap cover)?  Lookups raise KeyError.
 
     An occurrence whose root equals its segment can only take its empty
     branch, which reads nothing but the root, the segment and the order
@@ -359,97 +439,116 @@ def _covers(model: HeapModel, pending: Pending, bound: Bound) -> bool:
     only choice points are existentials the head cell leaves unbound; their
     alternatives wait on an explicit stack, and a failure resumes the latest
     one after giving back the cells consumed since.
+
+    On a concrete model `residual` is None. On a pointer shape it is a list:
+    a comparison with a name in it is appended there and taken to hold, and
+    a name in a root or segment position or a choice point raises
+    `_Undecided`. Without choice points the walk fails at its first false
+    comparison, so on any model of the shape it answers as it does here
+    with the residual's comparisons decided in order.
     """
-    cells = model.heap
+    pure, spatial = heap
+    if not _decide(pure, stack, residual):
+        return False
+    pending: Pending = None
+    for a in spatial:
+        pending = (a, stack, pending)
     used: set[int] = set()
     trail: list[int] = []  # consumed locations, in order
     # (alternatives left, head bindings, step, continuation, trail length)
     choices: list[tuple[Iterator[tuple[int, ...]], Env, _Step, Pending, int]] = []
     hint: Optional[tuple[int, ...]] = None
-    try:
-        while True:
-            ok = True
-            while pending is not None:
-                atom, env, pending = pending
-                if type(atom) is _Cell:
-                    root, sort, fields = atom
-                    loc = root if type(root) is int else env[root]
-                    cell = cells.get(loc)
-                    if loc == 0 or cell is None or loc in used or cell.sort != sort:
-                        ok = False
-                        break
-                    for o, v in zip(fields, cell.values):
-                        if (o if type(o) is int else env[o]) != v:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                    used.add(loc)
-                    trail.append(loc)
-                    continue
-
-                step, root, seg, pair, args = atom
-                rootv = root if type(root) is int else env[root]
-                if rootv == (seg if type(seg) is int else env[seg]):
-                    if pair is not None:
-                        src, tgt = pair
-                        if (src if type(src) is int else env[src]) != (
-                            tgt if type(tgt) is int else env[tgt]
-                        ):
-                            ok = False
-                            break
-                    continue
-                cell = cells.get(rootv)
-                if rootv == 0 or cell is None or rootv in used or cell.sort != step.sort:
+    while True:
+        ok = True
+        while pending is not None:
+            atom, env, pending = pending
+            if type(atom) is _Cell:
+                root, sort, fields = atom
+                loc = root if type(root) is int else env[root]
+                cell = cells.get(loc)
+                if loc == 0 or cell is None or loc in used or cell.sort != sort:
+                    if type(loc) is not int:
+                        raise _Undecided
                     ok = False
                     break
-                benv: Env = {}
-                for name, o in zip(step.params, args):
-                    benv[name] = o if type(o) is int else env[o]
-                for (name, o), v in zip(step.head, cell.values):
-                    if name is not None:
-                        benv[name] = v
-                    elif (o if type(o) is int else benv[o]) != v:
+                for o, v in zip(fields, cell.values):
+                    u = o if type(o) is int else env[o]
+                    if u != v and _differ(u, v, residual):
                         ok = False
                         break
                 if not ok:
                     break
-                used.add(rootv)
-                trail.append(rootv)
-                if step.unbound:
-                    if hint is None:
-                        hint = _data_hint(model, bound)
-                    alts = itertools.product(hint, repeat=len(step.unbound))
-                    choices.append((alts, benv, step, pending, len(trail)))
-                    ok = False  # the first alternative is taken below
-                    break
-                if not _all_hold(step.side, benv):
+                used.add(loc)
+                trail.append(loc)
+                continue
+
+            step, root, seg, pair, args = atom
+            rootv = root if type(root) is int else env[root]
+            segv = seg if type(seg) is int else env[seg]
+            if type(rootv) is not int or type(segv) is not int:
+                raise _Undecided
+            if rootv == segv:
+                if pair is not None:
+                    src, tgt = pair
+                    u = src if type(src) is int else env[src]
+                    v = tgt if type(tgt) is int else env[tgt]
+                    if u != v and _differ(u, v, residual):
+                        ok = False
+                        break
+                continue
+            cell = cells.get(rootv)
+            if rootv == 0 or cell is None or rootv in used or cell.sort != step.sort:
+                ok = False
+                break
+            benv: dict[str, Value] = {}
+            for name, o in zip(step.params, args):
+                benv[name] = o if type(o) is int else env[o]
+            for (name, o), v in zip(step.head, cell.values):
+                if name is not None:
+                    benv[name] = v
+                    continue
+                u = o if type(o) is int else benv[o]
+                if u != v and _differ(u, v, residual):
                     ok = False
                     break
-                for m in step.pushed:
-                    pending = (m, benv, pending)
-            if ok and len(used) == len(cells):
-                return True
+            if not ok:
+                break
+            used.add(rootv)
+            trail.append(rootv)
+            if step.unbound:
+                if residual is not None:
+                    raise _Undecided
+                if hint is None:
+                    hint = _data_hint(stack, cells, bound)
+                alts = itertools.product(hint, repeat=len(step.unbound))
+                choices.append((alts, benv, step, pending, len(trail)))
+                ok = False  # the first alternative is taken below
+                break
+            if not _decide(step.side, benv, residual):
+                ok = False
+                break
+            for m in step.pushed:
+                pending = (m, benv, pending)
+        if ok and len(used) == len(cells):
+            return True
 
-            while True:
-                if not choices:
-                    return False
-                alts, benv, step, rest, mark = choices[-1]
-                used.difference_update(trail[mark:])
-                del trail[mark:]
-                combo = next(alts, None)
-                if combo is None:
-                    choices.pop()
-                    continue
-                env2 = benv.copy()
-                env2.update(zip(step.unbound, combo))
-                if _all_hold(step.side, env2):
-                    pending = rest
-                    for m in step.pushed:
-                        pending = (m, env2, pending)
-                    break
-    except KeyError as e:
-        raise _lookup_error(e.args[0]) from None
+        while True:
+            if not choices:
+                return False
+            alts, benv, step, rest, mark = choices[-1]
+            used.difference_update(trail[mark:])
+            del trail[mark:]
+            combo = next(alts, None)
+            if combo is None:
+                choices.pop()
+                continue
+            env2 = benv.copy()
+            env2.update(zip(step.unbound, combo))
+            if _decide(step.side, env2, None):
+                pending = rest
+                for m in step.pushed:
+                    pending = (m, env2, pending)
+                break
 
 
 def kinds_of(heap: SymbolicHeap, reg: Registry) -> dict[str, Kind]:
@@ -505,10 +604,15 @@ def models_of(
     registry and the heap are checked when this is called, not when it is
     iterated."""
     _check_input(reg, heap)
-    return _models(heap, reg, bound)
+    return (u.model(env) for env, u in _assigned(heap, reg, bound))
 
 
-def _models(heap: SymbolicHeap, reg: Registry, bound: Bound) -> Iterator[HeapModel]:
+def _assigned(
+    heap: SymbolicHeap, reg: Registry, bound: Bound
+) -> Iterator[tuple[Env, _Unfolding]]:
+    """The assignment behind each model of `models_of`, in its order, with
+    its unfolding. The assignment is one dict, updated in place between
+    yields."""
     fresh = FreshNames()
     stack_names = tuple(sorted(heap.fv()))
     # A stack variable an unfolding drops keeps the kind the input gives it.
@@ -519,31 +623,20 @@ def _models(heap: SymbolicHeap, reg: Registry, bound: Bound) -> Iterator[HeapMod
         kinds = input_kinds | kinds_of(SymbolicHeap(cells, pure_atoms), reg)
         if _refuted(pure_atoms):
             continue
-        layout = shown = seen = None  # made at the unfolding's first model
+        unfolding = seen = None  # made at the unfolding's first model
         for env in _assignments(cells, pure_atoms, stack_names, kinds, bound):
-            if layout is None:
-                layout, shown = _layout(cells, pure_atoms, stack_names, reg, hides)
-                if shown is not None:
+            if unfolding is None:
+                unfolding = _Unfolding(
+                    cells, pure_atoms, stack_names, ptr_vars, kinds, reg, hides
+                )
+                if unfolding.shown is not None:
                     seen = set()
             if seen is not None:
-                key = tuple([env[n] for n in shown])
+                key = tuple([env[n] for n in unfolding.shown])
                 if key in seen:
                     continue
                 seen.add(key)
-            try:
-                model = HeapModel(
-                    {n: env[n] for n in stack_names},
-                    {
-                        loc: _new_tuple(
-                            Cell, (sort, tuple([o if type(o) is int else env[o] for o in ops]))
-                        )
-                        for loc, sort, ops in layout
-                    },
-                    ptr_vars,
-                )
-            except KeyError as e:
-                raise _lookup_error(e.args[0]) from None
-            yield model
+            yield env, unfolding
 
 
 def _hides(heap: SymbolicHeap, reg: Registry) -> bool:
@@ -562,33 +655,77 @@ def _hides(heap: SymbolicHeap, reg: Registry) -> bool:
     return False
 
 
-def _layout(
-    cells: tuple[PointsTo, ...],
-    pure_atoms: tuple[PureAtom, ...],
-    stack_names: tuple[str, ...],
-    reg: Registry,
-    hides: bool,
-) -> tuple[list[tuple[int, str, tuple[Operand, ...]]], Optional[tuple[str, ...]]]:
-    """The unfolding's cells compiled, as (location, sort, field operands),
-    and the variables its models show, or None when they show every
-    variable the assignment binds.
+class _Unfolding:
+    """An unfolding of a premise that has models.
 
-    A model shows the stack and the cell fields, and the cell roots are
-    fixed, so a variable named only in pure atoms can tell apart two
-    assignments that make the same model; `hides` says whether the heap's
-    unfoldings can have one.
+    `layout` holds its cells compiled, as (location, sort, field operands).
+    A model shows the stack and the cell fields. `shown` is None when the
+    models show every variable an assignment binds, else the variables they
+    show. The cell roots are fixed, so a variable named only in pure atoms
+    can tell apart two assignments that make the same model; `hides` says
+    whether the heap's unfoldings can have one.
     """
-    layout = [(i + 1, c.sort, _field_operands(c, reg)) for i, c in enumerate(cells)]
-    if not hides:
-        return layout, None
-    shown = dict.fromkeys(stack_names)
-    shown.update((o, None) for _, _, ops in layout for o in ops if type(o) is str)
-    fixed = {c.root.name for c in cells if type(c.root) is Var}
-    for a in pure_atoms:
-        for e in (a.lhs, a.rhs):
-            if type(e) is Var and e.name not in shown and e.name not in fixed:
-                return layout, tuple(shown)
-    return layout, None
+
+    __slots__ = ("stack_names", "ptr_vars", "kinds", "layout", "shown")
+
+    def __init__(
+        self,
+        cells: tuple[PointsTo, ...],
+        pure_atoms: tuple[PureAtom, ...],
+        stack_names: tuple[str, ...],
+        ptr_vars: frozenset[str],
+        kinds: dict[str, Kind],
+        reg: Registry,
+        hides: bool,
+    ) -> None:
+        self.stack_names = stack_names
+        self.ptr_vars = ptr_vars
+        self.kinds = kinds
+        self.layout = [(i + 1, c.sort, _field_operands(c, reg)) for i, c in enumerate(cells)]
+        self.shown = None
+        if hides:
+            shown = self._shown()
+            fixed = {c.root.name for c in cells if type(c.root) is Var}
+            fixed.update(shown)
+            for a in pure_atoms:
+                if any(type(e) is Var and e.name not in fixed for e in (a.lhs, a.rhs)):
+                    self.shown = tuple(shown)
+                    break
+
+    def _shown(self) -> list[str]:
+        """The variables the models show, a name perhaps more than once."""
+        shown = list(self.stack_names)
+        shown += [o for _, _, ops in self.layout for o in ops if type(o) is str]
+        return shown
+
+    def split(self) -> tuple[frozenset[str], tuple[str, ...]]:
+        """The variables the models show of kind int, whose values a pointer
+        shape leaves open, and the others, whose values make the shape."""
+        kinds = self.kinds
+        if "int" not in kinds.values():
+            return frozenset(), ()
+        shown = self._shown()
+        data = frozenset([n for n in shown if kinds.get(n) == "int"])
+        return data, tuple([n for n in shown if n not in data])
+
+    def model(self, env: Env, keep: frozenset[str] = frozenset()) -> HeapModel:
+        """The model the assignment makes. Each variable of `keep` stands
+        for its value as its name, so with the data variables of `split`
+        this is the model's pointer shape."""
+        try:
+            return HeapModel(
+                {n: n if n in keep else env[n] for n in self.stack_names},
+                {
+                    loc: _new_tuple(
+                        Cell,
+                        (sort, tuple([o if type(o) is int or o in keep else env[o] for o in ops])),
+                    )
+                    for loc, sort, ops in self.layout
+                },
+                self.ptr_vars,
+            )
+        except KeyError as e:
+            raise _lookup_error(e.args[0]) from None
 
 
 def _refuted(pure_atoms: tuple[PureAtom, ...]) -> bool:
@@ -751,7 +888,8 @@ def _assignments(
         used = fresh_in[i]
         if v == n + used + 1:
             used += 1
-        if not _all_hold(ready[i + 1], env):
+        checks = ready[i + 1]
+        if checks and not _all_hold(checks, env):
             continue
         if i + 1 == depth:
             yield env
@@ -765,6 +903,9 @@ def _assignments(
 # -------------------------------------------------------------------- verdicts
 
 
+_UNWALKED = object()  # a shape the right side has not been walked over yet
+
+
 class OracleVerdict(NamedTuple):
     bounded_valid: bool
     counter: Optional[HeapModel]
@@ -774,13 +915,34 @@ def oracle_entails(
     ent: Entailment, reg: Registry, bound: Bound = DEFAULT_BOUND
 ) -> OracleVerdict:
     """Search for a countermodel; absence only rules out models within bound.
-    `models_of` checks the registry and the left side."""
+
+    The premise's models come as `models_of` yields them, but the right
+    side is walked once per pointer shape of an unfolding (`_residual`),
+    and each model of the shape is decided by the data comparisons the walk
+    left. A model whose shape the walk cannot decide, or that shows no
+    data, is checked as it is. The first model that fails is the
+    countermodel, as if every model were checked in turn."""
     _check_input(reg, ent.rhs)
-    models = models_of(ent.lhs, reg, bound)
-    satisfies_rhs = _satisfaction(ent.rhs, reg, bound)
-    for m in models:
-        if not satisfies_rhs(m):
-            return OracleVerdict(False, m)
+    _check_input(reg, ent.lhs)
+    rhs = _compile_heap(ent.rhs, reg)
+    unfolding = None
+    for env, u in _assigned(ent.lhs, reg, bound):
+        if u is not unfolding:
+            unfolding = u
+            data, pointers = u.split()
+            residuals: dict[tuple[int, ...], Union[bool, tuple[Check, ...], None]] = {}
+        residual = None  # a model that shows no data is a shape of its own
+        if data:
+            key = tuple([env[n] for n in pointers])
+            residual = residuals.get(key, _UNWALKED)
+            if residual is _UNWALKED:
+                residual = residuals[key] = _residual(rhs, u.model(env, data), bound)
+        if residual is None:
+            model = u.model(env)
+            if not _holds(rhs, model, bound):
+                return OracleVerdict(False, model)
+        elif residual is False or not _all_hold(residual, env):
+            return OracleVerdict(False, u.model(env))
     return OracleVerdict(True, None)
 
 

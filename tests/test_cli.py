@@ -303,15 +303,18 @@ class TestInstalledScript:
         assert proc.stdout.strip() == "VALID"
 
     def test_batch_without_asserts(self):
-        # -O strips every assert, so no verdict may hang on one
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "sepent.cli", "--input", str(DATA)],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 0
-        assert proc.stdout.splitlines()[-1] == (
-            "checked 10 files: 0 mismatches, 0 errors"
-        )
+        # -O strips every assert, so no verdict, and no oracle answer, may
+        # hang on one
+        for extra in ([], ["--oracle-check"]):
+            proc = subprocess.run(
+                [sys.executable, "-O", "-m", "sepent.cli", "--input", str(DATA), *extra],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, extra
+            assert "ORACLE-DISAGREES" not in proc.stdout
+            assert proc.stdout.splitlines()[-1] == (
+                "checked 10 files: 0 mismatches, 0 errors"
+            )
 
 
 class TestSharedArgumentParser:

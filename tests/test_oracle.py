@@ -353,6 +353,69 @@ def test_right_side_compiled_once_per_call(registry, monkeypatch):
     assert compiled == ["ll"]
 
 
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(oracle, name)
+    monkeypatch.setattr(oracle, name, lambda *args: (calls.append(1), fn(*args))[1])
+    return calls
+
+
+def test_right_side_walked_once_per_pointer_shape(registry, monkeypatch):
+    # 17,296 models in 13 unfoldings, one per pair of segment lengths. The
+    # pointers of an unfolding are fixed and only the cells' data values
+    # vary, so each unfolding is one shape, and its walk leaves the data to
+    # the residual.
+    e = parse_query(next(s for n, s, _ in SUITE if n == "llb_concat_literal"))
+    walks = _count_calls(monkeypatch, "_covers")
+    concrete = _count_calls(monkeypatch, "_holds")
+    bound = Bound(4, 6)
+    assert sum(1 for _ in models_of(e.lhs, registry, bound)) == 17296
+    assert oracle_entails(e, registry, bound).bounded_valid
+    assert (len(walks), len(concrete)) == (13, 0)
+
+
+def test_choice_point_on_the_right_checks_each_model(monkeypatch):
+    # A nonempty step of lsx chooses its order source, so a shape with x
+    # allocated is left undecided and each of its models is checked as it
+    # is. The 5 models with x=null take the empty branch, whose residual
+    # a=c decides them.
+    e, reg = _lsx_problem(LSX_CONCAT)
+    models = list(models_of(e.lhs, reg, SMALL))
+    walks = _count_calls(monkeypatch, "_covers")
+    concrete = _count_calls(monkeypatch, "_holds")
+    assert oracle_entails(e, reg, SMALL).bounded_valid
+    assert len(models) == 200
+    assert sum(m.stack["x"] == 0 for m in models) == 5
+    assert len(concrete) == 195
+    assert len(walks) == 10 + 195  # one per shape, then one per model checked
+
+
+@pytest.mark.parametrize(
+    "args,msg",
+    [
+        ((3, 3, 5, 2), "data_min 5 is above data_max 2"),
+        ((3, 3, 3, 2), "data_min 3 is above data_max 2"),
+        ((3, -2), "max_locs must be at least 0, not -2"),
+        ((3, -1), "max_locs must be at least 0, not -1"),
+        ((-1, 3), "max_unfold must be at least 0, not -1"),
+    ],
+    ids=["data-range", "empty-data-range", "locs", "locs-minus-one", "unfold"],
+)
+def test_ill_formed_bound_refused(registry, args, msg):
+    # Each of these bounds once let the premise have no models, so the
+    # oracle called this invalid entailment bounded-valid.
+    e = parse_query("lls(x, null, a, b) /\\ x!=null |- emp")
+    assert not oracle_entails(e, registry, Bound(3, 3)).bounded_valid
+    with pytest.raises(ValueError, match=msg):
+        Bound(*args)
+
+
+def test_smallest_bound_accepted(registry):
+    bound = Bound(0, 0, 2, 2)
+    assert bound.data_range() == range(2, 3)
+    assert oracle_entails(parse_query("emp |- emp"), registry, bound).bounded_valid
+
+
 def test_long_premise_enumerates_without_deep_recursion(registry):
     # 1,200 occurrences: the unfolding walk keeps its choices on a stack,
     # not in nested generators, so it does not hit the recursion limit
@@ -748,9 +811,30 @@ def _outcome(fn):
         return ("OracleError", str(e))
 
 
+def ref_entails(ent, reg, bound):
+    """The verdict and the key of the countermodel: the first model of the
+    left side that the right side does not hold in."""
+    for m in ref_models_of(ent.lhs, reg, bound):
+        if not ref_holds(m, ent.rhs, reg, bound):
+            return False, m.key()
+    return True, None
+
+
+def _assert_entails_agrees(ent, reg, bound):
+    def got():
+        v = oracle_entails(ent, reg, bound)
+        return v.bounded_valid, None if v.counter is None else v.counter.key()
+
+    want = _outcome(lambda: ref_entails(ent, reg, bound))
+    assert _outcome(got) == want
+    return want
+
+
 def _assert_agrees(ent, reg, bound):
     """Same model sequence on each side, same holds verdict of every model
-    of either side against each side."""
+    of either side against each side, same entailment verdict and
+    countermodel."""
+    _assert_entails_agrees(ent, reg, bound)
     models = []
     for side in (ent.lhs, ent.rhs):
         got = _outcome(lambda: [m.key() for m in models_of(side, reg, bound)])
@@ -773,8 +857,11 @@ SMALL = Bound(3, 3, -1, 3)
 
 @pytest.mark.parametrize("case", SUITE, ids=[c[0] for c in SUITE])
 def test_suite_agrees_with_reference(registry, case):
-    _, sequent, _ = case
-    _assert_agrees(parse_query(sequent), registry, SMALL)
+    _, sequent, valid = case
+    e = parse_query(sequent)
+    _assert_agrees(e, registry, SMALL)
+    # the bound the acceptance suite and the benchmark check at
+    assert _assert_entails_agrees(e, registry, Bound(4, 6))[0] is valid
 
 
 # A sorted list over one-field cells: the order source m1 is no head field,
@@ -870,19 +957,59 @@ def _lsx_problem(sequent):
     return pf.query, pf.registry
 
 
+# A premise data variable against a literal, then null as an order target,
+# read only once the cell has matched: the first model, d the least data
+# value, is a countermodel, unless the data range starts at 3 and reading
+# the target raises.
+d_ = Var("d")
+C4_NULL_TARGET = ent(
+    heap([PointsTo(x, "c4", (NULL, d_))]),
+    heap([PointsTo(x, "c4", (NULL, IntLit(3))), PredOcc("lls", (x, x, IntLit(1), NULL))]),
+)
+
+# A premise data variable in a pointer position of the conclusion: a pointer
+# shape knows it only by name, so its walk cannot place the root. The first
+# model, d the least data value, satisfies each conclusion; the second
+# refutes it.
+DATA_AS_ROOT = ent(
+    heap([PointsTo(x, "c4", (NULL, d_))]),
+    heap([PointsTo(x, "c4", (NULL, d_)), PredOcc("ll", (d_, x))]),
+)
+DATA_AS_CELL = ent(
+    heap([PointsTo(x, "c4", (y, d_)), PointsTo(y, "c1", (NULL,))]),
+    heap([PointsTo(x, "c4", (y, d_)), PointsTo(d_, "c1", (NULL,))]),
+)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.tuples(entailments(), st.just(make_registry())))
-@example(_lsx_problem(LSX_CONCAT))
-def test_models_match_reference_key_for_key(problem):
+@given(st.tuples(entailments(), st.just(make_registry())), st.just(SMALL))
+@example(_lsx_problem(LSX_CONCAT), SMALL)
+@example(_lsx_problem(LSX_CONCAT), Bound(3, 4, 0, 2))
+@example((C4_NULL_TARGET, make_registry()), SMALL)
+@example((C4_NULL_TARGET, make_registry()), Bound(3, 3, 3, 4))
+@example((DATA_AS_ROOT, make_registry()), Bound(3, 3, 1, 3))
+@example((DATA_AS_CELL, make_registry()), Bound(3, 3, 2, 3))
+def test_models_match_reference_key_for_key(problem, bound):
     # The enumerator keeps no set across unfoldings, the reference keeps
     # one over all of them: equal sequences of distinct keys show that no
     # two unfoldings yield the same model.
     e, reg = problem
     for side in (e.lhs, e.rhs):
-        got = _outcome(lambda: [m.key() for m in models_of(side, reg, SMALL)])
-        assert got == _outcome(lambda: [m.key() for m in ref_models_of(side, reg, SMALL)])
+        got = _outcome(lambda: [m.key() for m in models_of(side, reg, bound)])
+        assert got == _outcome(lambda: [m.key() for m in ref_models_of(side, reg, bound)])
         if isinstance(got, list):
             assert len(set(got)) == len(got)
+    _assert_entails_agrees(e, reg, bound)
+
+
+def test_null_order_target_outcomes(registry):
+    # the data comparison d=3 goes to the residual, and the shape's walk
+    # stops at the null order target, so every model is checked as it is
+    v = oracle_entails(C4_NULL_TARGET, registry, SMALL)
+    assert not v.bounded_valid
+    assert v.counter.stack == {"d": -1, "x": 1}
+    with pytest.raises(OracleError, match=_NULL_IN_ARITH):
+        oracle_entails(C4_NULL_TARGET, registry, Bound(3, 3, 3, 4))
 
 
 def test_unshown_existential_models_are_told_apart():
@@ -1028,9 +1155,8 @@ def test_odd_heads_bind_as_the_cover_plan_did():
         "consts": ("X", "d"),
     }
     # Y is bound, but the cover reads only the sort's fields
-    satisfies = oracle._satisfaction(heap([PredOcc("longer", (x, y, a_))]), reg, SMALL)
     model = HeapModel({"x": 1, "y": 0, "a": 2}, {1: Cell("c2", (0, 5))}, frozenset("xy"))
-    assert satisfies(model)
+    assert holds(model, heap([PredOcc("longer", (x, y, a_))]), reg, SMALL)
 
 
 _TERMS = [Var(n) for n in ("r", "F", "u", "X", "Y", "m")] + [NULL, IntLit(0)]
