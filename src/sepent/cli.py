@@ -86,7 +86,7 @@ def _arg_parser() -> argparse.ArgumentParser:
 def _parse_file(path: Path, fmt: Optional[str]) -> ProblemFile:
     if fmt is None:
         fmt = "slcomp" if path.suffix == ".smt2" else "native"
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")  # a byte-order mark is dropped
     return parse_slcomp(text) if fmt == "slcomp" else parse_native(text)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Literal, Optional
+from typing import Iterable, Literal, Optional, Sequence
 
 from .syntax import (
     ArithEq,
@@ -126,9 +126,14 @@ def _entries(reg: Registry) -> tuple:
 def check_wellformed(reg: Registry) -> list[str]:
     """Return all template/C1/C2/C3 violations as human-readable diagnostics.
     The answer is kept on the registry for `known_problems`."""
-    out: list[str] = []
-    for d in reg.preds.values():
-        out.extend(_check_def(reg, d))
+    return check_registry(reg, [check_def(reg, d) for d in reg.preds.values()])
+
+
+def check_registry(reg: Registry, found: Iterable[Sequence[str]]) -> list[str]:
+    """`check_wellformed`'s answer from the `check_def` findings of each
+    definition, in registry order: adds the C3 findings and keeps the
+    answer on the registry."""
+    out = [problem for problems in found for problem in problems]
     out.extend(_check_c3(reg))
     reg.checked = (_entries(reg), tuple(out))
     return out
@@ -157,7 +162,10 @@ def role_problem(name: str, params: tuple[Param, ...]) -> Optional[str]:
     return None
 
 
-def _check_def(reg: Registry, d: InductiveDef) -> list[str]:
+def check_def(reg: Registry, d: InductiveDef) -> list[str]:
+    """The template, C1 and C2 violations of one definition. They depend
+    on the definition, the declaration of its head cell's sort and the
+    parameters of the other predicates in its matrix."""
     out: list[str] = []
     problem = role_problem(d.name, d.params)
     if problem is not None:

@@ -27,9 +27,9 @@ reported.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Literal, Optional, Sequence, Union
+from typing import Collection, Iterator, Literal, Optional, Sequence, Union
 
 from . import pure as pure_solver
 from .defs import (
@@ -222,15 +222,13 @@ def _match_identical(
     return out
 
 
-def _reaches(atom: SpatialAtom, e: Expr, reg: Registry) -> bool:
-    """Whether the atom connects to e: the segment argument of an
-    occurrence, or any pointer field of a cell."""
+def _reached(atom: SpatialAtom, reg: Registry) -> Collection[Expr]:
+    """The terms the atom connects to, each once: the segment argument of
+    an occurrence, or the pointer fields of a cell."""
     if isinstance(atom, PredOcc):
-        return seg_of(atom, reg) == e
+        return (seg_of(atom, reg),)
     decl = reg.sorts[atom.sort]
-    return any(
-        f == e for (_, ft), f in zip(decl.fields, atom.fields) if ft != "int"
-    )
+    return {f for (_, ft), f in zip(decl.fields, atom.fields) if ft != "int"}
 
 
 def _occ_at(heap: SymbolicHeap, root: Expr) -> Optional[tuple[int, PredOcc]]:
@@ -304,13 +302,21 @@ def _stuck_case(ent: Entailment, reg: Registry) -> Optional[str]:
     2d: cells at the same root disagree on sort or fields.
     """
     lhs, rhs = ent.lhs, ent.rhs
+    # How many left atoms reach each term, and the terms some right atom
+    # reaches; counted once, at the first left root with no right atom.
+    lhs_reach: Optional[Counter[Expr]] = None
+    rhs_reach: set[Expr] = set()
     for a in lhs.spatial:
         e = a.root
         if rhs.atom_at_root(e) is not None:
             continue
-        lhs_reach = any(o is not a and _reaches(o, e, reg) for o in lhs.spatial)
-        rhs_reach = any(_reaches(o, e, reg) for o in rhs.spatial)
-        if (lhs_reach and rhs_reach) or not lhs_reach:
+        if lhs_reach is None:
+            lhs_reach = Counter(t for o in lhs.spatial for t in _reached(o, reg))
+            rhs_reach = {t for o in rhs.spatial for t in _reached(o, reg)}
+        others = lhs_reach[e]
+        if others and e in _reached(a, reg):  # `a` itself, wherever it stands
+            others -= sum(o is a for o in lhs.spatial)
+        if (others and e in rhs_reach) or not others:
             return "2b"
     for b in rhs.spatial:
         g = guard_of(b, reg)

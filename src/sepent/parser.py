@@ -30,18 +30,23 @@ kind of the parameter at its position; both are propagated to a fixpoint.
 Whatever is still unconstrained, border and trans parameters included, is a
 pointer.
 
-Problems of one family repeat the same definitions, so the parser
-remembers the 64 definitions it parsed or reused last, for the rest of
-the process.
-A definition's key is the texts of its tokens from `pred` through the
-closing `;`, with what reading the block consults in the registry: the
-declaration of each sort named after `->`, and the parameters (hence the
-arity and the argument kinds) of each other predicate it applies, None
-where there is none.  A block parses the same way wherever these agree,
-so a block with a remembered key takes the remembered definition and is
-skipped.  Only definitions that parsed are remembered, and a
-redeclaration is reported before the memo is consulted, so every error
-keeps its message and position.
+Problems of one family repeat the same declarations, so the parser
+remembers the 64 `data` and `pred` blocks it parsed or reused last, for
+the rest of the process.  A block is remembered by its source text, from
+its keyword through its closing `}` or `;`, with what reading it consults
+in the registry: the declaration of each sort a `data` block's fields
+name, and for a `pred` block the declaration of its head cell's sort and
+the parameters (hence the arity and the argument kinds) of each other
+predicate it applies.  A block parses the same way wherever these agree,
+so where the text repeats a remembered block and the registry still
+holds what it read, the parser installs the remembered declaration and
+its scanner resumes after the block, which is neither lexed nor parsed
+again.  A `pred` block's well-formedness findings depend on no more than
+that, so they are kept with it, and only the C3 check runs on each
+registry.  Only blocks that parsed are remembered, a redeclaration is
+reported before the memo is consulted, and a lexing error anywhere in the
+text is reported before any other error, so every error keeps its
+message and position.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from __future__ import annotations
 import re
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .defs import (
     InductiveDef,
@@ -58,7 +63,8 @@ from .defs import (
     Registry,
     Role,
     SortDecl,
-    check_wellformed,
+    check_def,
+    check_registry,
     role_problem,
 )
 from .syntax import (
@@ -104,12 +110,13 @@ class Token(NamedTuple):
     text: str
     line: int
     col: int
+    off: int  # offset in the text
 
 
 # Unnamed alternatives are blanks and comments; "bad" catches any other
 # character.  Punctuation is tried longest first.
 _TOKEN = re.compile(
-    r"[ \t\r]+|//[^\n]*"
+    r"[ \t\r]+|//[^\n]*|(?P<nl>\n)"
     r"|(?P<ident>[^\W\d]\w*'*)|(?P<int>-?\d+)"
     r"|(?P<punct>:=|\|-|->|/\\|\\/|!=|<=|>=|[=(){},;.*:])"
     r"|(?P<bad>.)"
@@ -120,21 +127,28 @@ _TOKEN = re.compile(
 _new_tuple = tuple.__new__
 
 
+def _scan(text: str, pos: int = 0, line: int = 1, bol: int = 0) -> Iterator[Token]:
+    """The tokens of `text` from offset `pos`, then an eof token.  `pos`
+    lies on line `line`, which begins at offset `bol`."""
+    for m in _TOKEN.finditer(text, pos):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        if kind == "nl":
+            line += 1
+            bol = m.end()
+            continue
+        start = m.start()
+        if kind == "bad":
+            raise ParseError(
+                f"unexpected character {m.group()!r}", line, start - bol + 1
+            )
+        yield _new_tuple(Token, (kind, m.group(), line, start - bol + 1, start))
+    yield Token("eof", "", line, len(text) - bol + 1, len(text))
+
+
 def _lex(text: str) -> list[Token]:
-    toks: list[Token] = []
-    for line, row in enumerate(text.split("\n"), 1):
-        for m in _TOKEN.finditer(row):
-            kind = m.lastgroup
-            if kind == "bad":
-                raise ParseError(
-                    f"unexpected character {m.group()!r}", line, m.start() + 1
-                )
-            if kind is not None:
-                toks.append(
-                    _new_tuple(Token, (kind, m.group(), line, m.start() + 1))
-                )
-    toks.append(Token("eof", "", line, len(row) + 1))
-    return toks
+    return list(_scan(text))
 
 
 # ------------------------------------------------------------ raw formulas
@@ -344,29 +358,59 @@ def assemble_rec(
 
 # ------------------------------------------------------------------ parser
 
-# Recent definitions, most recent last, each with its key; see
-# `_Parser.def_key` for what the key holds.
-_defs: deque[tuple[tuple, InductiveDef]] = deque(maxlen=64)
+
+def _reads(decl: Union[SortDecl, InductiveDef], reg: Registry) -> tuple:
+    """What reading a declaration's block consults in the registry (None
+    where the registry has nothing): the declarations of the sorts a
+    `data` block's fields name; the declaration of a definition's head
+    cell's sort and the parameters of the other predicates in its matrix.
+    The block's own name is undeclared, as the parser checks first."""
+    sorts, preds = reg.sorts, reg.preds
+    if isinstance(decl, SortDecl):
+        return tuple(
+            (t, sorts.get(t)) for _, t in decl.fields if t not in ("int", decl.name)
+        )
+    rb = decl.rec
+    return ((rb.head.sort, sorts.get(rb.head.sort)),) + tuple(
+        (m.pred, d.params if (d := preds.get(m.pred)) else None)
+        for m in rb.matrix
+        if m.pred != decl.name
+    )
+
+
+class _Block(NamedTuple):
+    """A remembered declaration block; see the module docstring."""
+
+    src: str
+    reads: tuple  # `_reads` when the block was parsed
+    decl: Union[SortDecl, InductiveDef]
+    found: tuple[str, ...]  # check_def's findings on a definition
+
+
+# Recent blocks, most recent last.
+_defs: deque[_Block] = deque(maxlen=64)
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.toks = _lex(text)
-        self.texts = [t.text for t in self.toks]
-        self.pos = 0
+        self.text = text
+        self.scan = _scan(text)
+        self.tok = next(self.scan)
         self.reg = Registry(sorts={}, preds={})
         # Arity of every predicate declared so far, the one whose body is
         # being read included.
         self.arity: dict[str, int] = {}
+        # check_def's findings on every definition read so far
+        self.found: dict[str, tuple[str, ...]] = {}
 
     # token plumbing
 
     def peek(self) -> Token:
-        return self.toks[self.pos]
+        return self.tok
 
     def next(self) -> Token:
-        t = self.toks[self.pos]
-        self.pos += 1
+        t = self.tok
+        self.tok = next(self.scan, t)  # eof stays put
         return t
 
     def at(self, text: str) -> bool:
@@ -374,7 +418,7 @@ class _Parser:
 
     def accept(self, text: str) -> bool:
         if self.at(text):
-            self.pos += 1
+            self.next()
             return True
         return False
 
@@ -431,21 +475,58 @@ class _Parser:
         if query is None:
             t = self.peek()
             raise ParseError("missing check query", t.line, t.col)
-        for problem in check_wellformed(self.reg):
+        for problem in check_registry(self.reg, self.found.values()):
             pname = problem.split(":", 1)[0]
             at = pred_pos.get(pname, self.peek())
             raise ParseError(problem, at.line, at.col)
         return ProblemFile(self.reg, query, expect)
 
+    def recall(self, start: Token) -> bool:
+        """Install the remembered block the text repeats at `start`, if the
+        registry still holds what the block read, and resume the scanner
+        after it."""
+        text = self.text
+        # newest first: a family's next file asks for the blocks its last
+        # file used, in the same order
+        for i in range(len(_defs) - 1, -1, -1):
+            b = _defs[i]
+            if not (
+                text.startswith(b.src, start.off)
+                and _reads(b.decl, self.reg) == b.reads
+            ):
+                continue
+            del _defs[i]
+            _defs.append(b)
+            d = b.decl
+            if isinstance(d, SortDecl):
+                self.reg.sorts[d.name] = d
+            else:
+                self.arity[d.name] = len(d.params)
+                self.reg.preds[d.name] = d
+                self.found[d.name] = b.found
+            end = start.off + len(b.src)
+            line = start.line + b.src.count("\n")
+            self.scan = _scan(text, end, line, text.rfind("\n", 0, end) + 1)
+            self.tok = next(self.scan)
+            return True
+        return False
+
+    def remember(self, start: Token, end: Token, decl, found=()) -> None:
+        """Remember the block from `start` through `end`, just parsed."""
+        src = self.text[start.off:end.off + 1]  # `end` is `}` or `;`
+        _defs.append(_Block(src, _reads(decl, self.reg), decl, found))
+
     def sort_decl(self) -> None:
         sorts = self.reg.sorts
-        self.expect("data")
+        start = self.expect("data")
         name = self.ident("sort name")
         if name.text in sorts:
             raise ParseError(f"sort {name.text} redeclared", name.line, name.col)
+        if self.recall(start):
+            return
         self.expect("{")
         fields: list[tuple[str, str]] = []
-        while not self.accept("}"):
+        while not self.at("}"):
             target = self.peek()
             if target.text == "int":
                 self.next()
@@ -462,49 +543,19 @@ class _Parser:
                 )
             fields.append((fname.text, target.text))
             self.expect(";")
-        sorts[name.text] = SortDecl(name.text, tuple(fields))
-
-    def def_key(self, start: int) -> Optional[tuple]:
-        """The memo key of the definition whose `pred` token is at `start`:
-        the token texts through the first `;`, then the declaration of each
-        sort named after `->` and the parameters of each other predicate
-        applied (None where the registry has none).  Nothing else that
-        reading the block consults can differ, so equal keys parse alike:
-        the block's own arity is in its tokens, and its own name is
-        undeclared, as `pred_def` checks first.  None when no `;` follows."""
-        texts = self.texts
-        try:
-            end = texts.index(";", start)
-        except ValueError:
-            return None
-        sorts, preds, own = self.reg.sorts, self.reg.preds, texts[start + 1]
-        used: list = []
-        for i in range(start + 3, end):
-            t = texts[i]
-            if t == "->":
-                used.append(sorts.get(texts[i + 1]))
-            elif t == "(" and texts[i - 2] != "->" and texts[i - 1] != own:
-                d = preds.get(texts[i - 1])
-                used.append(None if d is None else d.params)
-        return tuple(texts[start:end + 1]), tuple(used)
+        end = self.next()
+        decl = sorts[name.text] = SortDecl(name.text, tuple(fields))
+        self.remember(start, end, decl)
 
     def pred_def(self) -> str:
-        start = self.pos
-        self.expect("pred")
+        start = self.expect("pred")
         name = self.ident("predicate name")
         if name.text in self.arity:
             raise ParseError(
                 f"predicate {name.text} redeclared", name.line, name.col
             )
-        key = self.def_key(start)
-        for i, (k, d) in enumerate(_defs):
-            if k == key:
-                del _defs[i]
-                _defs.append((k, d))
-                self.arity[name.text] = len(d.params)
-                self.reg.preds[name.text] = d
-                self.pos = start + len(k[0])
-                return name.text
+        if self.recall(start):
+            return name.text
         self.expect("(")
         raw_params: list[tuple[Role, Token]] = []
         while True:
@@ -571,10 +622,9 @@ class _Parser:
             pure[len(b_raw):],
             fail,
         )
-        d = InductiveDef(name.text, params, rec)
-        self.reg.preds[name.text] = d
-        if key is not None:
-            _defs.append((key, d))
+        d = self.reg.preds[name.text] = InductiveDef(name.text, params, rec)
+        found = self.found[name.text] = tuple(check_def(self.reg, d))
+        self.remember(start, semi, d, found)
         return name.text
 
     # formulas
@@ -719,7 +769,15 @@ class _Parser:
 
 
 def parse_native(text: str) -> ProblemFile:
-    return _Parser(text).file()
+    p = _Parser(text)
+    try:
+        return p.file()
+    except ParseError:
+        # A lexing error anywhere in the text comes first, as it would
+        # from lexing the whole text before parsing.
+        for _ in p.scan:
+            pass
+        raise
 
 
 # ---------------------------------------------------------- pretty printing

@@ -283,6 +283,18 @@ class TestBatch:
         assert run_cli(["--input", str(link)], out=io.StringIO()) == 2
         assert capsys.readouterr().err == f"sepent: {link}: no such file\n"
 
+    @pytest.mark.parametrize("name", ["golden.sep", "golden.smt2"])
+    def test_byte_order_mark_is_dropped(self, name, tmp_path):
+        # such a file once failed at 'unexpected character', or was
+        # skipped as an unsupported construct in a directory
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + (DATA / name).read_bytes())
+        assert run("--input", str(path), "--quiet") == (0, ["VALID"])
+        assert run("--input", str(tmp_path)) == (0, [
+            f"{name}: VALID (expected valid)",
+            "checked 1 files: 0 mismatches, 0 errors",
+        ])
+
     def test_expect_flag_applies_to_unannotated_files(self, tmp_path):
         (tmp_path / "plain.sep").write_text(
             "data c1 { c1 next; }\ncheck x->c1(null) |- emp\n"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import NATIVE_CORPUS, entailments, make_registry
 from sepent import parser
+from sepent.defs import Registry, check_wellformed
 from sepent.engine import prove
 from sepent.oracle import Bound, oracle_entails
 from sepent.parser import (
@@ -99,7 +100,7 @@ def reference_lex(text: str) -> list[Token]:
                 j += 1
             while j < len(text) and text[j] == "'":
                 j += 1
-            toks.append(Token("ident", text[i:j], line, col))
+            toks.append(Token("ident", text[i:j], line, col, i))
             col += j - i
             i = j
             continue
@@ -107,19 +108,19 @@ def reference_lex(text: str) -> list[Token]:
             j = i + 1
             while j < len(text) and text[j].isdigit():
                 j += 1
-            toks.append(Token("int", text[i:j], line, col))
+            toks.append(Token("int", text[i:j], line, col, i))
             col += j - i
             i = j
             continue
         for p in _PUNCT:
             if text.startswith(p, i):
-                toks.append(Token("punct", p, line, col))
+                toks.append(Token("punct", p, line, col, i))
                 col += len(p)
                 i += len(p)
                 break
         else:
             raise err(f"unexpected character {c!r}")
-    toks.append(Token("eof", "", line, col))
+    toks.append(Token("eof", "", line, col, i))
     return toks
 
 
@@ -146,12 +147,12 @@ class TestLexer:
             # comment; the lexer reports the true end
             last = text.rsplit("\n", 1)[-1]
             assert last[want[-1][3] - 1:].startswith("//")
-            want[-1] = want[-1][:3] + (len(last) + 1,)
+            want[-1] = want[-1][:3] + (len(last) + 1,) + want[-1][4:]
         assert got == want
 
     def test_end_column_after_trailing_comment(self):
         text = "data c1 { c1 next; } // x"
-        assert _lex(text)[-1] == Token("eof", "", 1, 26)
+        assert _lex(text)[-1] == Token("eof", "", 1, 26, 25)
         with pytest.raises(ParseError) as exc:
             parse_native(text)
         assert str(exc.value) == "line 1, col 26: missing check query"
@@ -363,6 +364,17 @@ def warm(text, *before):
     return outcome(text)
 
 
+def parsed_blocks(text, *before):
+    """How many blocks of `text` are parsed, not taken from the memo,
+    after the memo has seen `before`."""
+    parser._defs.clear()
+    for t in before:
+        outcome(t)
+    kept = {id(b) for b in parser._defs}
+    outcome(text)
+    return sum(id(b) not in kept for b in parser._defs)
+
+
 MEMO_SORTS = (
     "data c1 { c1 next; }\n"
     "data c3 { c3 next; c1 down; }\n"
@@ -465,3 +477,102 @@ class TestDefinitionMemo:
         moved = "// moved\n\n" + bad
         assert warm(moved, bad) == cold(moved)
         assert cold(moved)[1:] == (7, 86)
+
+    BLOCKS = MEMO_SORTS + Q_PTR + P_BLOCK
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_moved_blocks_then_an_error(self, k):
+        moved = "// moved\n" * k + self.BLOCKS + "check p(x, y) |- emp\n"
+        assert cold(moved) == ("line %d, col 7: p expects 3 arguments" % (k + 6), k + 6, 7)
+        assert parsed_blocks(moved, self.BLOCKS + QUERY) == 0
+        assert warm(moved, self.BLOCKS + QUERY) == cold(moved)
+
+    def test_lexing_error_after_remembered_blocks_comes_first(self):
+        text = self.BLOCKS + "check p(x, y) |- emp\n// fine\n  #\n"
+        assert cold(text) == ("line 8, col 3: unexpected character '#'", 8, 3)
+        assert warm(text, self.BLOCKS + QUERY) == cold(text)
+
+    COMMENTED = (
+        "data c1 { c1 next; // not the end }\n}\n"
+        "pred q(root r, seg F) := emp /\\ r=F // nor this;\n"
+        "  \\/ exists X. r->c1(X) * q(X, F) /\\ r!=F;\n"
+    )
+
+    def test_block_end_inside_a_comment(self):
+        text = self.COMMENTED + "check q(x) |- emp\n"
+        assert cold(text) == ("line 5, col 7: q expects 2 arguments", 5, 7)
+        assert parsed_blocks(text, self.COMMENTED + QUERY) == 0
+        assert warm(text, self.COMMENTED + QUERY) == cold(text)
+        # on the line where a remembered block that spans lines ends
+        same_line = self.COMMENTED[:-1] + " check q(x) |- emp\n"
+        assert cold(same_line) == ("line 4, col 50: q expects 2 arguments", 4, 50)
+        assert warm(same_line, self.COMMENTED + QUERY) == cold(same_line)
+        # another comment is another text: parsed again, to the same result
+        other = self.COMMENTED.replace("nor this", "nor that") + QUERY
+        assert parsed_blocks(other, self.COMMENTED + QUERY) == 1
+        assert warm(other, self.COMMENTED + QUERY) == cold(other)
+
+    def test_blocks_and_tokens_on_one_line(self):
+        line = "data c1 { c1 next; } data c4 { c4 next; int val; } " + Q_TWO[:-1]
+        text = line + " check q(x) |- emp\n"
+        col = len(line) + 8
+        assert cold(text) == (f"line 1, col {col}: q expects 2 arguments", 1, col)
+        assert parsed_blocks(text, line + "\n" + QUERY) == 0
+        assert warm(text, line + "\n" + QUERY) == cold(text)
+        good = line + " check q(x, y) |- emp expect valid\n"
+        assert isinstance(cold(good)[0], ProblemFile)
+        assert warm(good, text) == cold(good)
+
+    def test_crlf_line_ends(self):
+        crlf = lambda t: t.replace("\n", "\r\n")
+        text = crlf(NATIVE_CORPUS + "\ncheck ll(x) |- emp\n")
+        line = NATIVE_CORPUS.count("\n") + 2
+        assert cold(text) == (f"line {line}, col 7: ll expects 2 arguments", line, 7)
+        assert parsed_blocks(text, crlf(NATIVE_CORPUS + QUERY)) == 0
+        assert warm(text, crlf(NATIVE_CORPUS + QUERY)) == cold(text)
+        # a block that spans lines is another text with other line ends
+        spanning = len(make_registry().preds)
+        assert parsed_blocks(text, NATIVE_CORPUS + QUERY) == spanning
+        assert warm(text, NATIVE_CORPUS + QUERY) == cold(text)
+
+    def test_field_sort_missing_in_the_second_file(self):
+        first = MEMO_SORTS + QUERY
+        second = MEMO_SORTS.split("\n", 1)[1] + QUERY
+        assert cold(second) == ("line 1, col 20: unknown sort 'c1'", 1, 20)
+        assert warm(second, first) == cold(second)
+        # c1 declared otherwise: c3 reads another sort, so it is parsed again
+        third = "data c1 { c1 next; int val; }\n" + second
+        assert parsed_blocks(third, first) == 2
+        assert warm(third, first) == cold(third)
+
+    def test_findings_kept_with_a_definition(self):
+        # an existential that is not a head field breaks C1 after parsing
+        bad = (
+            "data c1 { c1 next; }\n"
+            "pred q(root r, seg F) := emp /\\ r=F"
+            " \\/ exists X, Y. r->c1(X) * q(X, F) /\\ r!=F;\n"
+        )
+        want = ("line 2, col 1: q: C1 violated, existential Y is not a head field", 2, 1)
+        assert cold(bad + QUERY) == want
+        assert parsed_blocks(bad + QUERY, bad + QUERY) == 0
+        assert warm(bad + QUERY, bad + QUERY) == want
+
+    @pytest.mark.parametrize("memo", ["cold", "warm"])
+    def test_checked_is_what_check_wellformed_records(self, memo):
+        texts = [p.read_text() for p in sorted(DATA.glob("*.sep"))]
+        texts += [NATIVE_CORPUS + f"check {seq}\n" for _, seq, _ in SUITE]
+        parser._defs.clear()
+        for t in texts:
+            if memo == "cold":
+                parser._defs.clear()
+            reg = parse_native(t).registry
+            fresh = Registry(dict(reg.sorts), dict(reg.preds))
+            check_wellformed(fresh)
+            assert reg.checked == fresh.checked
+
+    def test_memo_keeps_the_last_64_blocks(self):
+        parser._defs.clear()
+        sorts = "".join(f"data s{i} {{ s{i} next; }}\n" for i in range(200))
+        parse_native(sorts + QUERY)
+        assert len(parser._defs) == 64
+        assert parser._defs[-1].decl.name == "s199"
