@@ -27,16 +27,36 @@ point, a name in a root or segment position, a failed lookup), and for a
 model that shows no data, the models are checked one by one, so every
 error is raised where the model-by-model check raises it.
 
+An unfolding can be settled before any of its models is enumerated. Its
+pointer shapes are enumerated alone, with the data variables left
+unassigned, and the right side is walked over each. When every walk leaves
+only comparisons that follow from the unfolding's own `<=` and `=` atoms
+(a chain of such steps, a literal stepping to any literal not below it),
+the right side holds in every model of the unfolding, and the unfolding is
+skipped whole. Its models would refute nothing and raise nothing, so the
+first countermodel and every error stay where the model-by-model search
+finds them. The walks are kept for the models of an unfolding that does
+not settle. A model's dangling locations can differ from its shape's,
+since a data value can use up a fresh location (below). A right side that
+reads each variable at the premise's kind, itself and in the definitions
+it reaches, cannot tell the two apart; for any other, an unfolding settles
+only if no shape has a dangling location.
+
 Model enumeration is canonical: allocated cells take locations 1..n in
-expansion order and dangling values use fresh locations in first-use order,
-so isomorphic models come out as one. Two unfoldings never yield the same
-model: in each, every occurrence takes the branch that the model's own root
-and segment values select. Within one unfolding a variable the model does
-not show, such as a non-head existential seen only in pure atoms, can take
-several values for the same model. Only an unfolding with such a variable
-keeps the models it has yielded, and only while it is enumerated, so the
-enumerator holds at most one unfolding's models. An unfolding whose
-equalities contradict its own disequalities has no models and is skipped.
+expansion order and dangling values use fresh locations in first-use
+order. A data value equal to the next fresh location uses it up, so a
+later pointer can take that location or the one after, and two models that
+differ only in a dangling location's name can both come out: at
+Bound(1, 3, 0, 3), `x->c1(null)` with the atoms a<=3 and y!=x has the
+models a=2, y=2 and a=2, y=3. Frozen model counts pin this order. Two
+unfoldings never yield the same model: in each, every occurrence takes the
+branch that the model's own root and segment values select. Within one
+unfolding a variable the model does not show, such as a non-head
+existential seen only in pure atoms, can take several values for the same
+model. Only an unfolding with such a variable keeps the models it has
+yielded, and only while it is enumerated, so the enumerator holds at most
+one unfolding's models. An unfolding whose equalities contradict its own
+disequalities has no models and is skipped.
 """
 
 from __future__ import annotations
@@ -579,6 +599,28 @@ def kinds_of(heap: SymbolicHeap, reg: Registry) -> dict[str, Kind]:
     return kinds
 
 
+def _kinds_read(heap: SymbolicHeap, reg: Registry) -> Optional[dict[str, Kind]]:
+    """The kind `kinds_of` gives each variable of the heap, when the heap
+    and the nonempty step of every definition it reaches each read every
+    variable at one kind; else None. A step passes its parameters on to
+    its recursive occurrence, so it reads them at their declared kinds."""
+    try:
+        kinds = kinds_of(heap, reg)
+        todo = [a.pred for a in heap.spatial if type(a) is not PointsTo]
+        seen: set[str] = set()
+        while todo:
+            name = todo.pop()
+            if name not in seen:
+                seen.add(name)
+                rb = reg.preds[name].rec
+                side = tuple([a for a in (rb.order,) + rb.arith if a is not None])
+                kinds_of(SymbolicHeap((rb.head, rb.rec) + rb.matrix, side), reg)
+                todo.extend(m.pred for m in rb.matrix)
+    except OracleError:
+        return None
+    return kinds
+
+
 # ----------------------------------------------------------- model enumeration
 
 
@@ -608,11 +650,15 @@ def models_of(
 
 
 def _assigned(
-    heap: SymbolicHeap, reg: Registry, bound: Bound
+    heap: SymbolicHeap,
+    reg: Registry,
+    bound: Bound,
+    settled: Optional[Callable[[_Unfolding], bool]] = None,
 ) -> Iterator[tuple[Env, _Unfolding]]:
     """The assignment behind each model of `models_of`, in its order, with
     its unfolding. The assignment is one dict, updated in place between
-    yields."""
+    yields. An unfolding that `settled` answers True for is passed over
+    before its first assignment."""
     fresh = FreshNames()
     stack_names = tuple(sorted(heap.fv()))
     # A stack variable an unfolding drops keeps the kind the input gives it.
@@ -623,14 +669,11 @@ def _assigned(
         kinds = input_kinds | kinds_of(SymbolicHeap(cells, pure_atoms), reg)
         if _refuted(pure_atoms):
             continue
-        unfolding = seen = None  # made at the unfolding's first model
+        unfolding = _Unfolding(cells, pure_atoms, stack_names, ptr_vars, kinds, reg, hides)
+        if settled is not None and settled(unfolding):
+            continue
+        seen = None if unfolding.shown is None else set()
         for env in _assignments(cells, pure_atoms, stack_names, kinds, bound):
-            if unfolding is None:
-                unfolding = _Unfolding(
-                    cells, pure_atoms, stack_names, ptr_vars, kinds, reg, hides
-                )
-                if unfolding.shown is not None:
-                    seen = set()
             if seen is not None:
                 key = tuple([env[n] for n in unfolding.shown])
                 if key in seen:
@@ -656,17 +699,28 @@ def _hides(heap: SymbolicHeap, reg: Registry) -> bool:
 
 
 class _Unfolding:
-    """An unfolding of a premise that has models.
+    """An unfolding of a premise whose equalities do not refute it.
 
     `layout` holds its cells compiled, as (location, sort, field operands).
     A model shows the stack and the cell fields. `shown` is None when the
     models show every variable an assignment binds, else the variables they
     show. The cell roots are fixed, so a variable named only in pure atoms
     can tell apart two assignments that make the same model; `hides` says
-    whether the heap's unfoldings can have one.
+    whether the heap's unfoldings can have one. `walked` holds the right
+    side's residual for each pointer shape walked so far, by the values of
+    the shape's pointer variables.
     """
 
-    __slots__ = ("stack_names", "ptr_vars", "kinds", "layout", "shown")
+    __slots__ = (
+        "cells",
+        "pure_atoms",
+        "stack_names",
+        "ptr_vars",
+        "kinds",
+        "layout",
+        "shown",
+        "walked",
+    )
 
     def __init__(
         self,
@@ -678,9 +732,12 @@ class _Unfolding:
         reg: Registry,
         hides: bool,
     ) -> None:
+        self.cells = cells
+        self.pure_atoms = pure_atoms
         self.stack_names = stack_names
         self.ptr_vars = ptr_vars
         self.kinds = kinds
+        self.walked: dict[tuple[int, ...], Union[bool, tuple[Check, ...], None]] = {}
         self.layout = [(i + 1, c.sort, _field_operands(c, reg)) for i, c in enumerate(cells)]
         self.shown = None
         if hides:
@@ -809,6 +866,7 @@ def _assignments(
     stack_names: tuple[str, ...],
     kinds: dict[str, Kind],
     bound: Bound,
+    ints: bool = True,
 ) -> Iterator[Env]:
     """Every satisfying stack, as one dict updated in place between yields.
 
@@ -816,6 +874,11 @@ def _assignments(
     assigned in first-use order by an odometer; a pointer variable ranges
     over null, the cells and the next unused fresh location, and an atom is
     checked as soon as its last variable is assigned.
+
+    Without `ints` the variables of kind int stay unassigned and only the
+    pointer atoms are checked, so only pointer values use up fresh
+    locations. Every model's pointer part, its dangling locations renamed
+    in first-use order, is then one of the stacks.
     """
     env: Env = {}
     n = len(cells)
@@ -843,6 +906,9 @@ def _assignments(
             placed.add(nm)
             order.append(nm)
 
+    if not ints:
+        order = [nm for nm in order if kinds.get(nm, "ptr") != "int"]
+        pure_atoms = tuple([a for a in pure_atoms if type(a) is PtrEq or type(a) is PtrNeq])
     pos = {nm: i for i, nm in enumerate(order)}
     ready: list[list[Check]] = [[] for _ in range(len(order) + 1)]
     for a in pure_atoms:
@@ -906,6 +972,101 @@ def _assignments(
 _UNWALKED = object()  # a shape the right side has not been walked over yet
 
 
+def _implication(atoms: tuple[PureAtom, ...]) -> Optional[Callable[[Check], bool]]:
+    """Which data comparisons the atoms' `<=` and `=` imply, as a test of
+    a compared pair (op, u, v), each side a variable name or an int; None
+    when an arithmetic atom has null in it, or when the atoms order a
+    literal below a smaller one and so have no model to skip.
+
+    u <= v is implied by a chain of `<=` and `=` steps from u to v, in
+    which a literal steps to any literal not below it; u = v by chains
+    both ways. No other comparison is implied.
+    """
+    succ: dict[Value, list[Value]] = {}
+    for a in atoms:
+        if type(a) is ArithLeq or type(a) is ArithEq:
+            u, v = [
+                e.name if type(e) is Var else e.value if type(e) is IntLit else None
+                for e in (a.lhs, a.rhs)
+            ]
+            if u is None or v is None:
+                return None
+            succ.setdefault(u, []).append(v)
+            if type(a) is ArithEq:
+                succ.setdefault(v, []).append(u)
+    literals = [c for c in succ if type(c) is int]
+
+    def le(u: Value, v: Value) -> bool:
+        todo = [u]
+        seen = {u}
+        while todo:
+            w = todo.pop()
+            if w == v or (type(w) is int and type(v) is int and w <= v):
+                return True
+            steps = succ.get(w, [])
+            if type(w) is int:
+                steps = steps + [c for c in literals if c > w]
+            for z in steps:
+                if z not in seen:
+                    seen.add(z)
+                    todo.append(z)
+        return False
+
+    if any([le(c, c - 1) for c in literals]):
+        return None
+
+    def implied(check: Check) -> bool:
+        op, u, v = check
+        if op is operator.le:
+            return le(u, v)
+        return op is operator.eq and le(u, v) and le(v, u)
+
+    return implied
+
+
+def _settled(
+    rhs: _Compiled, renamable: Callable[[dict[str, Kind]], bool], u: _Unfolding, bound: Bound
+) -> bool:
+    """Does the right side hold in every model of the unfolding, by its
+    pointer shapes alone?  Each shape is walked once (`_residual`) and the
+    residual kept in `u.walked`; the answer is True when every residual's
+    comparisons follow from the unfolding's own arithmetic atoms, which
+    each of its models satisfies.
+
+    A model's shape is one of the stacks `_assignments` gives without
+    ints, once its dangling locations are renamed in first-use order. When
+    the right side reads every variable at the kind the unfolding gives it
+    (`renamable` of the unfolding's kinds), its walk compares locations
+    only with locations, for equality, and cannot tell the two apart.
+    Otherwise no shape may have a dangling location, which makes the
+    renaming the identity: a right side that reads a data variable as a
+    pointer, or a pointer as data, sees where a data value equals a
+    location. An error, a shape the walk cannot decide or one it refutes
+    answers False, and so do an unfolding whose models show no data and
+    an `_implication` of None.
+    """
+    data, pointers = u.split()
+    if not data:
+        return False
+    implied = _implication(u.pure_atoms)
+    if implied is None:
+        return False
+    n = len(u.cells)
+    try:
+        for env in _assignments(
+            u.cells, u.pure_atoms, u.stack_names, u.kinds, bound, ints=False
+        ):
+            if any([v > n for v in env.values()]) and not renamable(u.kinds):
+                return False
+            key = tuple([env[p] for p in pointers])
+            residual = u.walked[key] = _residual(rhs, u.model(env, data), bound)
+            if residual is None or residual is False or not all(map(implied, residual)):
+                return False
+    except (OracleError, KeyError):
+        return False
+    return True
+
+
 class OracleVerdict(NamedTuple):
     bounded_valid: bool
     counter: Optional[HeapModel]
@@ -916,27 +1077,35 @@ def oracle_entails(
 ) -> OracleVerdict:
     """Search for a countermodel; absence only rules out models within bound.
 
-    The premise's models come as `models_of` yields them, but the right
-    side is walked once per pointer shape of an unfolding (`_residual`),
-    and each model of the shape is decided by the data comparisons the walk
-    left. A model whose shape the walk cannot decide, or that shows no
-    data, is checked as it is. The first model that fails is the
-    countermodel, as if every model were checked in turn."""
+    The premise's models come as `models_of` yields them, less those of
+    each unfolding that `_settled` shows the right side holds in. The
+    right side is walked once per pointer shape of an unfolding
+    (`_residual`), and each model of the shape is decided by the data
+    comparisons the walk left. A model whose shape the walk cannot decide,
+    or that shows no data, is checked as it is. The first model that fails
+    is the countermodel, as if every model were checked in turn."""
     _check_input(reg, ent.rhs)
     _check_input(reg, ent.lhs)
     rhs = _compile_heap(ent.rhs, reg)
+    reads: list[Optional[dict[str, Kind]]] = []  # `_kinds_read` of the right side, once asked
+
+    def renamable(kinds: dict[str, Kind]) -> bool:
+        if not reads:
+            reads.append(_kinds_read(ent.rhs, reg))
+        return reads[0] is not None and all([kinds.get(v) == k for v, k in reads[0].items()])
+
     unfolding = None
-    for env, u in _assigned(ent.lhs, reg, bound):
+    for env, u in _assigned(ent.lhs, reg, bound, lambda u: _settled(rhs, renamable, u, bound)):
         if u is not unfolding:
             unfolding = u
             data, pointers = u.split()
-            residuals: dict[tuple[int, ...], Union[bool, tuple[Check, ...], None]] = {}
+            walked = u.walked
         residual = None  # a model that shows no data is a shape of its own
         if data:
             key = tuple([env[n] for n in pointers])
-            residual = residuals.get(key, _UNWALKED)
+            residual = walked.get(key, _UNWALKED)
             if residual is _UNWALKED:
-                residual = residuals[key] = _residual(rhs, u.model(env, data), bound)
+                residual = walked[key] = _residual(rhs, u.model(env, data), bound)
         if residual is None:
             model = u.model(env)
             if not _holds(rhs, model, bound):
