@@ -14,15 +14,7 @@ this order:
 The order fixes the rule at every leaf, so the search never backtracks.
 Before a selected rule is applied the engine tries to link the leaf back to
 a structurally identical ancestor under a renaming of proof-fresh
-variables; the resulting cyclic structure is re-verified by an independent
-pass that follows one predicate occurrence along every cycle and demands
-that it was unfolded on the way.
-
-Invalid verdicts at stuck leaves come with a concrete countermodel whenever
-the leaf shape guarantees one; the model is rebuilt bottom-up through the
-branch (undoing substitutions, dropping unfolding freshness, re-adding
-heap parts split off by Star) and confirmed against the input before it is
-reported.
+variables.  `certify` re-checks closed trees, `counter` lifts countermodels.
 """
 
 from __future__ import annotations
@@ -32,9 +24,11 @@ from dataclasses import dataclass, field, replace
 from typing import Collection, Iterator, Literal, Optional, Sequence, Union
 
 from . import pure as pure_solver
+from .certify import _link_conditions
+from .certify import check_cyclic_soundness  # perfbench/tracer.py wraps it here
+from .counter import _leaf_witness  # perfbench/tracer.py wraps it here
 from .defs import (
     Registry,
-    base_of,
     base_parts,
     check_wellformed,
     guard_of,
@@ -47,14 +41,12 @@ from .normalize import Edge, RuleChoice, case_split, in_place, spliced_fwd
 from .normalize import normalize_step  # perfbench/tracer.py wraps it here
 # perfbench/tracer.py wraps these two by name here; the engine calls neither
 from .normalize import lbase_site, subst_site  # noqa: F401
-from .oracle import Cell, HeapModel, OracleError, confirm_countermodel, holds, kinds_of
+from .oracle import HeapModel
 from .syntax import (
     ArithEq,
     Entailment,
     Expr,
     FreshNames,
-    IntLit,
-    Null,
     PointsTo,
     PredOcc,
     PtrEq,
@@ -62,6 +54,7 @@ from .syntax import (
     SpatialAtom,
     SymbolicHeap,
     Var,
+    _match_identical,
     is_fresh_name,
     same_atom_mod_unfold,
     subst_atom,
@@ -155,17 +148,6 @@ class ProofTree:
             cur = self.nodes[cur.parent]
             yield cur
 
-    def path_down(self, anc: int, desc: int) -> list[ProofNode]:
-        """Nodes strictly below anc on the branch to desc, top to bottom."""
-        out = []
-        cur = self.nodes[desc]
-        while cur.id != anc:
-            out.append(cur)
-            if cur.parent is None:
-                raise KeyError(f"{anc} is not an ancestor of {desc}")
-            cur = self.nodes[cur.parent]
-        return list(reversed(out))
-
     def open_leaf(self) -> Optional[ProofNode]:
         """Leftmost deepest open leaf in child order.
 
@@ -203,23 +185,6 @@ class Verdict:
 
 
 # -------------------------------------------------------------------- helpers
-
-
-def _match_identical(
-    lhs: tuple[SpatialAtom, ...], rhs: tuple[SpatialAtom, ...]
-) -> dict[int, int]:
-    """Injective map of RHS indices to structurally identical LHS atoms,
-    unfolding annotations ignored.  Greedy is enough: separated atoms with
-    equal roots cannot coexist, so candidates are unique."""
-    used: set[int] = set()
-    out: dict[int, int] = {}
-    for j, b in enumerate(rhs):
-        for i, a in enumerate(lhs):
-            if i not in used and same_atom_mod_unfold(a, b):
-                used.add(i)
-                out[j] = i
-                break
-    return out
 
 
 def _reached(atom: SpatialAtom, reg: Registry) -> Collection[Expr]:
@@ -689,21 +654,6 @@ def _spatial_unifiers(
         _undo(sigma, trail, mark)
 
 
-def _link_conditions(
-    bud: Entailment, comp: Entailment, sigma: dict[str, str]
-) -> bool:
-    smap: dict[str, Expr] = {n: Var(t) for n, t in sigma.items()}
-    img = bud.rhs.subst(smap)
-    m = _match_identical(comp.rhs.spatial, img.spatial)
-    if len(m) != len(img.spatial) or len(m) != len(comp.rhs.spatial):
-        return False
-    if frozenset(img.pure) != frozenset(comp.rhs.pure):
-        return False
-    # weakening: the renamed bud may know more pure facts, never fewer
-    have = frozenset(subst_atom(a, smap) for a in bud.lhs.pure)
-    return all(a in have for a in comp.lhs.pure)
-
-
 def link_back(
     tree: ProofTree, leaf_id: int, reg: Registry
 ) -> Optional[tuple[int, dict[str, str], dict[int, int]]]:
@@ -745,237 +695,6 @@ def link_back(
             if _link_conditions(ent, anc.ent, sigma):
                 return anc.id, sigma, match
     return None
-
-
-# ------------------------------------------------------------ cycle soundness
-
-
-def _trace_ok(tree: ProofTree, bud: ProofNode, start: int, goal: int) -> bool:
-    """Follow one occurrence from the companion down to the bud; the walk
-    must survive every step, land on the matched bud atom, and pass at
-    least one incrementing unfold."""
-    assert bud.companion is not None
-    j: Optional[int] = start
-    progressed = False
-    for node in tree.path_down(bud.companion, bud.id):
-        edge = node.edge
-        assert edge is not None
-        if j is None or j >= len(edge.fwd):
-            return False
-        if j in edge.progressed:
-            progressed = True
-        j = edge.fwd[j]
-    return j == goal and progressed
-
-
-def check_cyclic_soundness(tree: ProofTree, reg: Registry) -> list[str]:
-    """Re-verify every back-link from scratch; an empty report means the
-    pre-proof is a sound cyclic proof.  Nothing is trusted from the search:
-    ancestry, the renaming, the pure weakening, and the existence of a
-    progressing trace along the cycle are all established again."""
-    problems = []
-    for nid in sorted(tree.nodes):
-        bud = tree.nodes[nid]
-        if bud.status != "bud":
-            continue
-
-        def bad(msg: str) -> None:
-            problems.append(f"bud {bud.id}: {msg}")
-
-        if bud.companion is None or bud.sigma is None or bud.match is None:
-            bad("missing companion, renaming, or atom map")
-            continue
-        if bud.companion not in {a.id for a in tree.ancestors(bud.id)}:
-            bad(f"companion {bud.companion} is not a strict ancestor")
-            continue
-        comp = tree.node(bud.companion)
-        if not all(is_fresh_name(n) for n in bud.sigma):
-            bad("renaming touches an input variable")
-            continue
-        smap: dict[str, Expr] = {n: Var(t) for n, t in bud.sigma.items()}
-        bl, cl = bud.ent.lhs.spatial, comp.ent.lhs.spatial
-        if sorted(bud.match) != list(range(len(bl))) or sorted(
-            bud.match.values()
-        ) != list(range(len(cl))):
-            bad("atom map is not a bijection")
-            continue
-        if not all(
-            same_atom_mod_unfold(bl[i].subst(smap), cl[j])
-            for i, j in bud.match.items()
-        ):
-            bad("left spatial parts differ under the renaming")
-            continue
-        if not _link_conditions(bud.ent, comp.ent, bud.sigma):
-            bad("right side or pure weakening condition fails")
-            continue
-        prog = [
-            i
-            for i, j in sorted(bud.match.items())
-            if isinstance(bl[i], PredOcc)
-            and isinstance(cl[j], PredOcc)
-            and bl[i].unfold > cl[j].unfold
-        ]
-        if not prog:
-            bad("no occurrence is unfolded strictly more than its image")
-            continue
-        if not any(_trace_ok(tree, bud, bud.match[i], i) for i in prog):
-            bad("no progressing trace follows the cycle")
-    return problems
-
-
-# ------------------------------------------------------- countermodel lifting
-
-
-def _val(e: Expr, stack: dict[str, int]) -> int:
-    """Value of a term on a stack: null is location 0."""
-    if isinstance(e, Null):
-        return 0
-    if isinstance(e, IntLit):
-        return e.value
-    return stack[e.name]
-
-
-def _place(
-    cells: Sequence[SpatialAtom], stack: dict[str, int], heap: dict[int, Cell]
-) -> bool:
-    """Put each cell into `heap` at its root's value; False at a null root
-    or at a location already taken."""
-    for atom in cells:
-        assert isinstance(atom, PointsTo)
-        loc = _val(atom.root, stack)
-        if loc == 0 or loc in heap:
-            return False
-        heap[loc] = Cell(atom.sort, tuple(_val(f, stack) for f in atom.fields))
-    return True
-
-
-def bad_model(heap: SymbolicHeap, reg: Registry) -> HeapModel:
-    """A concrete model of a base formula in normal form: each class of
-    pointer variables that the pure part equates gets its own location, 0
-    for null's class, and data variables get a satisfying assignment.  Both
-    models read the one pure context of `heap.pure`."""
-    if any(isinstance(a, PredOcc) for a in heap.spatial):
-        raise OracleError("bad_model needs a base formula")
-    kinds = kinds_of(heap, reg)
-    ptr_names = tuple(sorted(n for n, k in kinds.items() if k == "ptr"))
-    int_names = tuple(sorted(n for n, k in kinds.items() if k == "int"))
-    stack = dict(pure_solver.pointer_model(heap.pure, ptr_names))
-    stack.update(pure_solver.arith_model(heap.pure, int_names))
-    cells: dict[int, Cell] = {}
-    if not _place(heap.spatial, stack, cells):
-        raise OracleError("input is not a separated base formula in NF")
-    model = HeapModel(stack, cells, frozenset(ptr_names))
-    if not holds(model, heap, reg):
-        raise OracleError("bad_model construction failed its own check")
-    return model
-
-
-def _fresh_values(
-    needed: list[tuple[str, str]], model: HeapModel
-) -> tuple[dict[str, int], set[str]]:
-    """Distinct values for variables absent from the stack: new locations
-    for pointers, large pairwise-distinct integers for data."""
-    stack = dict(model.stack)
-    ptrs = set(model.ptr_vars)
-    loc = max((0, *model.heap, *(stack[n] for n in ptrs if n in stack))) + 1
-    big = 1000003
-    for name, kind in needed:
-        if name in stack:
-            continue
-        if kind == "ptr":
-            stack[name] = loc
-            ptrs.add(name)
-            loc += 1
-        else:
-            stack[name] = big
-            big += 1
-    return stack, ptrs
-
-
-def _add_peeled(
-    model: HeapModel, peeled: tuple[SpatialAtom, ...], reg: Registry
-) -> Optional[HeapModel]:
-    """Extend the model with a minimal subheap for the atoms Star split
-    off, so it satisfies the conclusion again.  Roots acquire fresh
-    locations, so the added cells collide with nothing that matters."""
-    cells = base_of(SymbolicHeap(peeled), reg).spatial
-    needed: list[tuple[str, str]] = []
-    for atom in cells:
-        assert isinstance(atom, PointsTo)
-        decl = reg.sorts[atom.sort]
-        if isinstance(atom.root, Var):
-            needed.append((atom.root.name, "ptr"))
-        for (_, ft), f in zip(decl.fields, atom.fields):
-            if isinstance(f, Var):
-                needed.append((f.name, "int" if ft == "int" else "ptr"))
-    stack, ptrs = _fresh_values(needed, model)
-    heap = dict(model.heap)
-    if not _place(cells, stack, heap):
-        return None
-    return HeapModel(stack, heap, frozenset(ptrs))
-
-
-def _complete_stack(model: HeapModel, ent: Entailment, reg: Registry) -> HeapModel:
-    """Give every variable of the sequent that the stack lacks a fresh value
-    of its kind.  =L and LBase can remove the last left-side mention of a
-    conclusion variable, so models built from the left side may miss it."""
-    missing = sorted(ent.fv() - model.stack.keys())
-    if not missing:
-        return model
-    kinds = {**kinds_of(ent.rhs, reg), **kinds_of(ent.lhs, reg)}
-    stack, ptrs = _fresh_values([(n, kinds[n]) for n in missing], model)
-    return HeapModel(stack, model.heap, frozenset(ptrs))
-
-
-def _lift_counter(
-    tree: ProofTree, leaf_id: int, model: HeapModel, reg: Registry
-) -> Optional[HeapModel]:
-    """Rebuild a countermodel of the root from one of a stuck leaf by
-    replaying the branch upwards, then confirm it by evaluation."""
-    m: Optional[HeapModel] = model
-    cur = tree.node(leaf_id)
-    while cur.parent is not None and m is not None:
-        edge = cur.edge
-        assert edge is not None
-        if edge.sub is not None:
-            name, repl = edge.sub
-            if isinstance(repl, Var) and repl.name not in m.stack:
-                return None
-            is_ptr = isinstance(repl, Null) or (
-                isinstance(repl, Var) and repl.name in m.ptr_vars
-            )
-            stack = dict(m.stack)
-            stack[name] = _val(repl, m.stack)
-            ptrs = set(m.ptr_vars) | ({name} if is_ptr else set())
-            m = HeapModel(stack, m.heap, frozenset(ptrs))
-        if edge.peeled:
-            m = _add_peeled(m, edge.peeled, reg)
-        cur = tree.node(cur.parent)
-    if m is None:
-        return None
-    root = tree.node(tree.root).ent
-    names = root.fv()
-    m = HeapModel(
-        {n: v for n, v in m.stack.items() if n in names},
-        m.heap,
-        frozenset(n for n in m.ptr_vars if n in names),
-    )
-    m = _complete_stack(m, root, reg)
-    return m if confirm_countermodel(m, root, reg) else None
-
-
-def _leaf_witness(
-    tree: ProofTree, leaf_id: int, reg: Registry
-) -> Optional[HeapModel]:
-    ent = tree.node(leaf_id).ent
-    try:
-        bad = bad_model(base_of(ent.lhs, reg), reg)
-    except ValueError:
-        return None
-    bad = _complete_stack(bad, ent, reg)
-    if holds(bad, ent.rhs, reg):
-        return None  # leaf shape promised refutation but the model agrees
-    return _lift_counter(tree, leaf_id, bad, reg)
 
 
 # ----------------------------------------------------------------- the prover

@@ -263,6 +263,23 @@ def same_atom_mod_unfold(a: SpatialAtom, b: SpatialAtom) -> bool:
     return a == b
 
 
+def _match_identical(
+    lhs: tuple[SpatialAtom, ...], rhs: tuple[SpatialAtom, ...]
+) -> dict[int, int]:
+    """Injective map of RHS indices to structurally identical LHS atoms,
+    unfolding annotations ignored.  Greedy is enough: separated atoms with
+    equal roots cannot coexist, so candidates are unique."""
+    used: set[int] = set()
+    out: dict[int, int] = {}
+    for j, b in enumerate(rhs):
+        for i, a in enumerate(lhs):
+            if i not in used and same_atom_mod_unfold(a, b):
+                used.add(i)
+                out[j] = i
+                break
+    return out
+
+
 # --------------------------------------------------------------- symbolic heap
 
 

@@ -6,7 +6,9 @@ own PASSED/FAILED column is the per-criterion verdict.
 
 import io
 import random
+import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,8 @@ from hypothesis import given, settings
 
 from conftest import disjunction_equivalent, entailments, make_registry, parse_query
 from sepent.cli import run_cli
-from sepent.engine import Edge, check_cyclic_soundness, prove
+from sepent.certify import check_cyclic_soundness
+from sepent.engine import Edge, prove
 from sepent.export import export_proof
 from sepent.normalize import normalize
 from sepent.oracle import Bound, confirm_countermodel, oracle_entails
@@ -132,6 +135,26 @@ def test_unfolding_numbers_stay_within_two(suite_runs):
     print(f"unfolding ceiling: PASS  max left unfold number {worst} (bound 2)")
 
 
+def within(seconds, fn, *args):
+    """fn(*args) in a daemon thread; fails if it has not returned in time,
+    so a hang is reported instead of stalling the run."""
+    box = {}
+
+    def run():
+        try:
+            box["out"] = fn(*args)
+        except BaseException as e:  # re-raised in the test's thread
+            box["err"] = e
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    if "err" in box:
+        raise box["err"]
+    assert "out" in box, f"{fn.__name__} still running after {seconds} s"
+    return box["out"]
+
+
 def test_global_soundness_checker(reg, suite_runs):
     runs, _ = suite_runs
     accepted = 0
@@ -159,8 +182,31 @@ def test_global_soundness_checker(reg, suite_runs):
         ("no progressing trace", two_node_cycle(progressed=frozenset()))
     )
 
+    # Forgeries of a real proof: bud 23 links to node 11 down the path
+    # 12, 14, 19, 20, 21, 23, and node 12 (LInd) maps the occurrence by
+    # fwd == (1,).
+    def chain_proof():
+        tree = prove(parse_query(chain_sequent(2)), reg).tree
+        assert len(tree.nodes) == 30 and tree.node(23).companion == 11
+        assert tree.node(12).edge.fwd == (1,)
+        return tree
+
+    looped = chain_proof()
+    looped.node(0).parent = 23
+    negatives.append(("parent links loop through the root", looped))
+
+    edgeless = chain_proof()
+    edgeless.node(19).edge = None
+    negatives.append(("edgeless node on the cycle", edgeless))
+
+    negative_index = chain_proof()
+    lind = negative_index.node(12)
+    lind.edge = replace(lind.edge, fwd=(-1,))
+    negatives.append(("trace index below the edge", negative_index))
+
     for label, tree in negatives:
-        assert check_cyclic_soundness(tree, reg), f"accepted bad proof: {label}"
+        report = within(10, check_cyclic_soundness, tree, reg)
+        assert report, f"accepted bad proof: {label}"
     print(
         f"global soundness: PASS  {accepted} emitted proofs accepted, "
         f"{len(negatives)} forged certificates rejected"

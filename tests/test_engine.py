@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import MALFORMED_ATOMS, entailments, make_registry, parse_query
 from sepent import engine, normalize
+from sepent.certify import _link_conditions, check_cyclic_soundness
 from sepent.defs import InductiveDef, Param, RecBranch, Registry, Role
 from sepent.engine import (
     Edge,
@@ -24,11 +25,9 @@ from sepent.engine import (
     SideConditionFailed,
     UnsoundProof,
     UnsupportedFragment,
-    _link_conditions,
     _spatial_unifiers,
     _unify_atom,
     apply_rule,
-    check_cyclic_soundness,
     is_closed,
     link_back,
     prove,
@@ -773,6 +772,12 @@ class TestCyclicCheckerRejects:
         tree = two_node_cycle(fwd=(None,))
         report = check_cyclic_soundness(tree, registry)
         assert report == ["bud 1: no progressing trace follows the cycle"]
+
+    def test_edgeless_node_on_the_cycle_is_reported(self, registry):
+        tree = two_node_cycle()
+        tree.node(1).edge = None
+        report = check_cyclic_soundness(tree, registry)
+        assert report == ["bud 1: node 1 on the cycle has no edge"]
 
     def test_missing_companion_is_reported(self, registry):
         tree = two_node_cycle()

@@ -32,7 +32,8 @@ from sepent.defs import (
     SortDecl,
     base_of,
 )
-from sepent.engine import bad_model, prove
+from sepent.counter import bad_model
+from sepent.engine import prove
 from sepent.oracle import (
     Bound,
     Cell,
@@ -222,6 +223,14 @@ def test_oracle_imports_only_syntax_and_defs():
 
 def test_normalize_imports_nothing_from_engine():
     assert "engine" not in _package_imports(SRC / "normalize.py")
+
+
+def test_certify_imports_only_syntax_defs_and_pure():
+    assert _package_imports(SRC / "certify.py") <= {"syntax", "defs", "pure"}
+
+
+def test_counter_imports_neither_engine_nor_normalize():
+    assert not _package_imports(SRC / "counter.py") & {"engine", "normalize"}
 
 
 # ------------------------------------------------------------------ bad_model

@@ -5,7 +5,8 @@ pass the global soundness check."""
 import pytest
 
 from conftest import make_registry, parse_query
-from sepent.engine import check_cyclic_soundness, prove
+from sepent.certify import check_cyclic_soundness
+from sepent.engine import prove
 from sepent.oracle import Bound, confirm_countermodel, oracle_entails
 from suite_cases import SUITE, chain_sequent
 
