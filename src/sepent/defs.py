@@ -392,24 +392,19 @@ def base_of(
     materialized the same way, except that a matrix occurrence of a predicate
     already being materialized takes its empty branch (its root collapses to
     its own segment argument), which keeps the construction finite.
+
+    By default the new names carry the tag `b` after the fresh-name marker,
+    which no proof-fresh name has, so they are apart from the heap's names.
     """
-    cells, extra = base_parts(heap.spatial, reg, fresh or FreshNames())
-    return heap.with_spatial(cells).add_pure(extra)
-
-
-def base_parts(
-    spatial: tuple[SpatialAtom, ...], reg: Registry, fresh: FreshNames
-) -> tuple[tuple[PointsTo, ...], tuple[PureAtom, ...]]:
-    """The cells and the pure atoms `base_of` puts in place of a spatial
-    part; they depend on nothing else but the definitions and `fresh`."""
+    fresh = fresh or FreshNames("b")
     cells: list[PointsTo] = []
     extra: list[PureAtom] = []
-    for atom in spatial:
+    for atom in heap.spatial:
         if isinstance(atom, PointsTo):
             cells.append(atom)
         else:
             _materialize(atom, reg, fresh, cells, extra, frozenset())
-    return tuple(cells), tuple(extra)
+    return heap.with_spatial(tuple(cells)).add_pure(extra)
 
 
 def _materialize(

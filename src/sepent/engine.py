@@ -12,6 +12,8 @@ this order:
 6. otherwise stuck case 2a.
 
 The order fixes the rule at every leaf, so the search never backtracks.
+Step 1 and the Inconsistency axiom read the left side alone, so a left
+side that passed both is marked so and is not looked at again (`_select`).
 Before a selected rule is applied the engine tries to link the leaf back to
 a structurally identical ancestor under a renaming of proof-fresh
 variables.  `certify` re-checks closed trees, `counter` lifts countermodels.
@@ -19,7 +21,7 @@ variables.  `certify` re-checks closed trees, `counter` lifts countermodels.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Collection, Iterator, Literal, Optional, Sequence, Union
 
@@ -29,7 +31,7 @@ from .certify import check_cyclic_soundness  # perfbench/tracer.py wraps it here
 from .counter import _leaf_witness  # perfbench/tracer.py wraps it here
 from .defs import (
     Registry,
-    base_parts,
+    base_of,
     check_wellformed,
     guard_of,
     order_of,
@@ -206,17 +208,20 @@ def _occ_at(heap: SymbolicHeap, root: Expr) -> Optional[tuple[int, PredOcc]]:
 # --------------------------------------------------------------------- axioms
 
 
-def _axiom(ent: Entailment, reg: Registry) -> Optional[RuleChoice]:
+def _inconsistent(lhs: SymbolicHeap, reg: Registry) -> bool:
     # Unsatisfiable left side: everything follows.  The pure part of the
     # one-step materialization carries the constraints the occurrences force
     # (nonemptiness plus instantiated ordering), so its inconsistency decides
     # left-side unsatisfiability on normalized leaves.  It extends the left
     # pure part, whose context is asked first so that the materialization's
     # context can extend it.
-    if not pure_solver.satisfiable(ent.lhs.pure) or not pure_solver.satisfiable(
-        _base_pure(ent.lhs, reg)
-    ):
-        return RuleChoice("Inconsistency", (), ())
+    return not pure_solver.satisfiable(lhs.pure) or not pure_solver.satisfiable(
+        _base_pure(lhs, reg)
+    )
+
+
+def _axiom(ent: Entailment, reg: Registry) -> Optional[RuleChoice]:
+    """Emp or Id. `_select` checks Inconsistency, once per left side."""
     if not ent.lhs.spatial and not ent.rhs.spatial and not ent.rhs.pure:
         return RuleChoice("Emp", (), ())
     m = _match_identical(ent.lhs.spatial, ent.rhs.spatial)
@@ -228,29 +233,10 @@ def _axiom(ent: Entailment, reg: Registry) -> Optional[RuleChoice]:
     return None
 
 
-# Recent materializations, most recent last: a spatial part, the
-# definitions, and the cells and pure atoms `base_parts` puts in its place.
-_bases: deque[tuple[tuple[SpatialAtom, ...], tuple, tuple]] = deque(maxlen=4)
-
-
 def _base_pure(heap: SymbolicHeap, reg: Registry) -> tuple[PureAtom, ...]:
-    """The pure part of `base_of(heap, reg)`. A spatial part materializes
-    the same way under the same definitions, so the memo finds its cells
-    and atoms by identity of the spatial part, or else by equality."""
-    spatial = heap.spatial
-    defs = tuple(reg.preds.values())
-    parts = None
-    for i in range(len(_bases) - 1, -1, -1):
-        key, key_defs, kept = _bases[i]
-        if (key is spatial or key == spatial) and key_defs == defs:
-            parts = kept
-            del _bases[i]
-            break
-    if parts is None:
-        parts = base_parts(spatial, reg, FreshNames())
-    _bases.append((spatial, defs, parts))
-    cells, extra = parts
-    return heap.with_spatial(cells).add_pure(extra).pure
+    """The pure part of `base_of(heap, reg)`, whose new names are apart
+    from the heap's.  Computed once per left side: see `_select`."""
+    return base_of(heap, reg).pure
 
 
 # ----------------------------------------------------------- invalidity cases
@@ -426,6 +412,9 @@ def _star(ent: Entailment, reg: Registry, fresh: FreshNames) -> Optional[RuleCho
         return None
     p1 = Entailment(ent.lhs.with_spatial(k1), SymbolicHeap(k2))
     p2 = Entailment(ent.lhs.with_spatial(k), SymbolicHeap(kp, ent.rhs.pure))
+    # a sub-heap of a normal left side is normal, under the same pure part
+    ent.lhs._hand_on(p1.lhs, "normal_for")
+    ent.lhs._hand_on(p2.lhs, "normal_for")
     e1 = Edge("Star", _kept_fwd(len(lhs), li), peeled=k)
     e2 = Edge("Star", _kept_fwd(len(lhs), left), peeled=k1)
     return RuleChoice("Star", (p1, p2), (e1, e2))
@@ -474,10 +463,21 @@ def _select(
 ) -> Union[RuleChoice, str]:
     """The rule the search applies at a leaf, or the leaf's stuck case:
     normalization, axioms, stuck cases 2b-2d, reductions ending with the
-    right-side case split, and otherwise 2a."""
-    choice = normalize_step(ent, reg)
-    if choice is not None:
-        return choice
+    right-side case split, and otherwise 2a.
+
+    Normalization and Inconsistency read the left side alone. A left side
+    that passes both records the registry as `normal_for` and skips both
+    from then on. It keeps the record through the rules that keep it whole
+    (=R, RBase, Hypothesis, RInd), and `_star` hands it to its premises;
+    every other rule builds a new left side without it."""
+    lhs = ent.lhs
+    if lhs.__dict__.get("normal_for") is not reg:
+        choice = normalize_step(ent, reg)
+        if choice is not None:
+            return choice
+        if _inconsistent(lhs, reg):
+            return RuleChoice("Inconsistency", (), ())
+        lhs.__dict__["normal_for"] = reg
     choice = _axiom(ent, reg)
     if choice is not None:
         return choice

@@ -39,6 +39,15 @@ pairs among n roots instead of n*n/2. What is left per node: one look at
 each root's guard to find the known roots; the roots and guards again
 after a change to the spatial part or a dropped atom; and the pure set,
 built anew after a substitution.
+
+Most nodes do not normalize at all. The engine records on a left side
+that `normalize_step` found nothing there and that it is satisfiable
+(`normal_for`, see `engine._select`), and skips both checks where the
+record is. The rules that keep the left side whole (=R, RBase,
+Hypothesis, RInd) keep the record with it, and Star's premises take it
+over: each keeps the whole pure part and some of the atoms, so no scan
+above finds more there. On a chain proof of n pieces, 16n - 1 nodes,
+`normalize_step` runs at 7n + 2 of them.
 """
 
 from __future__ import annotations

@@ -28,10 +28,11 @@ its one-step materialization, which extends it). A left side rebuilt by
 a substitution or by =L's drop is a tuple that continues none in the
 memo. Its settled roots, each non-null and every two apart, follow it
 through the binding (see `syntax.SymbolicHeap`), so ExM asks about no
-pair of two of them there, but `engine._axiom` pays for one whole
-context of it, unless it comes out equal to a memoized tuple. On cold
-chain proofs (n = 6, 8, ..., 16), 4 entries build 66 contexts, one per
-Subst node and all for `_axiom`, and extend 204; 2 entries extend 270.
+pair of two of them there, but `engine._inconsistent` pays for one
+whole context of it, unless it comes out equal to a memoized tuple. On
+cold chain proofs (n = 6, 8, ..., 16), 4 entries build 66 contexts, one
+per Subst node and all for `_inconsistent`, and extend 204; 2 entries
+extend 270.
 An unbounded memo builds only 6, because a tuple after Subst often
 continues one from a few nodes up, but it keeps every context alive, and
 all 66 builds take under 2% of the time of `prove`.

@@ -305,6 +305,10 @@ class SymbolicHeap:
     - the guard of each atom, which `defs.guards` keeps here for one
       registry.
 
+    Of both parts: `normal_for`, a registry under which normalization has
+    no step left and the Inconsistency check found the heap satisfiable,
+    which `engine._select` records so as to look at most once.
+
     The named ones are `functools.cached_property`s, computed on first use
     and kept in the instance dict, except `apart`, which normalization
     records as NeqStar settles roots (see `settle`). A heap built from
@@ -322,7 +326,9 @@ class SymbolicHeap:
     Of the spatial facts only the guards pass on, through `add_pure` and
     `with_spatial` while the spatial part stays the same: computing them
     again at every proof node made `chain` about 2% slower. `roots` and
-    `skeleton` are computed again on first use. A heap built any other way
+    `skeleton` are computed again on first use. `normal_for` passes on
+    with the heap itself, through the rules that keep a left side whole,
+    and the engine hands it to Star's premises. A heap built any other way
     starts with nothing derived.
     """
 
@@ -492,12 +498,17 @@ class Entailment:
 
 
 class FreshNames:
-    """Session-local fresh variable generator; names are parser-rejected."""
+    """Session-local fresh variable generator; names are parser-rejected.
 
-    def __init__(self) -> None:
+    A `tag` follows the marker in every name made. One that starts with a
+    letter keeps the names apart from those made without a tag: `d#b1`
+    against `d#1`."""
+
+    def __init__(self, tag: str = "") -> None:
         self._n = 0
+        self._tag = tag
 
     def make(self, base: str) -> str:
         self._n += 1
         stem = base.split(FRESH_MARK, 1)[0]
-        return f"{stem}{FRESH_MARK}{self._n}"
+        return f"{stem}{FRESH_MARK}{self._tag}{self._n}"

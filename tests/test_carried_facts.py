@@ -2,11 +2,12 @@
 
 Every fact a proof node carries, whether computed on it or handed on from
 its parent, must equal what a fresh heap with the same two parts computes;
-the settled roots must still be settled; and the memoized materialization
-must equal `base_of` with new fresh names.  Every normalization edge must
-be the one the engine built when it searched the Subst and LBase sites a
-second time.  Checked at every node of the suite proofs, of the chain
-family and of generated entailments.
+the settled roots must still be settled; and a left side that carries the
+engine's `normal_for` record must have no normalization step left and a
+satisfiable materialization.  Every normalization edge must be the one the
+engine built when it searched the Subst and LBase sites a second time.
+Checked at every node of the suite proofs, of the chain family and of
+generated entailments.
 """
 
 from dataclasses import replace
@@ -17,7 +18,9 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import entailments, make_registry, parse_query
+from sepent import engine
 from sepent import normalize as normalize_module
+from sepent import pure
 from sepent.defs import Role, base_of, guard_of, guards
 from sepent.engine import (
     Edge,
@@ -25,6 +28,7 @@ from sepent.engine import (
     RuleChoice,
     UnsupportedFragment,
     _base_pure,
+    _select,
     _star,
     prove,
 )
@@ -48,6 +52,7 @@ from sepent.syntax import (
     Var,
 )
 from suite_cases import SUITE, chain_sequent
+
 
 def fresh_facts(heap, reg):
     """Each derived fact computed from scratch on the two parts alone."""
@@ -100,12 +105,23 @@ def assert_facts_fresh(heap, reg):
     assert_settled(heap)
 
 
+def assert_normal(ent, reg):
+    """A left side recorded normal for `reg` is so on a bare copy: no
+    normalization step, and a satisfiable materialization."""
+    if ent.lhs.__dict__.get("normal_for") is not reg:
+        return
+    bare = SymbolicHeap(ent.lhs.spatial, ent.lhs.pure)
+    assert normalize_step(replace(ent, lhs=bare), reg) is None
+    assert pure.satisfiable(_base_pure(bare, reg))
+
+
 def assert_tree_facts(tree, reg):
     """Returns the rules on the edges into checked nodes."""
     seen = set()
     for n in tree.nodes.values():
         assert_facts_fresh(n.ent.lhs, reg)
         assert_facts_fresh(n.ent.rhs, reg)
+        assert_normal(n.ent, reg)
         if n.edge is not None:
             seen.add(n.edge.rule)
     return seen
@@ -155,12 +171,6 @@ def assert_norm_edges(tree, reg):
     return seen
 
 
-def assert_tree_bases(tree, reg):
-    for n in tree.nodes.values():
-        fresh = SymbolicHeap(n.ent.lhs.spatial, n.ent.lhs.pure)
-        assert _base_pure(n.ent.lhs, reg) == base_of(fresh, reg, FreshNames()).pure
-
-
 @pytest.fixture(scope="module")
 def reg():
     return make_registry()
@@ -174,7 +184,6 @@ def test_suite_and_chain_nodes_carry_fresh_facts(reg):
     for sequent in SEQUENTS:
         tree = prove(parse_query(sequent), reg).tree
         rules |= assert_tree_facts(tree, reg)
-        assert_tree_bases(tree, reg)
         norm |= assert_norm_edges(tree, reg)
     # the rules that rebuild a left side; =L is left to the next test
     assert {"Subst", "LBase", "Star"} <= rules
@@ -190,7 +199,6 @@ def test_generated_nodes_carry_fresh_facts(e):
     except (UnsupportedFragment, ResourceLimit):
         return
     assert_tree_facts(tree, reg)
-    assert_tree_bases(tree, reg)
     assert_norm_edges(tree, reg)
 
 
@@ -265,31 +273,73 @@ def test_star_premises_keep_the_pure_facts(reg):
         assert prem.lhs.pure is parent.lhs.pure
         for name in PURE_FACTS:
             assert prem.lhs.__dict__[name] is parent.lhs.__dict__[name], name
+        assert prem.lhs.__dict__["normal_for"] is reg
 
 
-def test_memoized_materialization_follows_the_definitions(reg):
-    # The same spatial tuple under a registry where skl2 is defined like
-    # skl1 (no nested occurrence) materializes to fewer cells.
-    skl1 = reg.preds["skl1"]
-    other = make_registry()
-    rec = replace(skl1.rec, rec=replace(skl1.rec.rec, pred="skl2"))
-    other.preds["skl2"] = replace(skl1, name="skl2", rec=rec)
-    heap = SymbolicHeap((PredOcc("skl2", (x, y)),), (PtrNeq(x, y),))
-    answers = []
-    for r in (reg, other, reg, other):
-        answers.append(_base_pure(heap, r))
-        assert answers[-1] == base_of(heap, r, FreshNames()).pure
-    assert answers[0] != answers[1]
-
-
-def test_guards_follow_the_registry(reg):
-    # nll's segment is its second argument; in `other`, its third
+def nll_seg_third(reg):
+    """A registry where nll's segment is its third argument, not its second."""
     nll = reg.preds["nll"]
     r, f, b = nll.params
     other = make_registry()
     params = (r, replace(f, role=Role.BORDER), replace(b, role=Role.SEG))
     other.preds["nll"] = replace(nll, params=params)
+    return other
+
+
+def test_guards_follow_the_registry(reg):
+    other = nll_seg_third(reg)
     heap = SymbolicHeap((PredOcc("nll", (x, y, z)),))
     for which in (reg, other, reg):
         assert guards(heap, which) == (guard_of(heap.spatial[0], which),)
     assert guards(heap, reg) != guards(heap, other)
+
+
+def test_normal_record_follows_the_registry(reg):
+    # x!=y spells out nll's guard under `reg`, so the left side is normal
+    # there and Id closes the leaf; under `other` the guard is x!=z, which
+    # ExM splits on
+    other = nll_seg_third(reg)
+    occ = (PredOcc("nll", (x, y, z)),)
+    lhs = SymbolicHeap(occ, (PtrNeq(x, y), PtrNeq(x, NULL)))
+    ent = Entailment(lhs, SymbolicHeap(occ))
+    calls = []
+    real = engine.normalize_step
+
+    def spy(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    labels = []
+    with mock.patch.object(engine, "normalize_step", spy):
+        for which in (reg, other, reg, other):
+            got = _select(ent, which, FreshNames())
+            bare = replace(ent, lhs=SymbolicHeap(ent.lhs.spatial, ent.lhs.pure))
+            assert got == _select(bare, which, FreshNames())
+            labels.append(got.label)
+    assert labels == ["Id", "ExM", "Id", "ExM"]
+    assert ent.lhs.__dict__["normal_for"] is reg
+    # the second look under `reg` skips normalization; the bare copies do not
+    assert calls == [reg, reg, other, other, reg, other, other]
+
+
+def test_materialized_names_are_apart_from_the_heap(reg):
+    # the leaf's 3<=d#2 bounds the data field of the first llb cell; the
+    # materialization of the other llb must make a name other than d#2
+    ent = parse_query(dict((n, s) for n, s, _ in SUITE)["llb_concat_literal"])
+    tree = prove(ent, reg).tree
+    made, at_d2 = [], 0
+    real = FreshNames.make
+
+    def spy(self, base):
+        made.append(real(self, base))
+        return made[-1]
+
+    with mock.patch.object(FreshNames, "make", spy):
+        for n in tree.nodes.values():
+            lhs = n.ent.lhs
+            _base_pure(lhs, reg)
+            base_of(lhs, reg)
+            assert not set(made) & lhs.fv()
+            at_d2 += bool(made) and "d#2" in lhs.fv()
+            made.clear()
+    assert at_d2

@@ -147,7 +147,7 @@ def test_base_of_keeps_cells(registry):
 
 def test_base_of_nested_list_materializes_matrix(registry):
     out = base_of(heap([PredOcc("nll", (x, y, B))]), registry)
-    assert out.pretty() == "x->c3(y, Z#1) * Z#1->c1(B) /\\ x!=y /\\ Z#1!=B"
+    assert out.pretty() == "x->c3(y, Z#b1) * Z#b1->c1(B) /\\ x!=y /\\ Z#b1!=B"
 
 
 def test_base_of_tree_closes_self_matrix_empty(registry):
