@@ -382,9 +382,7 @@ def guards(heap: SymbolicHeap, reg: Registry) -> tuple[Optional[PureAtom], ...]:
 # -------------------------------------------------------------- one-step bases
 
 
-def base_of(
-    heap: SymbolicHeap, reg: Registry, fresh: Optional[FreshNames] = None
-) -> SymbolicHeap:
+def base_of(heap: SymbolicHeap, reg: Registry) -> SymbolicHeap:
     """Replace each occurrence by its minimal nonempty materialization.
 
     The head cell is emitted with the recursive root replaced by the segment
@@ -393,10 +391,10 @@ def base_of(
     already being materialized takes its empty branch (its root collapses to
     its own segment argument), which keeps the construction finite.
 
-    By default the new names carry the tag `b` after the fresh-name marker,
-    which no proof-fresh name has, so they are apart from the heap's names.
+    The new names carry the tag `b` after the fresh-name marker, which no
+    proof-fresh name has, so they are apart from the heap's names.
     """
-    fresh = fresh or FreshNames("b")
+    fresh = FreshNames("b")
     cells: list[PointsTo] = []
     extra: list[PureAtom] = []
     for atom in heap.spatial:

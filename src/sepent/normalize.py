@@ -25,20 +25,20 @@ length, not quadratically.
 
 What a proof node pays for. The left side carries what earlier steps
 computed or settled (see `SymbolicHeap`): the settled roots (`apart`),
-the positions of the equalities, and the roots and guards of the spatial
-atoms (`defs.guards`). NeqStar alone settles roots, on the heap it
-leaves, and runs only when NeqNull has nothing to add, so each settled
-root is non-null and every two are apart. NeqNull visits only the
-unsettled roots, and NeqStar and ExM only the pairs with an unsettled
-root, in the full scan's order; what they skip is present already, so
-they add the same atoms and pick the same split. =L and Subst read the
-equalities alone. Added atoms keep the settled roots, a substitution
-(Subst, or LBase on an order pair) maps them through its binding, and
-=L's drop keeps them. So a node pays for its k new roots, about n*k
-pairs among n roots instead of n*n/2. What is left per node: one look at
-each root's guard to find the known roots; the roots and guards again
-after a change to the spatial part or a dropped atom; and the pure set,
-built anew after a substitution.
+and the roots and guards of the spatial atoms (`defs.guards`). NeqStar
+alone settles roots, on the heap it leaves, and runs only when NeqNull
+has nothing to add, so each settled root is non-null and every two are
+apart. NeqNull visits only the unsettled roots, and NeqStar and ExM only
+the pairs with an unsettled root, in the full scan's order; what they
+skip is present already, so they add the same atoms and pick the same
+split. =L and Subst scan the pure part for its equalities. Added atoms
+keep the settled roots, a substitution (Subst, or LBase on an order
+pair) maps them through its binding, and =L's drop keeps them. So a node
+pays for its k new roots, about n*k pairs among n roots instead of
+n*n/2. What is left per node: one look at each root's guard to find the
+known roots; the roots and guards again after a change to the spatial
+part or a dropped atom; and the pure set, built anew after a
+substitution.
 
 Most nodes do not normalize at all. The engine records on a left side
 that `normalize_step` found nothing there and that it is satisfiable
@@ -180,10 +180,8 @@ def case_split(ent: Entailment, e1: Expr, e2: Expr) -> RuleChoice:
 
 
 def apply_eq_l(ent: Entailment, reg: Registry) -> Optional[RuleChoice]:
-    pure = ent.lhs.pure
-    for i in ent.lhs.equalities:
-        a = pure[i]
-        if a.lhs == a.rhs:
+    for i, a in enumerate(ent.lhs.pure):
+        if (type(a) is PtrEq or type(a) is ArithEq) and a.lhs == a.rhs:
             return in_place("=L", ent, replace(ent, lhs=ent.lhs.drop_pure_at(i)))
     return None
 
@@ -204,10 +202,8 @@ def _orient(lhs: Expr, rhs: Expr) -> Optional[tuple[str, Expr]]:
 
 def subst_site(ent: Entailment) -> Optional[tuple[int, str, Expr]]:
     """Index of the equality Subst would consume plus the oriented binding."""
-    pure = ent.lhs.pure
-    for i in ent.lhs.equalities:
-        a = pure[i]
-        if a.lhs != a.rhs:
+    for i, a in enumerate(ent.lhs.pure):
+        if (type(a) is PtrEq or type(a) is ArithEq) and a.lhs != a.rhs:
             oriented = _orient(a.lhs, a.rhs)
             if oriented is None:
                 continue  # literal-vs-literal clash, left for the sat check

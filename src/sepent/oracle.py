@@ -17,30 +17,25 @@ every definition step it reaches, becomes a variable to look up or a
 constant. `oracle_entails` compiles its right side once for all the models
 it checks.
 
-It walks that right side once per pointer shape, not once per model
-(partial evaluation). The models of one unfolding that give its pointer
-variables the same values differ only in data, so the walk runs over the
-shape with each data value left as its variable's name. It ends in False
-or in the comparisons it could not decide, which each model of the shape
-is then checked against. Where the walk needs the data to go on (a choice
-point, a name in a root or segment position, a failed lookup), and for a
-model that shows no data, the models are checked one by one, so every
-error is raised where the model-by-model check raises it.
-
-An unfolding can be settled before any of its models is enumerated. Its
-pointer shapes are enumerated alone, with the data variables left
-unassigned, and the right side is walked over each. When every walk leaves
-only comparisons that follow from the unfolding's own `<=` and `=` atoms
-(a chain of such steps, a literal stepping to any literal not below it),
-the right side holds in every model of the unfolding, and the unfolding is
-skipped whole. Its models would refute nothing and raise nothing, so the
-first countermodel and every error stay where the model-by-model search
-finds them. The walks are kept for the models of an unfolding that does
-not settle. A model's dangling locations can differ from its shape's,
-since a data value can use up a fresh location (below). A right side that
-reads each variable at the premise's kind, itself and in the definitions
-it reaches, cannot tell the two apart; for any other, an unfolding settles
-only if no shape has a dangling location.
+An unfolding of the premise can be settled before any of its models is
+enumerated (partial evaluation). The models of one unfolding that give its
+pointer variables the same values differ only in data, so its pointer
+shapes are enumerated alone, with the data variables left unassigned, and
+the right side is walked over each with every data value left as its
+variable's name. A walk ends in the comparisons it could not decide, or
+gives up: where it fails, and where it needs the data to go on (a choice
+point, a name in a root or segment position, a failed lookup). When every
+walk leaves only comparisons that follow from the unfolding's own `<=` and
+`=` atoms (a chain of such steps, a literal stepping to any literal not
+below it), the right side holds in every model of the unfolding, and the
+unfolding is skipped whole. Its models would refute nothing and raise
+nothing. Every model of an unfolding that does not settle is checked in
+full, one by one, so the first countermodel and every error are the ones
+a model-by-model search finds. A model's dangling locations can differ
+from its shape's, since a data value can use up a fresh location (below).
+A right side that reads each variable at the premise's kind, itself and
+in the definitions it reaches, cannot tell the two apart; for any other,
+an unfolding settles only if no shape has a dangling location.
 
 Model enumeration is canonical: allocated cells take locations 1..n in
 expansion order and dangling values use fresh locations in first-use
@@ -392,21 +387,18 @@ class _Undecided(Exception):
     """The walk over a pointer shape met what only a concrete model decides."""
 
 
-def _residual(
-    heap: _Compiled, shape: HeapModel, bound: Bound
-) -> Union[bool, tuple[Check, ...], None]:
+def _residual(heap: _Compiled, shape: HeapModel, bound: Bound) -> Optional[tuple[Check, ...]]:
     """The heap walked over a pointer shape, a model whose data values are
-    the names of premise variables: False when no model of the shape
-    satisfies the heap, else the comparisons a model of the shape must
-    pass to satisfy it, or None when the walk cannot tell without the
-    data."""
+    the names of premise variables: the comparisons a model of the shape
+    must pass to satisfy the heap, or None when the walk fails or cannot
+    tell without the data."""
     residual: list[Check] = []
     try:
-        if not _covers(heap, shape.stack, shape.heap, bound, residual):
-            return False
+        if _covers(heap, shape.stack, shape.heap, bound, residual):
+            return tuple(residual)
     except (KeyError, _Undecided):
-        return None
-    return tuple(residual)
+        pass
+    return None
 
 
 def _decide(
@@ -706,9 +698,7 @@ class _Unfolding:
     models show every variable an assignment binds, else the variables they
     show. The cell roots are fixed, so a variable named only in pure atoms
     can tell apart two assignments that make the same model; `hides` says
-    whether the heap's unfoldings can have one. `walked` holds the right
-    side's residual for each pointer shape walked so far, by the values of
-    the shape's pointer variables.
+    whether the heap's unfoldings can have one.
     """
 
     __slots__ = (
@@ -719,7 +709,6 @@ class _Unfolding:
         "kinds",
         "layout",
         "shown",
-        "walked",
     )
 
     def __init__(
@@ -737,7 +726,6 @@ class _Unfolding:
         self.stack_names = stack_names
         self.ptr_vars = ptr_vars
         self.kinds = kinds
-        self.walked: dict[tuple[int, ...], Union[bool, tuple[Check, ...], None]] = {}
         self.layout = [(i + 1, c.sort, _field_operands(c, reg)) for i, c in enumerate(cells)]
         self.shown = None
         if hides:
@@ -755,20 +743,18 @@ class _Unfolding:
         shown += [o for _, _, ops in self.layout for o in ops if type(o) is str]
         return shown
 
-    def split(self) -> tuple[frozenset[str], tuple[str, ...]]:
+    def data(self) -> frozenset[str]:
         """The variables the models show of kind int, whose values a pointer
-        shape leaves open, and the others, whose values make the shape."""
+        shape leaves open."""
         kinds = self.kinds
         if "int" not in kinds.values():
-            return frozenset(), ()
-        shown = self._shown()
-        data = frozenset([n for n in shown if kinds.get(n) == "int"])
-        return data, tuple([n for n in shown if n not in data])
+            return frozenset()
+        return frozenset([n for n in self._shown() if kinds.get(n) == "int"])
 
     def model(self, env: Env, keep: frozenset[str] = frozenset()) -> HeapModel:
         """The model the assignment makes. Each variable of `keep` stands
-        for its value as its name, so with the data variables of `split`
-        this is the model's pointer shape."""
+        for its value as its name, so with the variables of `data` this
+        is the model's pointer shape."""
         try:
             return HeapModel(
                 {n: n if n in keep else env[n] for n in self.stack_names},
@@ -969,9 +955,6 @@ def _assignments(
 # -------------------------------------------------------------------- verdicts
 
 
-_UNWALKED = object()  # a shape the right side has not been walked over yet
-
-
 def _implication(atoms: tuple[PureAtom, ...]) -> Optional[Callable[[Check], bool]]:
     """Which data comparisons the atoms' `<=` and `=` imply, as a test of
     a compared pair (op, u, v), each side a variable name or an int; None
@@ -1028,10 +1011,9 @@ def _settled(
     rhs: _Compiled, renamable: Callable[[dict[str, Kind]], bool], u: _Unfolding, bound: Bound
 ) -> bool:
     """Does the right side hold in every model of the unfolding, by its
-    pointer shapes alone?  Each shape is walked once (`_residual`) and the
-    residual kept in `u.walked`; the answer is True when every residual's
-    comparisons follow from the unfolding's own arithmetic atoms, which
-    each of its models satisfies.
+    pointer shapes alone?  Each shape is walked once (`_residual`); the
+    answer is True when every residual's comparisons follow from the
+    unfolding's own arithmetic atoms, which each of its models satisfies.
 
     A model's shape is one of the stacks `_assignments` gives without
     ints, once its dangling locations are renamed in first-use order. When
@@ -1041,11 +1023,11 @@ def _settled(
     Otherwise no shape may have a dangling location, which makes the
     renaming the identity: a right side that reads a data variable as a
     pointer, or a pointer as data, sees where a data value equals a
-    location. An error, a shape the walk cannot decide or one it refutes
+    location. An error, or a shape the walk fails or cannot decide on,
     answers False, and so do an unfolding whose models show no data and
     an `_implication` of None.
     """
-    data, pointers = u.split()
+    data = u.data()
     if not data:
         return False
     implied = _implication(u.pure_atoms)
@@ -1058,9 +1040,8 @@ def _settled(
         ):
             if any([v > n for v in env.values()]) and not renamable(u.kinds):
                 return False
-            key = tuple([env[p] for p in pointers])
-            residual = u.walked[key] = _residual(rhs, u.model(env, data), bound)
-            if residual is None or residual is False or not all(map(implied, residual)):
+            residual = _residual(rhs, u.model(env, data), bound)
+            if residual is None or not all(map(implied, residual)):
                 return False
     except (OracleError, KeyError):
         return False
@@ -1078,12 +1059,10 @@ def oracle_entails(
     """Search for a countermodel; absence only rules out models within bound.
 
     The premise's models come as `models_of` yields them, less those of
-    each unfolding that `_settled` shows the right side holds in. The
-    right side is walked once per pointer shape of an unfolding
-    (`_residual`), and each model of the shape is decided by the data
-    comparisons the walk left. A model whose shape the walk cannot decide,
-    or that shows no data, is checked as it is. The first model that fails
-    is the countermodel, as if every model were checked in turn."""
+    each unfolding that `_settled` shows the right side holds in, and the
+    right side, compiled once, is checked on each of them in full. The
+    first model that fails it is the countermodel, as if every model were
+    checked in turn."""
     _check_input(reg, ent.rhs)
     _check_input(reg, ent.lhs)
     rhs = _compile_heap(ent.rhs, reg)
@@ -1094,24 +1073,10 @@ def oracle_entails(
             reads.append(_kinds_read(ent.rhs, reg))
         return reads[0] is not None and all([kinds.get(v) == k for v, k in reads[0].items()])
 
-    unfolding = None
     for env, u in _assigned(ent.lhs, reg, bound, lambda u: _settled(rhs, renamable, u, bound)):
-        if u is not unfolding:
-            unfolding = u
-            data, pointers = u.split()
-            walked = u.walked
-        residual = None  # a model that shows no data is a shape of its own
-        if data:
-            key = tuple([env[n] for n in pointers])
-            residual = walked.get(key, _UNWALKED)
-            if residual is _UNWALKED:
-                residual = walked[key] = _residual(rhs, u.model(env, data), bound)
-        if residual is None:
-            model = u.model(env)
-            if not _holds(rhs, model, bound):
-                return OracleVerdict(False, model)
-        elif residual is False or not _all_hold(residual, env):
-            return OracleVerdict(False, u.model(env))
+        model = u.model(env)
+        if not _holds(rhs, model, bound):
+            return OracleVerdict(False, model)
     return OracleVerdict(True, None)
 
 

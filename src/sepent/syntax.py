@@ -292,7 +292,6 @@ class SymbolicHeap:
     ignore them. Of the pure part:
 
     - `pure_set`, the atoms as a frozenset, which membership tests read;
-    - `equalities`, the positions of the `=` atoms, pointer or arithmetic;
     - `pure_fv`, the free variables;
     - `apart`, the settled roots: each has its `!= null` atom, and every
       two distinct ones have their `!=` atom.
@@ -315,13 +314,13 @@ class SymbolicHeap:
     another one takes over the pure facts that still hold:
 
     - Atoms appended to the pure part keep every pure fact true, so
-      `add_pure`, `with_spatial` and `replace_spatial` hand on `apart`,
-      the atom set and the equality positions, the last two grown by the
-      new atoms; with no new atom, the free variables too.
+      `add_pure`, `with_spatial` and `replace_spatial` hand on `apart`
+      and the atom set, the latter grown by the new atoms; with no new
+      atom, the free variables too.
     - `subst` maps `apart` through the substitution, which maps the atoms
-      one for one, and keeps the equality positions.
-    - `drop_pure_at` shifts the equality positions, and keeps `apart`
-      when the dropped atom is a reflexive equality.
+      one for one.
+    - `drop_pure_at` keeps `apart` when the dropped atom is a reflexive
+      equality.
 
     Of the spatial facts only the guards pass on, through `add_pure` and
     `with_spatial` while the spatial part stays the same: computing them
@@ -343,7 +342,6 @@ class SymbolicHeap:
         )
         if "apart" in self.__dict__:
             out.settle(frozenset(subst_expr(e, sub) for e in self.apart))
-        self._hand_on(out, "equalities")
         return out
 
     def fv(self) -> frozenset[str]:
@@ -355,12 +353,6 @@ class SymbolicHeap:
     @cached_property
     def pure_set(self) -> frozenset[PureAtom]:
         return frozenset(self.pure)
-
-    @cached_property
-    def equalities(self) -> tuple[int, ...]:
-        return tuple(
-            i for i, a in enumerate(self.pure) if isinstance(a, (PtrEq, ArithEq))
-        )
 
     @cached_property
     def pure_fv(self) -> frozenset[str]:
@@ -400,15 +392,10 @@ class SymbolicHeap:
             self._hand_on(out, "guards")
         known, new = self.__dict__, out.__dict__
         if not extra:
-            self._hand_on(out, "pure_set", "equalities", "pure_fv")
+            self._hand_on(out, "pure_set", "pure_fv")
             return out
         if "pure_set" in known:
             new["pure_set"] = known["pure_set"].union(extra)
-        if "equalities" in known:
-            k = len(self.pure)
-            new["equalities"] = known["equalities"] + tuple(
-                k + i for i, a in enumerate(extra) if isinstance(a, (PtrEq, ArithEq))
-            )
         return out
 
     def add_pure(self, atoms: Iterable[PureAtom]) -> "SymbolicHeap":
@@ -421,10 +408,6 @@ class SymbolicHeap:
 
     def drop_pure_at(self, idx: int) -> "SymbolicHeap":
         out = SymbolicHeap(self.spatial, self.pure[:idx] + self.pure[idx + 1 :])
-        if "equalities" in self.__dict__:
-            out.__dict__["equalities"] = tuple(
-                i - (i > idx) for i in self.equalities if i != idx
-            )
         a = self.pure[idx]
         if isinstance(a, (PtrEq, ArithEq)) and a.lhs == a.rhs:
             self._hand_on(out, "apart")

@@ -41,7 +41,6 @@ from sepent.normalize import (
 )
 from sepent.syntax import (
     NULL,
-    ArithEq,
     Entailment,
     FreshNames,
     PointsTo,
@@ -58,9 +57,6 @@ def fresh_facts(heap, reg):
     """Each derived fact computed from scratch on the two parts alone."""
     return {
         "pure_set": frozenset(heap.pure),
-        "equalities": tuple(
-            i for i, a in enumerate(heap.pure) if isinstance(a, (PtrEq, ArithEq))
-        ),
         "pure_fv": frozenset(
             t.name for a in heap.pure for t in (a.lhs, a.rhs) if isinstance(t, Var)
         ),
@@ -101,7 +97,6 @@ def assert_facts_fresh(heap, reg):
             assert value == fresh[name], name
     assert _known_roots(heap, reg) == reference_known_roots(heap, reg)
     assert heap.pure_fv == fresh["pure_fv"]
-    assert heap.equalities == fresh["equalities"]
     assert_settled(heap)
 
 
@@ -258,7 +253,7 @@ def test_dropping_a_reflexive_equality_keeps_settled_roots(registry):
         assert not other.apart
 
 
-PURE_FACTS = ("pure_set", "pure_fv", "equalities", "apart")
+PURE_FACTS = ("pure_set", "pure_fv", "apart")
 
 
 def test_star_premises_keep_the_pure_facts(reg):

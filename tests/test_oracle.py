@@ -373,8 +373,9 @@ def _count_calls(monkeypatch, name):
 def test_right_side_walked_once_per_pointer_shape(registry, monkeypatch):
     # 17,296 models in 13 unfoldings, one per pair of segment lengths. The
     # pointers of an unfolding are fixed and only the cells' data values
-    # vary, so each unfolding is one shape, and its walk leaves the data to
-    # the residual.
+    # vary, so each unfolding is one shape. The settlement pass walks it
+    # once, its residual follows from the unfolding's own atoms, and no
+    # model is checked.
     e = parse_query(next(s for n, s, _ in SUITE if n == "llb_concat_literal"))
     walks = _count_calls(monkeypatch, "_covers")
     concrete = _count_calls(monkeypatch, "_holds")
@@ -385,10 +386,11 @@ def test_right_side_walked_once_per_pointer_shape(registry, monkeypatch):
 
 
 def test_choice_point_on_the_right_checks_each_model(monkeypatch):
-    # A nonempty step of lsx chooses its order source, so a shape with x
-    # allocated is left undecided and each of its models is checked as it
-    # is. The 5 models with x=null take the empty branch, whose residual
-    # a=c decides them.
+    # A nonempty step of lsx chooses its order source, so the settlement
+    # pass gives up on each of the 9 unfoldings with x allocated at its
+    # first shape, and each of their 195 models is checked in full. The
+    # unfolding with x=null takes the empty branches, whose residual a=c
+    # follows from its own atoms, so its 5 models are settled, not checked.
     e, reg = _lsx_problem(LSX_CONCAT)
     models = list(models_of(e.lhs, reg, SMALL))
     walks = _count_calls(monkeypatch, "_covers")
@@ -397,7 +399,7 @@ def test_choice_point_on_the_right_checks_each_model(monkeypatch):
     assert len(models) == 200
     assert sum(m.stack["x"] == 0 for m in models) == 5
     assert len(concrete) == 195
-    assert len(walks) == 10 + 195  # one per shape, then one per model checked
+    assert len(walks) == 10 + 195  # one per unfolding, then one per model checked
 
 
 @pytest.mark.parametrize("bound", [Bound(4, 6), Bound(4, 6, -30, 60)], ids=["data", "wide-data"])
@@ -1214,7 +1216,8 @@ def test_dangling_shapes_settle_only_for_a_conclusion_read_at_premise_kinds(
 
 def test_null_order_target_outcomes(registry):
     # the data comparison d=3 goes to the residual, and the shape's walk
-    # stops at the null order target, so every model is checked as it is
+    # stops at the null order target, so the unfolding does not settle and
+    # every model is checked in full
     v = oracle_entails(C4_NULL_TARGET, registry, SMALL)
     assert not v.bounded_valid
     assert v.counter.stack == {"d": -1, "x": 1}

@@ -1,11 +1,16 @@
 """Work counts that do not depend on the host.
 
-A chain proof of n pieces has 16n - 1 nodes. Normalization and the
-Inconsistency check read the left side alone, and a left side that passed
-both keeps a record of it through the rules that keep it whole, and into
-Star's premises. So both run at fewer nodes than the proof has, and these
-counts pin how many. A change that runs either again at every node fails
-here, whatever the machine.
+The prover. A chain proof of n pieces has 16n - 1 nodes. Normalization
+and the Inconsistency check read the left side alone, and a left side
+that passed both keeps a record of it through the rules that keep it
+whole, and into Star's premises. So both run at fewer nodes than the
+proof has, and these counts pin how many. A change that runs either again
+at every node fails here, whatever the machine.
+
+The oracle. Over the suite, the settlement pass skips some unfoldings of
+each premise whole, and every model of the others is checked with one
+full `_holds` call. These counts pin how many unfoldings settle and that
+no model is checked any other way.
 """
 
 from unittest import mock
@@ -13,8 +18,9 @@ from unittest import mock
 import pytest
 
 from conftest import parse_query
-from sepent import engine
-from suite_cases import chain_sequent
+from sepent import engine, oracle
+from sepent.oracle import Bound
+from suite_cases import SUITE, chain_sequent
 
 
 def counted_prove(ent, reg):
@@ -44,3 +50,44 @@ def test_chain_settles_each_left_side_once(n, registry):
     assert verdict.valid
     assert len(verdict.tree.nodes) == 16 * n - 1
     assert counts == {"normalize_step": 7 * n + 2, "_base_pure": 2 * n + 1}
+
+
+def counted_oracle(bound, reg):
+    """Over the suite at `bound`: the answers `oracle._settled` gave, the
+    models `oracle._assigned` yielded, and the calls to `oracle._holds`."""
+    settled, assigned, holds = oracle._settled, oracle._assigned, oracle._holds
+    answers = []
+    counts = {"assigned": 0, "_holds": 0}
+
+    def settling(*args):
+        answers.append(settled(*args))
+        return answers[-1]
+
+    def assigning(*args):
+        for item in assigned(*args):
+            counts["assigned"] += 1
+            yield item
+
+    def holding(*args):
+        counts["_holds"] += 1
+        return holds(*args)
+
+    with mock.patch.object(oracle, "_settled", settling), mock.patch.object(
+        oracle, "_assigned", assigning
+    ), mock.patch.object(oracle, "_holds", holding):
+        for _, sequent, _ in SUITE:
+            oracle.oracle_entails(parse_query(sequent), reg, bound)
+    return answers.count(True), answers.count(False), counts
+
+
+@pytest.mark.parametrize(
+    "bound,settled,unsettled,models",
+    [(Bound(4, 6), 51, 64, 69), (Bound(3, 3, -1, 3), 25, 48, 48)],
+    ids=["acceptance", "small"],
+)
+def test_oracle_checks_each_unsettled_model_once(bound, settled, unsettled, models, registry):
+    assert counted_oracle(bound, registry) == (
+        settled,
+        unsettled,
+        {"assigned": models, "_holds": models},
+    )
