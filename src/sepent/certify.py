@@ -22,7 +22,7 @@ from .syntax import (
     _match_identical,
     is_fresh_name,
     same_atom_mod_unfold,
-    subst_atom,
+    subst_pure,
 )
 
 
@@ -35,7 +35,7 @@ def _link_conditions(bud: Entailment, comp: Entailment, sigma: dict[str, str]) -
     if frozenset(img.pure) != frozenset(comp.rhs.pure):
         return False
     # weakening: the renamed bud may know more pure facts, never fewer
-    have = frozenset(subst_atom(a, smap) for a in bud.lhs.pure)
+    have = frozenset(subst_pure(bud.lhs.pure, smap))
     return all(a in have for a in comp.lhs.pure)
 
 

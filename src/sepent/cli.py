@@ -8,7 +8,8 @@ after that is for humans and suppressed by --quiet.  Exit codes: 0 verdict
 produced (and matching --expect if given), 1 verdict mismatch, 2 a bad option
 (such as a node budget below 1, a negative oracle bound, or --proof-out
 with a directory), unreadable input, parse or well-formedness error, or
-unwritable --proof-out, 3 node budget exceeded, 4 oracle disagreement.
+unwritable --proof-out, 3 node budget exceeded or memory exhausted, 4 oracle
+disagreement.
 
 --input may name a directory: every *.sep and *.smt2 under it is checked
 against its own expectation annotation (or --expect as a fallback), files
@@ -94,6 +95,8 @@ def _reason(e: Exception) -> str:
     """One line for an input that cannot be read or checked."""
     if isinstance(e, FileNotFoundError):
         return "no such file"
+    if isinstance(e, MemoryError):
+        return "out of memory"
     if isinstance(e, OSError):
         return e.strerror or type(e).__name__
     return str(e)
@@ -178,9 +181,9 @@ def _check_dir(root: Path, args: argparse.Namespace, out) -> int:
         except (UnsupportedConstruct, RoleAnnotationMissing) as e:
             print(f"{name}: SKIPPED ({e})", file=out)
             continue
-        except (OSError, ValueError, ResourceLimit) as e:
+        except (OSError, ValueError, ResourceLimit, MemoryError) as e:
             # unreadable files, parse errors and prover rejections (outside
-            # the fragment, node budget, oracle limits)
+            # the fragment, node budget, memory, oracle limits)
             print(f"{name}: ERROR ({_reason(e)})", file=out)
             errors += 1
             continue
@@ -230,6 +233,9 @@ def run_cli(argv: Optional[list[str]] = None, out=None) -> int:
         return 2
     except ResourceLimit as e:
         print(f"sepent: {e}", file=sys.stderr)
+        return 3
+    except MemoryError as e:
+        print(f"sepent: {path}: {_reason(e)}", file=sys.stderr)
         return 3
 
 

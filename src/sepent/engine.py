@@ -85,6 +85,8 @@ class UnsoundProof(RuntimeError):
 
 
 Status = Literal["open", "valid", "invalid", "bud"]
+# a renaming of proof-fresh names and the bud -> companion atom map it unifies
+Unifier = tuple[dict[str, str], dict[int, int]]
 
 
 @dataclass
@@ -114,6 +116,11 @@ class ProofTree:
     # open_leaf's preorder frontier: ids not yet passed over, next on top
     _frontier: Optional[list[int]] = field(
         default=None, init=False, repr=False, compare=False
+    )
+    # link_back's progressing unifiers of a left spatial part onto itself,
+    # by the part's identity; each entry holds the part, so its id stays taken
+    _self_links: dict[int, tuple[tuple[SpatialAtom, ...], list[Unifier]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     @classmethod
@@ -170,12 +177,6 @@ class ProofTree:
             stack.extend(reversed(n.children))
         return None
 
-    def is_preproof(self) -> bool:
-        return all(
-            not n.is_leaf() or n.status in ("valid", "bud")
-            for n in self.nodes.values()
-        )
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -199,10 +200,13 @@ def _reached(atom: SpatialAtom, reg: Registry) -> Collection[Expr]:
 
 
 def _occ_at(heap: SymbolicHeap, root: Expr) -> Optional[tuple[int, PredOcc]]:
-    for i, a in heap.pred_occs():
-        if a.root == root:
-            return i, a
-    return None
+    """The first occurrence rooted at `root` and its index, if any."""
+    i = heap.occ_at.get(root)
+    if i is None:
+        return None
+    occ = heap.spatial[i]
+    assert isinstance(occ, PredOcc)
+    return i, occ
 
 
 # --------------------------------------------------------------------- axioms
@@ -222,12 +226,13 @@ def _inconsistent(lhs: SymbolicHeap, reg: Registry) -> bool:
 
 def _axiom(ent: Entailment, reg: Registry) -> Optional[RuleChoice]:
     """Emp or Id. `_select` checks Inconsistency, once per left side."""
-    if not ent.lhs.spatial and not ent.rhs.spatial and not ent.rhs.pure:
+    lsp, rsp = ent.lhs.spatial, ent.rhs.spatial
+    if not lsp and not rsp and not ent.rhs.pure:
         return RuleChoice("Emp", (), ())
-    m = _match_identical(ent.lhs.spatial, ent.rhs.spatial)
-    if (
-        len(m) == len(ent.lhs.spatial) == len(ent.rhs.spatial)
-        and pure_solver.entails_all(ent.lhs.pure, ent.rhs.pure)
+    if len(lsp) != len(rsp):
+        return None  # Id matches every atom on both sides
+    if len(_match_identical(lsp, rsp)) == len(lsp) and pure_solver.entails_all(
+        ent.lhs.pure, ent.rhs.pure
     ):
         return RuleChoice("Id", (), ())
     return None
@@ -654,6 +659,21 @@ def _spatial_unifiers(
         _undo(sigma, trail, mark)
 
 
+def _progressing(
+    bud: tuple[SpatialAtom, ...], comp: tuple[SpatialAtom, ...]
+) -> list[Unifier]:
+    """The unifiers of bud onto comp that map some occurrence onto one
+    unfolded strictly less often."""
+    return [
+        (sigma, match)
+        for sigma, match in _spatial_unifiers(bud, comp)
+        if any(
+            isinstance(a, PredOcc) and isinstance(b, PredOcc) and a.unfold > b.unfold
+            for a, b in ((bud[i], comp[j]) for i, j in match.items())
+        )
+    ]
+
+
 def link_back(
     tree: ProofTree, leaf_id: int, reg: Registry
 ) -> Optional[tuple[int, dict[str, str], dict[int, int]]]:
@@ -666,34 +686,35 @@ def link_back(
     skeleton differs from the leaf's has no unifier and is skipped.
     Ancestors reached by pure-only steps share their spatial tuple, and
     with it the list of progressing unifiers, which is then enumerated
-    once for all of them."""
+    once for all of them.  The leaf shares its own tuple with such
+    ancestors too, and its siblings and their pure-only descendants share
+    it again: the unifiers of a tuple onto itself are enumerated once per
+    proof and kept on the tree (`ProofTree._self_links`)."""
     ent = tree.node(leaf_id).ent
     bud = ent.lhs.spatial
     if not any(a.unfold > 0 for _, a in ent.lhs.pred_occs()):
         return None
     skeleton = ent.lhs.skeleton
     last: Optional[tuple[SpatialAtom, ...]] = None
-    cands: list[tuple[dict[str, str], dict[int, int]]] = []
+    cands: list[Unifier] = []
     for anc in tree.ancestors(leaf_id):
         comp = anc.ent.lhs.spatial
         if comp is not last:
             last = comp
-            if anc.ent.lhs.skeleton != skeleton:
+            if comp is bud:
+                entry = tree._self_links.get(id(bud))
+                if entry is None:
+                    entry = tree._self_links[id(bud)] = (bud, _progressing(bud, bud))
+                cands = entry[1]
+            elif anc.ent.lhs.skeleton != skeleton:
                 cands = []
                 continue
-            cands = [
-                (sigma, match)
-                for sigma, match in _spatial_unifiers(bud, comp)
-                if any(
-                    isinstance(a, PredOcc)
-                    and isinstance(b, PredOcc)
-                    and a.unfold > b.unfold
-                    for a, b in ((bud[i], comp[j]) for i, j in match.items())
-                )
-            ]
+            else:
+                cands = _progressing(bud, comp)
         for sigma, match in cands:
             if _link_conditions(ent, anc.ent, sigma):
-                return anc.id, sigma, match
+                # copies: a cached unifier is shared by every leaf that reads it
+                return anc.id, dict(sigma), dict(match)
     return None
 
 

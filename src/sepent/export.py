@@ -10,9 +10,10 @@ way proof figures annotate them.
 from __future__ import annotations
 
 from operator import is_
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .engine import ProofNode, ProofTree
+from .syntax import PureAtom
 
 
 def _sigma_text(sigma: dict[str, str]) -> str:
@@ -37,7 +38,20 @@ def _preorder(tree: ProofTree) -> Iterator[tuple[ProofNode, int, str]]:
     A node usually keeps its parent's spatial part and right side as the
     same objects, and continues its parent's left pure part with the same
     atom objects. Its label then reuses the parent's text of each and
-    prints only the new pure atoms."""
+    prints only the new pure atoms. A pure part built anew, as by a
+    substitution, still holds mostly the same atom objects, so each atom's
+    text is kept by the atom's identity and built once per export. Not by
+    equality: `x!=y` and `y!=x` are equal atoms that print differently.
+    The tree keeps every atom alive, so no identity is reused meanwhile."""
+    texts: dict[int, str] = {}
+
+    def text(atoms: Iterable[PureAtom]) -> Iterator[str]:
+        for a in atoms:
+            t = texts.get(id(a))
+            if t is None:
+                t = texts[id(a)] = str(a)
+            yield t
+
     # each entry: a node, its depth, and its parent's spatial part, pure
     # part and right side with their texts
     stack: list[tuple] = [(tree.root, 0, None, (), None, "", "", "")]
@@ -51,9 +65,9 @@ def _preorder(tree: ProofTree) -> Iterator[tuple[ProofNode, int, str]]:
         if pure is up_pure:
             pass
         elif 0 < k <= len(pure) and all(map(is_, up_pure, pure)):
-            pure_text = "".join([pure_text, *(f" /\\ {a}" for a in pure[k:])])
+            pure_text = " /\\ ".join((pure_text, *text(pure[k:])))
         else:
-            pure_text = " /\\ ".join(map(str, pure))
+            pure_text = " /\\ ".join(text(pure))
         if rhs is not up_rhs:
             rhs_text = rhs.pretty()
         left = f"{sp_text} /\\ {pure_text}" if pure else sp_text

@@ -113,11 +113,6 @@ def is_nf(heap: SymbolicHeap, reg: Registry) -> bool:
     return not nf_failures(heap, reg)
 
 
-def is_nf_entailment(ent: Entailment, reg: Registry) -> bool:
-    """An entailment is in NF exactly when its LHS is."""
-    return is_nf(ent.lhs, reg)
-
-
 # ------------------------------------------------------------ rule instances
 
 

@@ -238,10 +238,6 @@ def _all_hold(checks: tuple[Check, ...] | list[Check], env: Env) -> bool:
     return True
 
 
-def eval_pure_atom(a: PureAtom, env: Env) -> bool:
-    return _all_hold((_compile(a),), env)
-
-
 # ------------------------------------------------------------------ satisfaction
 
 

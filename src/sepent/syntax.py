@@ -194,6 +194,19 @@ def subst_atom(a: PureAtom, sub: Subst) -> PureAtom:
     return type(a)(lhs, rhs)
 
 
+def subst_pure(atoms: Iterable[PureAtom], sub: Subst) -> tuple[PureAtom, ...]:
+    """The atoms under `sub`, in order. Only an atom that names a bound
+    variable is handed to `subst_atom`; every other one is kept as the same
+    object, which `subst_atom` would return too, without the call."""
+    return tuple(
+        subst_atom(a, sub)
+        if (type(a.lhs) is Var and a.lhs.name in sub)
+        or (type(a.rhs) is Var and a.rhs.name in sub)
+        else a
+        for a in atoms
+    )
+
+
 # -------------------------------------------------------------- spatial atoms
 
 
@@ -256,11 +269,15 @@ class PredOcc:
 SpatialAtom = Union[PointsTo, PredOcc]
 
 
+def _match_key(a: SpatialAtom) -> object:
+    """An atom up to its unfolding annotation: an occurrence's predicate
+    and arguments, or the whole cell."""
+    return (a.pred, a.args) if isinstance(a, PredOcc) else a
+
+
 def same_atom_mod_unfold(a: SpatialAtom, b: SpatialAtom) -> bool:
     """Structural equality ignoring unfolding annotations."""
-    if isinstance(a, PredOcc) and isinstance(b, PredOcc):
-        return a.pred == b.pred and a.args == b.args
-    return a == b
+    return _match_key(a) == _match_key(b)
 
 
 def _match_identical(
@@ -268,15 +285,21 @@ def _match_identical(
 ) -> dict[int, int]:
     """Injective map of RHS indices to structurally identical LHS atoms,
     unfolding annotations ignored.  Greedy is enough: separated atoms with
-    equal roots cannot coexist, so candidates are unique."""
-    used: set[int] = set()
+    equal roots cannot coexist, so candidates are unique.
+
+    Each RHS atom, in order, takes the lowest unused LHS index of its key
+    (`_match_key`), as a nested scan would; the LHS is indexed by key once,
+    so a call costs the two lengths, not their product."""
+    if not rhs:
+        return {}
+    free: dict[object, list[int]] = {}
+    for i in range(len(lhs) - 1, -1, -1):
+        free.setdefault(_match_key(lhs[i]), []).append(i)
     out: dict[int, int] = {}
     for j, b in enumerate(rhs):
-        for i, a in enumerate(lhs):
-            if i not in used and same_atom_mod_unfold(a, b):
-                used.add(i)
-                out[j] = i
-                break
+        at = free.get(_match_key(b))
+        if at:
+            out[j] = at.pop()
     return out
 
 
@@ -301,8 +324,14 @@ class SymbolicHeap:
     - `roots`, the root of each atom;
     - `skeleton`, the predicate names and cell sorts, sorted; unfolding
       annotations do not enter it;
+    - `first_at`, each root's first atom, which `atom_at_root` reads;
+    - `occ_at`, each root's first occurrence by its index, which
+      `engine._occ_at` reads;
     - the guard of each atom, which `defs.guards` keeps here for one
       registry.
+
+    The two maps stand in for a scan of the spatial part at every lookup:
+    a node that looks up each of its n roots pays for n atoms, not n*n.
 
     Of both parts: `normal_for`, a registry under which normalization has
     no step left and the Inconsistency check found the heap satisfiable,
@@ -318,17 +347,19 @@ class SymbolicHeap:
       and the atom set, the latter grown by the new atoms; with no new
       atom, the free variables too.
     - `subst` maps `apart` through the substitution, which maps the atoms
-      one for one.
+      one for one; an atom that names no bound variable stays the same
+      object (`subst_pure`).
     - `drop_pure_at` keeps `apart` when the dropped atom is a reflexive
       equality.
 
     Of the spatial facts only the guards pass on, through `add_pure` and
     `with_spatial` while the spatial part stays the same: computing them
-    again at every proof node made `chain` about 2% slower. `roots` and
-    `skeleton` are computed again on first use. `normal_for` passes on
-    with the heap itself, through the rules that keep a left side whole,
-    and the engine hands it to Star's premises. A heap built any other way
-    starts with nothing derived.
+    again at every proof node made `chain` about 2% slower. `roots`,
+    `skeleton` and the two maps are computed again on first use; handing
+    them on too measured no faster. `normal_for` passes on with the heap
+    itself, through the rules that keep a left side whole, and the engine
+    hands it to Star's premises. A heap built any other way starts with
+    nothing derived.
     """
 
     spatial: tuple[SpatialAtom, ...] = ()
@@ -337,8 +368,7 @@ class SymbolicHeap:
 
     def subst(self, sub: Subst) -> "SymbolicHeap":
         out = SymbolicHeap(
-            tuple(a.subst(sub) for a in self.spatial),
-            tuple(subst_atom(p, sub) for p in self.pure),
+            tuple(a.subst(sub) for a in self.spatial), subst_pure(self.pure, sub)
         )
         if "apart" in self.__dict__:
             out.settle(frozenset(subst_expr(e, sub) for e in self.apart))
@@ -369,6 +399,15 @@ class SymbolicHeap:
         return tuple(
             sorted(a.pred if isinstance(a, PredOcc) else a.sort for a in self.spatial)
         )
+
+    @cached_property
+    def first_at(self) -> dict[Expr, SpatialAtom]:
+        # read backwards, so the first atom at a root is written last
+        return dict(zip(reversed(self.roots), reversed(self.spatial)))
+
+    @cached_property
+    def occ_at(self) -> dict[Expr, int]:
+        return {a.root: i for i, a in reversed(list(self.pred_occs()))}
 
     def has_pure(self, atom: PureAtom) -> bool:
         return atom in self.pure_set
@@ -432,10 +471,8 @@ class SymbolicHeap:
                 yield i, a
 
     def atom_at_root(self, root: Expr) -> Optional[SpatialAtom]:
-        for a in self.spatial:
-            if a.root == root:
-                return a
-        return None
+        """The first atom rooted at `root`, if any."""
+        return self.first_at.get(root)
 
     def spatial_text(self, show_unfold: bool = False) -> str:
         """The spatial part as written; `emp` when it is empty."""

@@ -65,6 +65,17 @@ def fresh_facts(heap, reg):
             sorted(a.pred if isinstance(a, PredOcc) else a.sort for a in heap.spatial)
         ),
         "guards": (reg, tuple(guard_of(a, reg) for a in heap.spatial)),
+        "first_at": {
+            r: next(a for a in heap.spatial if a.root == r)
+            for r in (a.root for a in heap.spatial)
+        },
+        "occ_at": {
+            r: next(
+                i for i, a in enumerate(heap.spatial)
+                if isinstance(a, PredOcc) and a.root == r
+            )
+            for r in (a.root for a in heap.spatial if isinstance(a, PredOcc))
+        },
     }
 
 

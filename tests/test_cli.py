@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from sepent import cli
 from sepent.cli import _arg_parser, run_cli
 
 DATA = Path(__file__).parent / "data"
@@ -88,6 +89,16 @@ class TestExitCodes:
             out=io.StringIO(),
         ) == 3
         assert "3-node budget" in capsys.readouterr().err
+
+    def test_memory_exhaustion(self, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "prove", exhausted)
+        code, lines = run("--input", str(DATA / "golden.sep"))
+        assert (code, lines) == (3, [])
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"sepent: {DATA / 'golden.sep'}: out of memory"]
 
     # A bound below its least value is refused while the arguments are
     # read, in single-file and batch mode alike, before any search.
@@ -215,6 +226,29 @@ class TestBatch:
         assert code == 2
         assert lines[0].startswith("broken.sep: ERROR")
         assert lines[-1] == "checked 1 files: 0 mismatches, 1 errors"
+
+    def test_memory_exhaustion_counts_as_error(self, tmp_path, monkeypatch):
+        real = cli.prove
+
+        def exhausted(query, reg, **kwargs):
+            if query.rhs.spatial:
+                raise MemoryError
+            return real(query, reg, **kwargs)
+
+        monkeypatch.setattr(cli, "prove", exhausted)
+        (tmp_path / "a.sep").write_text(
+            "data c1 { c1 next; }\ncheck x->c1(null) |- x->c1(null)\n"
+        )
+        (tmp_path / "b.sep").write_text(
+            "data c1 { c1 next; }\ncheck x->c1(null) |- emp\nexpect invalid\n"
+        )
+        code, lines = run("--input", str(tmp_path))
+        assert code == 2
+        assert lines == [
+            "a.sep: ERROR (out of memory)",
+            "b.sep: INVALID (expected invalid)",
+            "checked 2 files: 0 mismatches, 1 errors",
+        ]
 
     def test_prover_rejection_counts_as_error(self, tmp_path):
         # parses, but prove() rejects the reserved name x#1

@@ -218,3 +218,24 @@ def test_pure_text_follows_the_parent_only_on_the_same_atoms(reg):
     tree.add(Entailment(EMP, EMP), 2, Edge("=L", ()))
     assert_matches_reference(tree)
     assert "e1: emp /\\ y!=x /\\ x!=null |- emp" in export_proof(tree, "text")
+
+
+def test_equal_atoms_at_different_nodes_print_as_written(reg):
+    # x!=y and y!=x are equal atoms: each atom's text is kept by the atom
+    # object, so neither node prints the other's
+    x, y = Var("x"), Var("y")
+    first, second = PtrNeq(x, y), PtrNeq(y, x)
+
+    def node(*pure):
+        return Entailment(SymbolicHeap((), pure), EMP)
+
+    tree = ProofTree.new(node(first, PtrNeq(x, NULL)))
+    tree.add(node(second, PtrNeq(y, NULL)), 0, Edge("Subst", ()))
+    tree.add(node(PtrNeq(x, NULL), first), 1, Edge("Subst", ()))
+    text = export_proof(tree, "text")
+    assert text == (
+        "e0: emp /\\ x!=y /\\ x!=null |- emp\n"
+        "  [Subst] e1: emp /\\ y!=x /\\ y!=null |- emp\n"
+        "    [Subst] e2: emp /\\ x!=null /\\ x!=y |- emp\n"
+    )
+    assert_matches_reference(tree)

@@ -24,7 +24,6 @@ from sepent.normalize import (
     apply_subst,
     in_place,
     is_nf,
-    is_nf_entailment,
     nf_failures,
     normalize,
     normalize_step,
@@ -56,6 +55,11 @@ def heap(spatial=(), pure=()):
 
 def ent(lspatial=(), lpure=(), rspatial=(), rpure=()):
     return Entailment(heap(lspatial, lpure), heap(rspatial, rpure))
+
+
+def is_nf_entailment(e, reg):
+    """An entailment is in NF exactly when its LHS is."""
+    return is_nf(e.lhs, reg)
 
 
 # ------------------------------------------------- one-atom reference rules

@@ -10,7 +10,7 @@ import sepent.defs
 import sepent.engine
 import sepent.parser
 import sepent.pure
-from sepent.oracle import eval_pure_atom
+from sepent.oracle import _all_hold, _compile
 from sepent.pure import (
     _ZERO,
     Atoms,
@@ -38,6 +38,11 @@ from sepent.syntax import (
 
 x, y, z, w = Var("x"), Var("y"), Var("z"), Var("w")
 a, b, c, d = Var("a"), Var("b"), Var("c"), Var("d")
+
+
+def eval_pure_atom(atom: PureAtom, env: dict[str, int]) -> bool:
+    """Is the atom true under `env`, as the oracle evaluates it?"""
+    return _all_hold((_compile(atom),), env)
 
 
 # The solver as it was before PureContext: a separate union-find, rebuilt

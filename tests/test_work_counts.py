@@ -5,7 +5,9 @@ and the Inconsistency check read the left side alone, and a left side
 that passed both keeps a record of it through the rules that keep it
 whole, and into Star's premises. So both run at fewer nodes than the
 proof has, and these counts pin how many. A change that runs either again
-at every node fails here, whatever the machine.
+at every node fails here, whatever the machine. The back-link search
+enumerates the unifiers of a spatial part onto itself once per proof,
+and a count of its unifier searches pins that too.
 
 The oracle. Over the suite, the settlement pass skips some unfoldings of
 each premise whole, and every model of the others is checked with one
@@ -13,6 +15,7 @@ full `_holds` call. These counts pin how many unfoldings settle and that
 no model is checked any other way.
 """
 
+import contextlib
 from unittest import mock
 
 import pytest
@@ -23,10 +26,10 @@ from sepent.oracle import Bound
 from suite_cases import SUITE, chain_sequent
 
 
-def counted_prove(ent, reg):
-    """The proof, and the calls the search made to `engine.normalize_step`
-    and `engine._base_pure`."""
-    counts = {"normalize_step": 0, "_base_pure": 0}
+def counted_prove(ent, reg, names=("normalize_step", "_base_pure")):
+    """The proof, and the calls the search made to each of the `engine`
+    functions `names`."""
+    counts = dict.fromkeys(names, 0)
 
     def counting(name):
         real = getattr(engine, name)
@@ -37,9 +40,9 @@ def counted_prove(ent, reg):
 
         return call
 
-    with mock.patch.object(
-        engine, "normalize_step", counting("normalize_step")
-    ), mock.patch.object(engine, "_base_pure", counting("_base_pure")):
+    with contextlib.ExitStack() as patches:
+        for name in names:
+            patches.enter_context(mock.patch.object(engine, name, counting(name)))
         verdict = engine.prove(ent, reg)
     return verdict, counts
 
@@ -50,6 +53,17 @@ def test_chain_settles_each_left_side_once(n, registry):
     assert verdict.valid
     assert len(verdict.tree.nodes) == 16 * n - 1
     assert counts == {"normalize_step": 7 * n + 2, "_base_pure": 2 * n + 1}
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_chain_searches_each_self_link_once(n, registry):
+    # a bud's spatial part often is its ancestor's, shared through
+    # pure-only steps; its unifiers onto itself are searched once per proof
+    verdict, counts = counted_prove(
+        parse_query(chain_sequent(n)), registry, names=("_spatial_unifiers",)
+    )
+    assert verdict.valid
+    assert counts == {"_spatial_unifiers": 11 * n - 9}
 
 
 def counted_oracle(bound, reg):
