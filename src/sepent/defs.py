@@ -41,9 +41,13 @@ class Role(str, Enum):
     ROOT = "root"
     SEG = "seg"
     BORDER = "border"
-    TRANS = "trans"
+    TRANS = "border"  # the same pass-through role, also spelled `trans`
     SRC = "src"
     TGT = "tgt"
+
+    @classmethod
+    def _missing_(cls, value: object) -> Optional[Role]:
+        return cls.BORDER if value == "trans" else None
 
 
 Kind = Literal["ptr", "int"]
@@ -273,25 +277,25 @@ def _check_c3(reg: Registry) -> list[str]:
     edges: dict[str, set[str]] = {
         n: {m.pred for m in d.rec.matrix if m.pred != n} for n, d in reg.preds.items()
     }
-    state: dict[str, int] = {}
-    out: list[str] = []
+    # One depth-first walk; a back edge lands on a predicate on a cycle.
+    state: dict[str, int] = {}  # 1 while on the walk's path, 2 once left
 
-    def visit(n: str) -> bool:
-        if state.get(n) == 1:
-            return True
-        if state.get(n) == 2:
-            return False
+    def visit(n: str) -> Optional[str]:
         state[n] = 1
-        hit = any(visit(m) for m in sorted(edges.get(n, ())) if m in edges)
+        for m in sorted(edges[n] & edges.keys()):
+            if state.get(m) == 1:
+                return m
+            hit = None if m in state else visit(m)
+            if hit is not None:
+                return hit
         state[n] = 2
-        return hit
+        return None
 
     for n in sorted(edges):
-        state.clear()
-        if visit(n):
-            out.append(f"C3 violated: {n} participates in mutual recursion")
-            break
-    return out
+        hit = None if n in state else visit(n)
+        if hit is not None:
+            return [f"C3 violated: {hit} participates in mutual recursion"]
+    return []
 
 
 def shape_problems(heap: SymbolicHeap, reg: Registry) -> list[str]:

@@ -498,20 +498,17 @@ def _select(
 
 # ------------------------------------------------------------------ is_closed
 
-IsClosedResult = tuple[
-    str, Union[None, tuple[int, str], tuple[int, RuleChoice]]
-]
 
-
-def is_closed(tree: ProofTree, reg: Registry) -> IsClosedResult:
-    """Classify the tree: ("valid", None) when no open leaf remains,
-    ("invalid", (leaf, case)) when the leftmost open leaf is stuck, and
-    ("unknown", (leaf, choice)) with the rule to apply otherwise."""
+def is_closed(
+    tree: ProofTree, reg: Registry
+) -> Optional[tuple[int, Union[RuleChoice, str]]]:
+    """The search's next step: None once no open leaf remains, else the
+    leftmost open leaf and what `_select` answers there, the rule to apply
+    or the leaf's stuck case."""
     leaf = tree.open_leaf()
     if leaf is None:
-        return "valid", None
-    choice = _select(leaf.ent, reg, tree.fresh)
-    return ("invalid" if isinstance(choice, str) else "unknown"), (leaf.id, choice)
+        return None
+    return leaf.id, _select(leaf.ent, reg, tree.fresh)
 
 
 # ------------------------------------------------------------------ expansion
@@ -530,7 +527,7 @@ def _expand(tree: ProofTree, leaf_id: int, choice: RuleChoice) -> list[int]:
 
 
 def apply_rule(
-    tree: ProofTree, leaf_id: int, rule: Union[str, RuleChoice], reg: Registry
+    tree: ProofTree, leaf_id: int, rule: str, reg: Registry
 ) -> list[Entailment]:
     """Apply the named rule at an open leaf, growing the tree in place.
 
@@ -541,13 +538,12 @@ def apply_rule(
     node = tree.node(leaf_id)
     if node.status != "open" or not node.is_leaf():
         raise SideConditionFailed(f"node {leaf_id} is not an open leaf")
-    label = rule.label if isinstance(rule, RuleChoice) else str(rule)
     choice = _select(node.ent, reg, tree.fresh)
     if isinstance(choice, str):
         raise SideConditionFailed(f"node {leaf_id} is stuck (case {choice})")
-    if choice.label != label:
+    if choice.label != rule:
         raise SideConditionFailed(
-            f"{label} does not apply at node {leaf_id}; selection is {choice.label}"
+            f"{rule} does not apply at node {leaf_id}; selection is {choice.label}"
         )
     _expand(tree, leaf_id, choice)
     return list(choice.premises)
@@ -759,39 +755,26 @@ def prove(
     _validate_input(ent, reg)
     root = Entailment(_reset_unfolds(ent.lhs), _reset_unfolds(ent.rhs))
     tree = ProofTree.new(root)
-    while True:
-        status, data = is_closed(tree, reg)
-        if status == "valid":
-            report = check_cyclic_soundness(tree, reg)
-            if report:
-                raise UnsoundProof("; ".join(report))
-            return Verdict(True, tree)
-        if status == "invalid":
-            assert data is not None
-            leaf_id, case = data
-            assert isinstance(case, str)
-            node = tree.node(leaf_id)
+    while (step := is_closed(tree, reg)) is not None:
+        leaf_id, choice = step
+        node = tree.node(leaf_id)
+        if isinstance(choice, str):
             node.status = "invalid"
-            node.case = case
-            witness = None
-            if case in ("2b", "2c", "2d"):
-                witness = _leaf_witness(tree, leaf_id, reg)
-            node.counter = witness
-            return Verdict(False, tree, node=leaf_id, case=case, counter=witness)
-        assert data is not None
-        leaf_id, choice = data
-        assert isinstance(choice, RuleChoice)
+            node.case = choice
+            if choice in ("2b", "2c", "2d"):
+                node.counter = _leaf_witness(tree, leaf_id, reg)
+            return Verdict(False, tree, node=leaf_id, case=choice, counter=node.counter)
         linked = link_back(tree, leaf_id, reg)
         if linked is not None:
-            cid, sigma, match = linked
-            node = tree.node(leaf_id)
             node.status = "bud"
-            node.companion = cid
-            node.sigma = sigma
-            node.match = match
+            node.companion, node.sigma, node.match = linked
             continue
         _expand(tree, leaf_id, choice)
         if len(tree.nodes) > node_budget:
             raise ResourceLimit(
                 f"proof search exceeded the {node_budget}-node budget"
             )
+    report = check_cyclic_soundness(tree, reg)
+    if report:
+        raise UnsoundProof("; ".join(report))
+    return Verdict(True, tree)

@@ -59,7 +59,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterator, Literal, NamedTuple, Optional, Union
 
 from .defs import (
     InductiveDef,
@@ -207,6 +207,9 @@ def _lookup_error(key: object) -> OracleError:
 
 # A pure atom compiled for evaluation: a comparison and its two operands.
 Check = tuple[Callable[[int, int], bool], Operand, Operand]
+# `_implication`'s answer: a test of compared pairs, None when an arithmetic
+# atom has null in it, False when the atoms have no model
+Implication = Union[Callable[[Check], bool], None, Literal[False]]
 
 _COMPARE = {PtrEq: operator.eq, PtrNeq: operator.ne, ArithEq: operator.eq, ArithLeq: operator.le}
 
@@ -655,9 +658,12 @@ def _assigned(
     hides = _hides(heap, reg)
     for cells, pure_atoms in _expand(heap, reg, bound, fresh):
         kinds = input_kinds | kinds_of(SymbolicHeap(cells, pure_atoms), reg)
-        if _refuted(pure_atoms):
+        implied = _implication(pure_atoms)
+        if _refuted(pure_atoms, implied):
             continue
-        unfolding = _Unfolding(cells, pure_atoms, stack_names, ptr_vars, kinds, reg, hides)
+        unfolding = _Unfolding(
+            cells, pure_atoms, stack_names, ptr_vars, kinds, reg, hides, implied
+        )
         if settled is not None and settled(unfolding):
             continue
         seen = None if unfolding.shown is None else set()
@@ -687,9 +693,10 @@ def _hides(heap: SymbolicHeap, reg: Registry) -> bool:
 
 
 class _Unfolding:
-    """An unfolding of a premise whose equalities do not refute it.
+    """An unfolding of a premise that `_refuted` does not refute.
 
-    `layout` holds its cells compiled, as (location, sort, field operands).
+    `implied` is the `_implication` of its pure atoms, and `layout` holds
+    its cells compiled, as (location, sort, field operands).
     A model shows the stack and the cell fields. `shown` is None when the
     models show every variable an assignment binds, else the variables they
     show. The cell roots are fixed, so a variable named only in pure atoms
@@ -703,6 +710,7 @@ class _Unfolding:
         "stack_names",
         "ptr_vars",
         "kinds",
+        "implied",
         "layout",
         "shown",
     )
@@ -716,12 +724,14 @@ class _Unfolding:
         kinds: dict[str, Kind],
         reg: Registry,
         hides: bool,
+        implied: Implication,
     ) -> None:
         self.cells = cells
         self.pure_atoms = pure_atoms
         self.stack_names = stack_names
         self.ptr_vars = ptr_vars
         self.kinds = kinds
+        self.implied = implied
         self.layout = [(i + 1, c.sort, _field_operands(c, reg)) for i, c in enumerate(cells)]
         self.shown = None
         if hides:
@@ -767,18 +777,21 @@ class _Unfolding:
             raise _lookup_error(e.args[0]) from None
 
 
-def _refuted(pure_atoms: tuple[PureAtom, ...]) -> bool:
-    """Do the equalities alone force together the two sides of a
-    disequality, or two distinct constants?
+def _refuted(pure_atoms: tuple[PureAtom, ...], implied: Implication) -> bool:
+    """Do the atoms have no model: do the equalities force together the two
+    sides of a disequality, or do the order chains put a literal below a
+    smaller one (`implied`, the atoms' `_implication`, is False)?
 
-    Order atoms are left out. A constant of the wrong kind (an integer in a
-    pointer atom, null in an arithmetic one) answers False, because
-    evaluating that atom raises and skipping its variant would hide it.
+    A constant of the wrong kind (an integer in a pointer atom, null in an
+    arithmetic one) answers False, because evaluating that atom raises and
+    skipping its variant would hide it.
     """
     for a in pure_atoms:
         wrong = IntLit if isinstance(a, (PtrEq, PtrNeq)) else Null
         if isinstance(a.lhs, wrong) or isinstance(a.rhs, wrong):
             return False
+    if implied is False:
+        return True
     parent: dict[Expr, Expr] = {}
 
     def find(e: Expr) -> Expr:
@@ -791,15 +804,7 @@ def _refuted(pure_atoms: tuple[PureAtom, ...]) -> bool:
             r1, r2 = find(a.lhs), find(a.rhs)
             if r1 != r2:
                 parent[r1] = r2
-    constant: dict[Expr, Expr] = {}
-    for a in pure_atoms:
-        if isinstance(a, PtrNeq) and find(a.lhs) == find(a.rhs):
-            return True
-        if isinstance(a, (PtrEq, ArithEq)):
-            for e in (a.lhs, a.rhs):
-                if not isinstance(e, Var) and constant.setdefault(find(e), e) != e:
-                    return True
-    return False
+    return any([isinstance(a, PtrNeq) and find(a.lhs) == find(a.rhs) for a in pure_atoms])
 
 
 def _expand(
@@ -951,11 +956,11 @@ def _assignments(
 # -------------------------------------------------------------------- verdicts
 
 
-def _implication(atoms: tuple[PureAtom, ...]) -> Optional[Callable[[Check], bool]]:
+def _implication(atoms: tuple[PureAtom, ...]) -> Implication:
     """Which data comparisons the atoms' `<=` and `=` imply, as a test of
     a compared pair (op, u, v), each side a variable name or an int; None
-    when an arithmetic atom has null in it, or when the atoms order a
-    literal below a smaller one and so have no model to skip.
+    when an arithmetic atom has null in it, and False when the atoms order
+    a literal below a smaller one and so have no model.
 
     u <= v is implied by a chain of `<=` and `=` steps from u to v, in
     which a literal steps to any literal not below it; u = v by chains
@@ -992,7 +997,7 @@ def _implication(atoms: tuple[PureAtom, ...]) -> Optional[Callable[[Check], bool
         return False
 
     if any([le(c, c - 1) for c in literals]):
-        return None
+        return False
 
     def implied(check: Check) -> bool:
         op, u, v = check
@@ -1021,13 +1026,13 @@ def _settled(
     pointer, or a pointer as data, sees where a data value equals a
     location. An error, or a shape the walk fails or cannot decide on,
     answers False, and so do an unfolding whose models show no data and
-    an `_implication` of None.
+    one whose `implied` is no test.
     """
     data = u.data()
     if not data:
         return False
-    implied = _implication(u.pure_atoms)
-    if implied is None:
+    implied = u.implied
+    if not implied:
         return False
     n = len(u.cells)
     try:

@@ -45,27 +45,38 @@ def test_existential_not_stored_fails_c1(registry):
     assert any("C1" in p and "w" in p for p in problems)
 
 
-def test_mutual_recursion_fails_c3(registry):
-    def one(name, other):
-        return InductiveDef(
-            name,
-            (Param("r", Role.ROOT), Param("F", Role.SEG)),
-            RecBranch(
-                exists=("X", "Z"),
-                head=PointsTo(r, "c3", (X, Var("Z"))),
-                matrix=(PredOcc(other, (Var("Z"), NULL)),),
-                rec=PredOcc(name, (X, F)),
-                order=None,
-                arith=(),
-            ),
-        )
+def carrying(name, other):
+    """A list of c3 cells whose down field holds an `other` structure."""
+    return InductiveDef(
+        name,
+        (Param("r", Role.ROOT), Param("F", Role.SEG)),
+        RecBranch(
+            exists=("X", "Z"),
+            head=PointsTo(r, "c3", (X, Var("Z"))),
+            matrix=(PredOcc(other, (Var("Z"), NULL)),),
+            rec=PredOcc(name, (X, F)),
+            order=None,
+            arith=(),
+        ),
+    )
 
+
+def test_mutual_recursion_fails_c3(registry):
     reg = Registry(
         sorts=dict(registry.sorts),
-        preds={"p1": one("p1", "p2"), "p2": one("p2", "p1")},
+        preds={"p1": carrying("p1", "p2"), "p2": carrying("p2", "p1")},
     )
     problems = check_wellformed(reg)
     assert any("C3" in p for p in problems)
+
+
+def test_c3_names_a_predicate_on_the_cycle(registry):
+    # a only reaches the cycle p1 <-> p2; the walk enters it at p1
+    reg = Registry(
+        sorts=dict(registry.sorts),
+        preds={"a": carrying("a", "p1"), "p1": carrying("p1", "p2"), "p2": carrying("p2", "p1")},
+    )
+    assert check_wellformed(reg) == ["C3 violated: p1 participates in mutual recursion"]
 
 
 def test_self_matrix_is_allowed(registry):

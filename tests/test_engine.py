@@ -364,11 +364,13 @@ class TestApplyRule:
 
     def test_is_closed_reports_selection(self, registry):
         tree = ProofTree.new(golden_entailment())
-        status, data = is_closed(tree, registry)
-        assert status == "unknown"
-        leaf_id, choice = data
+        leaf_id, choice = is_closed(tree, registry)
         assert leaf_id == 0
+        assert isinstance(choice, normalize.RuleChoice)
         assert choice.label == "LInd"
+        closed = ProofTree.new(Entailment(heap(), heap()))
+        apply_rule(closed, 0, "Emp", registry)
+        assert is_closed(closed, registry) is None
 
     def test_stuck_leaf_rejects_star(self, registry):
         # extra_cell's stuck leaf has an identical cell pair, so Star's own
@@ -377,7 +379,7 @@ class TestApplyRule:
         verdict = prove(parse_query(sequent), registry)
         assert verdict.case == "2b"
         tree = ProofTree.new(verdict.tree.node(verdict.node).ent)
-        assert is_closed(tree, registry) == ("invalid", (0, "2b"))
+        assert is_closed(tree, registry) == (0, "2b")
         with pytest.raises(SideConditionFailed):
             apply_rule(tree, 0, "Star", registry)
         assert tree.node(0).is_leaf()
@@ -416,13 +418,10 @@ def reference_open_leaf(tree):
 def search_steps(tree, reg):
     """Grow the tree as prove does, one rule or back-link per step, and
     yield after every step."""
-    while True:
-        status, data = is_closed(tree, reg)
-        if status == "valid":
-            return
-        leaf_id, choice = data
+    while (step := is_closed(tree, reg)) is not None:
+        leaf_id, choice = step
         node = tree.node(leaf_id)
-        if status == "invalid":
+        if isinstance(choice, str):
             node.status = "invalid"
             yield
             return
@@ -431,7 +430,7 @@ def search_steps(tree, reg):
             node.status = "bud"
             node.companion, node.sigma, node.match = linked
         else:
-            apply_rule(tree, leaf_id, choice, reg)
+            apply_rule(tree, leaf_id, choice.label, reg)
         yield
 
 

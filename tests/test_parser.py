@@ -19,6 +19,7 @@ from sepent.parser import (
     parse_native,
     problem_text,
 )
+from sepent.slcomp import parse_slcomp
 from sepent.syntax import NULL, ArithEq, PointsTo, PredOcc, PtrNeq, Var
 from suite_cases import SUITE
 
@@ -30,9 +31,15 @@ def parse_q(query: str):
 
 
 class TestCorpus:
-    def test_registry_matches_programmatic_one(self):
-        pf = parse_native(NATIVE_CORPUS + "check emp |- emp\n")
+    @pytest.mark.parametrize("spelling", ["border", "trans"])
+    def test_registry_matches_programmatic_one(self, spelling):
+        # border and trans are two spellings of one pass-through role
+        corpus = NATIVE_CORPUS.replace("trans u", "border u")
+        pf = parse_native(corpus.replace("border ", f"{spelling} ") + "check emp |- emp\n")
         assert pf.registry == make_registry()
+        golden = (DATA / "golden.smt2").read_text()
+        respelled = golden.replace("llb(root, seg, border)", f"llb(root, seg, {spelling})")
+        assert parse_slcomp(respelled).registry == parse_slcomp(golden).registry
 
     def test_param_kinds_inferred_from_use(self):
         reg = parse_native(NATIVE_CORPUS + "check emp |- emp\n").registry

@@ -12,7 +12,8 @@ and a count of its unifier searches pins that too.
 The oracle. Over the suite, the settlement pass skips some unfoldings of
 each premise whole, and every model of the others is checked with one
 full `_holds` call. These counts pin how many unfoldings settle and that
-no model is checked any other way.
+no model is checked any other way. An unfolding whose atoms have no model
+is neither settled nor searched.
 """
 
 import contextlib
@@ -96,7 +97,7 @@ def counted_oracle(bound, reg):
 
 @pytest.mark.parametrize(
     "bound,settled,unsettled,models",
-    [(Bound(4, 6), 51, 64, 69), (Bound(3, 3, -1, 3), 25, 48, 48)],
+    [(Bound(4, 6), 51, 60, 69), (Bound(3, 3, -1, 3), 25, 45, 48)],
     ids=["acceptance", "small"],
 )
 def test_oracle_checks_each_unsettled_model_once(bound, settled, unsettled, models, registry):
@@ -105,3 +106,26 @@ def test_oracle_checks_each_unsettled_model_once(bound, settled, unsettled, mode
         unsettled,
         {"assigned": models, "_holds": models},
     )
+
+
+def test_refuted_premise_searches_no_unfolding(registry):
+    # lls(x, null, 5, 2) /\ x!=null: each unfolding either sets x to null or
+    # orders 5 below 2, so none is settled or searched, whatever the range
+    sequent = next(s for name, s, _ in SUITE if name == "unsat_premise")
+    calls = {"_settled": 0, "_assignments": 0}
+
+    def counting(name):
+        real = getattr(oracle, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    with mock.patch.object(oracle, "_settled", counting("_settled")), mock.patch.object(
+        oracle, "_assignments", counting("_assignments")
+    ):
+        verdict = oracle.oracle_entails(parse_query(sequent), registry, Bound(4, 6, -30, 60))
+    assert verdict.bounded_valid
+    assert calls == {"_settled": 0, "_assignments": 0}
