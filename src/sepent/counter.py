@@ -52,10 +52,10 @@ def _place(
 
 
 def bad_model(heap: SymbolicHeap, reg: Registry) -> HeapModel:
-    """A concrete model of a base formula in normal form: each class of
-    pointer variables that the pure part equates gets its own location, 0
-    for null's class, and data variables get a satisfying assignment.  Both
-    models read the one pure context of `heap.pure`."""
+    """A concrete model of a base formula in normal form: each pointer
+    variable gets its own location, null 0, and data variables get a
+    satisfying assignment.  Both models read the one pure context of
+    `heap.pure`, which holds no pointer `=` in normal form."""
     if any(isinstance(a, PredOcc) for a in heap.spatial):
         raise OracleError("bad_model needs a base formula")
     kinds = kinds_of(heap, reg)

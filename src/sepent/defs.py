@@ -24,6 +24,8 @@ from .syntax import (
     ArithEq,
     Expr,
     FreshNames,
+    IntLit,
+    Null,
     PointsTo,
     PredOcc,
     PtrEq,
@@ -268,6 +270,9 @@ def check_def(reg: Registry, d: InductiveDef) -> list[str]:
                 out.append(f"{d.name}: order atom must relate src and its existential")
     elif rb.order is not None:
         out.append(f"{d.name}: order atom without a src/tgt pair")
+    for a in rb.arith:
+        if isinstance(a, (PtrEq, PtrNeq)):
+            out.append(f"{d.name}: unexpected pointer atom {a} in recursive branch")
 
     return out
 
@@ -317,6 +322,34 @@ def shape_problems(heap: SymbolicHeap, reg: Registry) -> list[str]:
                 out.append(f"unknown predicate {a.pred!r}")
             elif len(a.args) != len(d.params):
                 out.append(f"{a.pred} expects {len(d.params)} arguments")
+    return out
+
+
+def constant_problems(heap: SymbolicHeap, reg: Registry) -> list[str]:
+    """The constants of the heap that stand where the other kind goes: an
+    integer literal as an operand of a pointer `=` or `!=`, as a cell root
+    or pointer field, or as a pointer argument of an occurrence, and null
+    as an integer. Reads atoms that `shape_problems` passes."""
+    out: list[str] = []
+
+    def check(e: Expr, kind: Kind, atom: object) -> None:
+        if kind == "ptr" and isinstance(e, IntLit):
+            out.append(f"integer literal {e} used as a pointer in {atom}")
+        elif kind == "int" and isinstance(e, Null):
+            out.append(f"null used as an integer in {atom}")
+
+    for a in heap.spatial:
+        if isinstance(a, PointsTo):
+            check(a.root, "ptr", a)
+            for (_, target), f in zip(reg.sorts[a.sort].fields, a.fields):
+                check(f, "int" if target == "int" else "ptr", a)
+        else:
+            for p, arg in zip(reg.preds[a.pred].params, a.args):
+                check(arg, p.kind, a)
+    for a in heap.pure:
+        kind: Kind = "ptr" if isinstance(a, (PtrEq, PtrNeq)) else "int"
+        check(a.lhs, kind, a)
+        check(a.rhs, kind, a)
     return out
 
 

@@ -33,6 +33,7 @@ from .defs import (
     Registry,
     base_of,
     check_wellformed,
+    constant_problems,
     guard_of,
     order_of,
     rec_instance,
@@ -52,6 +53,7 @@ from .syntax import (
     PointsTo,
     PredOcc,
     PtrEq,
+    PtrNeq,
     PureAtom,
     SpatialAtom,
     SymbolicHeap,
@@ -339,7 +341,7 @@ def _rind(ent: Entailment, reg: Registry, fresh: FreshNames) -> Optional[RuleCho
             continue
         if cell.sort != reg.preds[occ.pred].rec.head.sort:
             continue
-        if not pure_solver.entails(ent.lhs.pure, guard_of(occ, reg)):
+        if not ent.lhs.has_pure(guard_of(occ, reg)):
             continue
         if any(isinstance(b, PointsTo) and b.root == x for b in ent.rhs.spatial):
             continue
@@ -434,7 +436,7 @@ def _lind(ent: Entailment, reg: Registry, fresh: FreshNames) -> Optional[RuleCho
         at = _occ_at(ent.lhs, occ.root)
         if at is None:
             continue
-        if not pure_solver.entails(ent.lhs.pure, guard_of(occ, reg)):
+        if not ent.lhs.has_pure(guard_of(occ, reg)):
             continue
         i, a = at
         rest = [b for t, b in enumerate(ent.rhs.spatial) if t != j]
@@ -454,7 +456,7 @@ def _rhs_exm(ent: Entailment, reg: Registry, fresh: FreshNames) -> Optional[Rule
         e1, e2 = occ.root, seg_of(occ, reg)
         if e1 == e2:
             continue
-        if pure_solver.status_of_pair(ent.lhs.pure, e1, e2) != "unknown":
+        if ent.lhs.has_pure(PtrNeq(e1, e2)):
             continue
         return case_split(ent, e1, e2)
     return None
@@ -739,6 +741,8 @@ def _validate_input(ent: Entailment, reg: Registry) -> None:
             f"conclusion variables missing from the premise: {', '.join(extra)}"
         )
     problems = shape_problems(ent.lhs, reg) + shape_problems(ent.rhs, reg)
+    if not problems:
+        problems = constant_problems(ent.lhs, reg) + constant_problems(ent.rhs, reg)
     if problems:
         raise UnsupportedFragment("; ".join(problems))
 

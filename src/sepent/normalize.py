@@ -1,17 +1,24 @@
-"""Left-side normalization: six rewriting rules and the normal-form check.
+"""Left-side normalization: the six rewriting rules, one step at a time.
 
 A symbolic heap is in normal form when every occurrence's guard is spelled
 out, every allocated root is known non-null and pairwise distinct, no
 equalities remain, no atom denies itself, and the arithmetic part has a
-model. Normalization applies the rules in a fixed order: drop reflexive
+model (the symbolic-heap normal form of Berdine, Calcagno and O'Hearn,
+APLAS 2005). The rules apply in a fixed order: drop reflexive
 equalities, substitute equalities away, collapse occurrences whose root
 meets their segment, materialize non-null and pairwise disequalities, and
 finally split undecided pairs (the only branching rule).
 
 Each applier returns one rule instance, a `RuleChoice` whose edges carry
 what the step consumed, kept and bound, which the proof engine records
-as it is; normalize() drives them to a fixpoint. Outputs either pass
-is_nf or have an unsatisfiable left side (closed by Inconsistency later).
+as it is; `normalize_step` picks the first that applies. Where =L and
+Subst find nothing, no pointer `=` is left: Subst substitutes away every
+equality but one of two constants, and since the engine refuses an
+integer literal in a pointer position, the only such pointer equality
+is null=null, which =L drops. So ExM and the pure solver see pointer
+`!=` atoms only, and a left side where no step applies is in normal
+form or has an unsatisfiable pure part (closed by Inconsistency). The
+tests state the normal form and drive the steps to a fixpoint.
 
 NeqNull and NeqStar add every disequality their scan finds missing in one
 step, in scan order. Adding them one per step gives the same proof up to
@@ -57,7 +64,7 @@ from itertools import chain, combinations
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import pure as pure_solver
-from .defs import Registry, guard_of, guards, order_of
+from .defs import Registry, guards, order_of
 from .syntax import (
     ArithEq,
     Entailment,
@@ -65,7 +72,6 @@ from .syntax import (
     IntLit,
     Null,
     NULL,
-    PredOcc,
     PtrEq,
     PtrNeq,
     SpatialAtom,
@@ -73,44 +79,6 @@ from .syntax import (
     Var,
     is_fresh_name,
 )
-
-
-# ---------------------------------------------------------------- normal form
-
-
-def nf_failures(heap: SymbolicHeap, reg: Registry) -> tuple[int, ...]:
-    """Failed clause numbers of the normal-form definition (empty when NF)."""
-    pi = heap.pure
-    have = heap.pure_set
-    fails: set[int] = set()
-    for a in heap.spatial:
-        if isinstance(a, PredOcc):
-            g = guard_of(a, reg)
-            if g is not None and g not in have:
-                fails.add(1)
-        if PtrNeq(a.root, NULL) not in have:
-            fails.add(2)
-    roots = [a.root for a in heap.spatial]
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if PtrNeq(roots[i], roots[j]) not in have:
-                fails.add(3)
-    for p in pi:
-        if isinstance(p, PtrEq):
-            fails.add(4)
-        elif isinstance(p, ArithEq) and (
-            isinstance(p.lhs, Var) or isinstance(p.rhs, Var)
-        ):
-            fails.add(4)
-        elif isinstance(p, PtrNeq) and p.lhs == p.rhs:
-            fails.add(5)
-    if not pure_solver.satisfiable(pi):
-        fails.add(6)
-    return tuple(sorted(fails))
-
-
-def is_nf(heap: SymbolicHeap, reg: Registry) -> bool:
-    return not nf_failures(heap, reg)
 
 
 # ------------------------------------------------------------ rule instances
@@ -316,7 +284,7 @@ def apply_exm(ent: Entailment, reg: Registry) -> Optional[RuleChoice]:
     have = heap.pure_set
     occ_pairs = [(g.lhs, g.rhs) for g in guards(heap, reg) if g is not None]
     for e1, e2 in chain(occ_pairs, _pairs(heap.roots, heap.apart)):
-        if e1 == e2 or PtrNeq(e1, e2) in have or PtrEq(e1, e2) in have:
+        if e1 == e2 or PtrNeq(e1, e2) in have:
             continue
         if pure_solver.status_of_pair(heap.pure, e1, e2) == "unknown":
             return case_split(ent, e1, e2)
@@ -341,20 +309,3 @@ def normalize_step(ent: Entailment, reg: Registry) -> Optional[RuleChoice]:
             return step
     return None
 
-
-def normalize(
-    ent: Entailment, reg: Registry
-) -> list[tuple[Entailment, tuple[str, ...]]]:
-    """Close the entailment under all six rules; one output per ExM branch,
-    each paired with the rule labels applied on its path."""
-    out: list[tuple[Entailment, tuple[str, ...]]] = []
-    stack: list[tuple[Entailment, tuple[str, ...]]] = [(ent, ())]
-    while stack:
-        e, trace = stack.pop()
-        step = normalize_step(e, reg)
-        if step is None:
-            out.append((e, trace))
-            continue
-        for p in reversed(step.premises):
-            stack.append((p, trace + (step.label,)))
-    return out

@@ -147,10 +147,6 @@ def _scan(text: str, pos: int = 0, line: int = 1, bol: int = 0) -> Iterator[Toke
     yield Token("eof", "", line, len(text) - bol + 1, len(text))
 
 
-def _lex(text: str) -> list[Token]:
-    return list(_scan(text))
-
-
 # ------------------------------------------------------------ raw formulas
 
 # Pure atoms are read uncommitted first; pointer-vs-integer classification

@@ -1,25 +1,30 @@
-"""Decision procedure for the pure fragment.
+"""Decision procedure for the pure part of a normal left side.
 
-The entry points take plain tuples of atoms. Each tuple is compiled into
-a `PureContext`, which holds a union-find that merges the operands of
-every pointer `=` (any other term is its own class); the class pairs the
-`!=` atoms keep apart, as `PtrNeq` atoms over class representatives, with
-a flag for whether the pointer part is consistent; the arithmetic atoms
+The prover asks about left sides in normal form only (see `normalize`):
+=L and Subst have substituted every pointer `=` away before any rule
+asks, so the pointer part is a set of `!=` atoms over variables and
+null. The entry points take plain tuples of atoms. Each tuple is
+compiled into a `PureContext`, which holds its pointer `!=` atoms as
+written, with a flag that none of them is `x!=x`; the arithmetic atoms
 (=, <=) as difference bounds, with a zero node that anchors the integer
 literals; and the longest-path distances of those bounds, None when a
-positive cycle makes them infeasible.
+positive cycle makes them infeasible. A pointer `=` atom is refused with
+ValueError.
 
-Queries and models read the context. A pointer goal compares classes. An
+Queries and models read the context. A satisfiable set of `!=` atoms has
+a model that keeps every two terms it does not name apart, so `a=b`
+holds iff `a` is `b`, and `a!=b` iff the context holds that atom. An
 arithmetic goal holds when every case of its negation makes the bounds
-infeasible; the negation of <= gives the only strict bounds, of weight 1.
-`pointer_model` numbers the classes, `arith_model` reads the distances.
+infeasible; the negation of <= gives the only strict bounds, of weight
+1. `pointer_model` gives null 0 and every variable a location of its
+own, `arith_model` reads the distances.
 
 The memo keeps the 4 most recent contexts and finds a tuple by identity,
 or else by equal contents; it never hashes a whole tuple. On a miss, a
-tuple that continues a memoized one (the same atom objects first) with no
-pointer `=` extends that context: the classes stay, `apart` is copied and
-takes the new pairs, and the distances relax on from the old ones. Only
-other tuples are compiled from scratch.
+tuple that continues a memoized one (the same atom objects first)
+extends that context: `apart` is copied and takes the new atoms, and the
+distances relax on from the old ones. Only other tuples are compiled
+from scratch.
 
 So a proof node whose left side only adds atoms to its parent's pays for
 the new atoms, since its parent's context is still in the memo: a node
@@ -49,7 +54,6 @@ from .syntax import (
     ArithLeq,
     Expr,
     IntLit,
-    NULL,
     PtrEq,
     PtrNeq,
     PureAtom,
@@ -127,30 +131,13 @@ def _strict_negation(a: PureAtom) -> list[list[Bound]]:
 class PureContext:
     """What a tuple of pure atoms decides, computed once.
 
-    `rep` maps each operand of an `=` atom to its class representative.
-    An unsatisfiable context entails every goal.
+    `apart` holds its pointer `!=` atoms. An unsatisfiable context
+    entails every goal.
     """
 
-    __slots__ = ("rep", "apart", "ptr_ok", "bounds", "dist")
+    __slots__ = ("apart", "ptr_ok", "bounds", "dist")
 
     def __init__(self, atoms: Atoms) -> None:
-        rep: dict[Expr, Expr] = {}
-
-        def find(t: Expr) -> Expr:
-            rep.setdefault(t, t)
-            while rep[t] != t:
-                rep[t] = rep[rep[t]]
-                t = rep[t]
-            return t
-
-        for a in atoms:
-            if isinstance(a, PtrEq):
-                ra, rb = find(a.lhs), find(a.rhs)
-                if ra != rb:
-                    rep[ra] = rb
-        for t in rep:
-            rep[t] = find(t)
-        self.rep = rep
         self.apart: set[PtrNeq] = set()
         self.ptr_ok = True
         self._keep_apart(atoms)
@@ -158,11 +145,10 @@ class PureContext:
         self.dist = _relax(self.bounds)
 
     def extended(self, extra: Atoms) -> "PureContext":
-        """The context of this tuple followed by `extra`, which holds no
-        pointer `=`: the classes stay, the new `!=` pairs join a copy of
-        `apart`, and the distances relax on from the old ones."""
+        """The context of this tuple followed by `extra`: the new `!=`
+        atoms join a copy of `apart`, and the distances relax on from the
+        old ones."""
         out = PureContext.__new__(PureContext)
-        out.rep = self.rep
         out.apart = set(self.apart)
         out.ptr_ok = self.ptr_ok
         out._keep_apart(extra)
@@ -176,22 +162,14 @@ class PureContext:
     def _keep_apart(self, atoms: Atoms) -> None:
         for a in atoms:
             if isinstance(a, PtrNeq):
-                pair = self._class_pair(a)
-                if pair is None:
+                if a.lhs == a.rhs:
                     self.ptr_ok = False
-                else:
-                    self.apart.add(pair)
-
-    def _class_pair(self, a: PtrEq | PtrNeq) -> Optional[PtrNeq]:
-        """The classes of `a`'s operands as a disequality, None if they are
-        one class; `a` itself when it is already over representatives."""
-        ra = self.rep.get(a.lhs, a.lhs)
-        rb = self.rep.get(a.rhs, a.rhs)
-        if ra == rb:
-            return None
-        if isinstance(a, PtrNeq) and ra is a.lhs and rb is a.rhs:
-            return a
-        return PtrNeq(ra, rb)
+                self.apart.add(a)
+            elif isinstance(a, PtrEq):
+                raise ValueError(
+                    f"pointer equality {a} reached the pure solver; "
+                    "normalization substitutes it away first"
+                )
 
     @property
     def sat(self) -> bool:
@@ -201,9 +179,9 @@ class PureContext:
         if not self.sat:
             return True
         if isinstance(goal, PtrEq):
-            return self._class_pair(goal) is None
+            return goal.lhs == goal.rhs
         if isinstance(goal, PtrNeq):
-            return self._class_pair(goal) in self.apart
+            return goal in self.apart
         base = self.bounds + _anchors((goal.lhs, goal.rhs))
         return all(
             _relax(base + case, self.dist) is None
@@ -219,8 +197,8 @@ _memo: deque[tuple[Atoms, PureContext]] = deque(maxlen=4)
 def _context(atoms: Atoms) -> PureContext:
     """The context of `atoms`. A memoized tuple is found by identity, or
     else by comparing equal; on a miss, a memoized context is extended if
-    its tuple is a prefix of `atoms` (the same atom objects) and the rest
-    holds no pointer `=`, and a new one is built only when none is."""
+    its tuple is a prefix of `atoms` (the same atom objects), and a new
+    one is built only when none is."""
     if _memo and _memo[-1][0] is atoms:  # most queries ask again at once
         return _memo[-1][1]
     for i in range(len(_memo) - 1, -1, -1):
@@ -234,10 +212,8 @@ def _context(atoms: Atoms) -> PureContext:
     for key, old in reversed(_memo):
         k = len(key)
         if k < len(atoms) and all(map(is_, key, atoms)):
-            extra = atoms[k:]
-            if not any(isinstance(a, PtrEq) for a in extra):
-                ctx = old.extended(extra)
-                break
+            ctx = old.extended(atoms[k:])
+            break
     if ctx is None:
         ctx = PureContext(atoms)
     _memo.append((atoms, ctx))
@@ -267,10 +243,9 @@ Status = Literal["eq", "neq", "unknown"]
 def status_of_pair(atoms: Atoms, a: Expr, b: Expr) -> Status:
     """Decide whether two pointer terms are forced equal, forced apart, or free."""
     ctx = _context(atoms)
-    pair = ctx._class_pair(PtrNeq(a, b))
-    if pair is None or not ctx.sat:
+    if a == b or not ctx.sat:
         return "eq"
-    return "neq" if pair in ctx.apart else "unknown"
+    return "neq" if PtrNeq(a, b) in ctx.apart else "unknown"
 
 
 def arith_model(atoms: Atoms, names: tuple[str, ...] = ()) -> dict[str, int]:
@@ -286,19 +261,14 @@ def arith_model(atoms: Atoms, names: tuple[str, ...] = ()) -> dict[str, int]:
 
 
 def pointer_model(atoms: Atoms, names: tuple[str, ...] = ()) -> dict[str, int]:
-    """Locations for pointer variables: null's class is 0, others distinct.
+    """Locations for pointer variables: null is 0, every variable has its
+    own, in name order from 1.
 
     Covers the given names and every variable a pointer atom mentions."""
     ctx = _context(atoms)
     if not ctx.ptr_ok:
         raise ValueError("pointer part is unsatisfiable")
     mentioned = {
-        t.name for a in atoms if isinstance(a, (PtrEq, PtrNeq))
-        for t in (a.lhs, a.rhs) if isinstance(t, Var)
+        t.name for a in ctx.apart for t in (a.lhs, a.rhs) if isinstance(t, Var)
     }
-    loc_of_rep: dict[Expr, int] = {ctx.rep.get(NULL, NULL): 0}
-    out: dict[str, int] = {}
-    for n in sorted(mentioned | set(names)):
-        rep = ctx.rep.get(Var(n), Var(n))
-        out[n] = loc_of_rep.setdefault(rep, len(loc_of_rep))
-    return out
+    return {n: i for i, n in enumerate(sorted(mentioned | set(names)), 1)}

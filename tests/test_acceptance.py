@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import disjunction_equivalent, entailments, make_registry, parse_query
+from normal_form import normalize
 from sepent.cli import run_cli
 from sepent.certify import check_cyclic_soundness
 from sepent.engine import Edge, prove
 from sepent.export import export_proof
-from sepent.normalize import normalize
 from sepent.oracle import Bound, confirm_countermodel, oracle_entails
 from sepent.syntax import (
     Entailment,

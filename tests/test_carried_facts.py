@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import entailments, make_registry, parse_query
+from normal_form import normalize
 from sepent import engine
 from sepent import normalize as normalize_module
 from sepent import pure
@@ -35,7 +36,6 @@ from sepent.engine import (
 from sepent.normalize import (
     _known_roots,
     lbase_site,
-    normalize,
     normalize_step,
     subst_site,
 )

@@ -45,6 +45,27 @@ def test_existential_not_stored_fails_c1(registry):
     assert any("C1" in p and "w" in p for p in problems)
 
 
+def test_pointer_atom_in_recursive_branch_fails(registry):
+    # the parsers refuse it; built by hand, its materialization would hand
+    # the pure solver a pointer equality, which it refuses
+    bad = InductiveDef(
+        "eql",
+        (Param("r", Role.ROOT), Param("F", Role.SEG)),
+        RecBranch(
+            exists=("X",),
+            head=PointsTo(r, "c1", (X,)),
+            matrix=(),
+            rec=PredOcc("eql", (X, F)),
+            order=None,
+            arith=(PtrEq(X, NULL),),
+        ),
+    )
+    reg = Registry(sorts=dict(registry.sorts), preds={"eql": bad})
+    assert check_wellformed(reg) == [
+        "eql: unexpected pointer atom X=null in recursive branch"
+    ]
+
+
 def carrying(name, other):
     """A list of c3 cells whose down field holds an `other` structure."""
     return InductiveDef(

@@ -34,14 +34,17 @@ from sepent.engine import (
 )
 from sepent.export import export_proof
 from sepent.oracle import Bound, confirm_countermodel, holds, oracle_entails
+from sepent.parser import parse_native
 from sepent.syntax import (
     NULL,
+    ArithEq,
     ArithLeq,
     Entailment,
     FreshNames,
     IntLit,
     PointsTo,
     PredOcc,
+    PtrEq,
     PtrNeq,
     SymbolicHeap,
     Var,
@@ -879,6 +882,45 @@ class TestInputValidation:
             with pytest.raises(UnsupportedFragment, match=re.escape(msg)):
                 prove(ent, registry)
 
+    @pytest.mark.parametrize(
+        "lhs, msg",
+        [
+            (heap((), (PtrEq(IntLit(1), NULL),)), "integer literal 1 used as a pointer in 1=null"),
+            (heap((), (PtrNeq(x, IntLit(2)),)), "integer literal 2 used as a pointer in x!=2"),
+            (heap((), (PtrEq(x, IntLit(2)),)), "integer literal 2 used as a pointer in x=2"),
+            (heap((PointsTo(IntLit(3), "c1", (NULL,)),)), "integer literal 3 used as a pointer"),
+            (heap((PointsTo(x, "c1", (IntLit(0),)),)), "integer literal 0 used as a pointer"),
+            (heap((PredOcc("ll", (x, IntLit(0))),)), "integer literal 0 used as a pointer"),
+            (heap((), (ArithLeq(NULL, mi),)), "null used as an integer in null<=mi"),
+            (heap((), (ArithEq(mi, NULL),)), "null used as an integer in mi=null"),
+            (heap((PointsTo(x, "c2", (NULL, NULL)),)), "null used as an integer"),
+            (heap((PredOcc("lls", (x, NULL, mi, NULL)),)), "null used as an integer"),
+        ],
+        ids=[
+            "literal-eq-null",
+            "neq-literal",
+            "eq-literal",
+            "cell-root",
+            "pointer-field",
+            "pointer-argument",
+            "null-leq",
+            "null-arith-eq",
+            "int-field",
+            "int-argument",
+        ],
+    )
+    def test_constant_of_the_other_kind_rejected(self, registry, lhs, msg):
+        # both parsers refuse these; built by hand, the first three were
+        # VALID, and 1=null reached the pure solver as a pointer equality
+        with pytest.raises(UnsupportedFragment, match=re.escape(msg)):
+            prove(Entailment(lhs, heap()), registry)
+
+    def test_constant_of_the_other_kind_rejected_on_the_right(self, registry):
+        premise = heap((PointsTo(x, "c1", (NULL,)),), (PtrNeq(x, NULL),))
+        ent = Entailment(premise, heap((PointsTo(x, "c1", (IntLit(4),)),)))
+        with pytest.raises(UnsupportedFragment, match="literal 4 used as a pointer"):
+            prove(ent, registry)
+
     def test_root_second_registry_rejected(self, registry):
         # the root-second list ll(seg F, root r), built by hand: the rules
         # read an occurrence's root as argument 0, so it must be refused
@@ -972,3 +1014,41 @@ def test_link_back_matches_reference_on_generated_inputs(e):
             prove(e, make_registry(), node_budget=3000)
         except (UnsupportedFragment, ResourceLimit):
             pass
+
+
+# ------------------------------------- Inconsistency on nested occurrences
+
+# ROADMAP item 13: `defs.base_of` materializes the matrix occurrence
+# e(Z, null, 0, 0) as nonempty, and a nonempty e is unsatisfiable, since
+# lo(_, null, 1, 0) is; an empty one holds with Z = null. So the left side
+# is satisfiable, by the one cell x->c(null, 0, null), but Inconsistency
+# closes it.
+NESTED_EMPTY = r"""
+data c { c next; int v; c down; }
+pred lo(root r, seg F, src mi, tgt ma) :=
+     emp /\ r=F /\ mi=ma
+  \/ exists X, m1. r->c(X, m1, null) * lo(X, F, m1, ma) /\ r!=F /\ mi<=m1;
+pred e(root r, seg F, src mi, tgt ma) :=
+     emp /\ r=F /\ mi=ma
+  \/ exists X, m1, Z. r->c(X, m1, Z) * lo(Z, null, 1, 0) * e(X, F, m1, ma) /\ r!=F /\ mi<=m1;
+pred w(root r, seg F) :=
+     emp /\ r=F
+  \/ exists X, Z. r->c(X, 0, Z) * e(Z, null, 0, 0) * w(X, F) /\ r!=F;
+check w(x, null) /\ x!=null |- emp
+"""
+
+
+def test_nested_empty_occurrence_has_a_countermodel():
+    pf = parse_native(NESTED_EMPTY)
+    got = oracle_entails(pf.query, pf.registry, Bound(4, 6))
+    assert not got.bounded_valid
+    assert confirm_countermodel(got.counter, pf.query, pf.registry)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 13: defs.base_of materializes nested occurrences as nonempty",
+)
+def test_nested_empty_occurrence_is_not_valid():
+    pf = parse_native(NESTED_EMPTY)
+    assert not prove(pf.query, pf.registry).valid

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import disjunction_equivalent, entailments
+from normal_form import is_nf, nf_failures, normalize
 from sepent import normalize as normalize_module
 from sepent import pure as pure_solver
 from sepent.defs import guard_of, seg_of
@@ -23,9 +24,6 @@ from sepent.normalize import (
     apply_neq_star,
     apply_subst,
     in_place,
-    is_nf,
-    nf_failures,
-    normalize,
     normalize_step,
     _known_roots,
 )
@@ -168,7 +166,7 @@ def reference_full_apply_exm(ent, reg):
     pi = ent.lhs.pure
     have = ent.lhs.pure_set
     for e1, e2 in _exm_pairs(ent.lhs, reg):
-        if e1 == e2 or PtrNeq(e1, e2) in have or PtrEq(e1, e2) in have:
+        if e1 == e2 or PtrNeq(e1, e2) in have:
             continue
         if pure_solver.status_of_pair(pi, e1, e2) == "unknown":
             eq = replace(ent, lhs=ent.lhs.add_pure([PtrEq(e1, e2)]))
@@ -387,10 +385,15 @@ class TestAppliers:
         e = ent((PredOcc("ll", (x, NULL)),), (PtrNeq(x, NULL),))
         assert apply_exm(e, registry) is None
 
-    def test_exm_sees_solver_consequences(self, registry):
-        # x != F follows from x != y and F = y, so no split is needed
-        e = ent((PredOcc("ll", (x, F)),), (PtrNeq(x, y), PtrEq(F, y)))
+    def test_exm_does_not_split_an_arithmetically_unsatisfiable_left_side(
+        self, registry
+    ):
+        # the pure solver finds 1<=0 infeasible, so every pair counts as
+        # decided and Inconsistency closes the leaf instead
+        e = ent((PredOcc("ll", (x, F)),), (ArithLeq(IntLit(1), IntLit(0)),))
         assert apply_exm(e, registry) is None
+        e = ent((PredOcc("ll", (x, F)),), (ArithLeq(IntLit(0), IntLit(1)),))
+        assert unpack(apply_exm(e, registry))[0] == "ExM"
 
     def test_rule_priority_order(self, registry):
         # a reflexive equality is consumed before any substitution fires
