@@ -325,31 +325,39 @@ def shape_problems(heap: SymbolicHeap, reg: Registry) -> list[str]:
     return out
 
 
-def constant_problems(heap: SymbolicHeap, reg: Registry) -> list[str]:
-    """The constants of the heap that stand where the other kind goes: an
+def constant_problems(heaps: Iterable[SymbolicHeap], reg: Registry) -> list[str]:
+    """The terms of the heaps that stand where the other kind goes: an
     integer literal as an operand of a pointer `=` or `!=`, as a cell root
-    or pointer field, or as a pointer argument of an occurrence, and null
-    as an integer. Reads atoms that `shape_problems` passes."""
+    or pointer field, or as a pointer argument of an occurrence, null as an
+    integer, and a variable used as both, once per variable over all the
+    heaps. Reads atoms that `shape_problems` passes."""
     out: list[str] = []
+    kinds: dict[str, Kind] = {}
+    mixed: set[str] = set()
 
     def check(e: Expr, kind: Kind, atom: object) -> None:
-        if kind == "ptr" and isinstance(e, IntLit):
+        if isinstance(e, Var):
+            if kinds.setdefault(e.name, kind) != kind and e.name not in mixed:
+                mixed.add(e.name)
+                out.append(f"mixed pointer/integer use of {e.name!r} in {atom}")
+        elif kind == "ptr" and isinstance(e, IntLit):
             out.append(f"integer literal {e} used as a pointer in {atom}")
         elif kind == "int" and isinstance(e, Null):
             out.append(f"null used as an integer in {atom}")
 
-    for a in heap.spatial:
-        if isinstance(a, PointsTo):
-            check(a.root, "ptr", a)
-            for (_, target), f in zip(reg.sorts[a.sort].fields, a.fields):
-                check(f, "int" if target == "int" else "ptr", a)
-        else:
-            for p, arg in zip(reg.preds[a.pred].params, a.args):
-                check(arg, p.kind, a)
-    for a in heap.pure:
-        kind: Kind = "ptr" if isinstance(a, (PtrEq, PtrNeq)) else "int"
-        check(a.lhs, kind, a)
-        check(a.rhs, kind, a)
+    for heap in heaps:
+        for a in heap.spatial:
+            if isinstance(a, PointsTo):
+                check(a.root, "ptr", a)
+                for (_, target), f in zip(reg.sorts[a.sort].fields, a.fields):
+                    check(f, "int" if target == "int" else "ptr", a)
+            else:
+                for p, arg in zip(reg.preds[a.pred].params, a.args):
+                    check(arg, p.kind, a)
+        for a in heap.pure:
+            kind: Kind = "ptr" if isinstance(a, (PtrEq, PtrNeq)) else "int"
+            check(a.lhs, kind, a)
+            check(a.rhs, kind, a)
     return out
 
 

@@ -742,7 +742,7 @@ def _validate_input(ent: Entailment, reg: Registry) -> None:
         )
     problems = shape_problems(ent.lhs, reg) + shape_problems(ent.rhs, reg)
     if not problems:
-        problems = constant_problems(ent.lhs, reg) + constant_problems(ent.rhs, reg)
+        problems = constant_problems((ent.lhs, ent.rhs), reg)
     if problems:
         raise UnsupportedFragment("; ".join(problems))
 

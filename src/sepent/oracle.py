@@ -857,10 +857,12 @@ def _assignments(
 ) -> Iterator[Env]:
     """Every satisfying stack, as one dict updated in place between yields.
 
-    Cell roots take locations 1..n in order. The remaining variables are
-    assigned in first-use order by an odometer; a pointer variable ranges
-    over null, the cells and the next unused fresh location, and an atom is
-    checked as soon as its last variable is assigned.
+    Cell roots take locations 1..n in order. A cell rooted at null makes no
+    stack, and one rooted at an integer literal raises, as `holds` does on
+    such a cell. The remaining variables are assigned in first-use order by
+    an odometer; a pointer variable ranges over null, the cells and the
+    next unused fresh location, and an atom is checked as soon as its last
+    variable is assigned.
 
     Without `ints` the variables of kind int stay unassigned and only the
     pointer atoms are checked, so only pointer values use up fresh
@@ -870,6 +872,8 @@ def _assignments(
     env: Env = {}
     n = len(cells)
     for i, c in enumerate(cells):
+        if isinstance(c.root, IntLit):
+            raise _lookup_error(_operand(c.root, True))
         if not isinstance(c.root, Var) or c.root.name in env:
             return
         env[c.root.name] = i + 1

@@ -4,14 +4,16 @@ Everything is an immutable value object. A symbolic heap is a pair of a spatial
 part (tuple of atoms, empty tuple meaning emp) and a pure part (tuple of atoms,
 empty tuple meaning true). Equality/disequality atoms compare symmetrically so
 that membership tests like "x != null in pure" do not depend on operand order.
-Variables are interned, so term equality and hashing mostly run as identity
-and address checks.
+Every term and atom is interned (hash-consed, as in Filliatre and Conchon,
+"Type-Safe Modular Hash-Consing", 2006): one object per value, so equality and
+hashing run as identity and address checks in C, except for the three
+symmetric atoms, whose equality first tests identity.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import (
     ClassVar,
@@ -25,28 +27,60 @@ from typing import (
 FRESH_MARK = "#"
 
 
-# ---------------------------------------------------------------- expressions
+# ------------------------------------------------------------------ interning
+
+# A table sweeps itself at this size at the least.
+_FIRST_SWEEP = 1024
 
 
-class Var:
-    """A variable, one object per name for as long as any reference to it
-    is alive (hash-consing), so equality is identity and the hash is the
-    address: both computed in C on every dict and set probe. The table of
-    live variables holds them weakly, so it shrinks as names die. Copies
-    and pickles come back as the live object of the same name, or as a new
-    one in another process: addresses differ between processes, so no
-    output may depend on the order of a set or dict keyed by terms."""
+class _Table(dict):
+    """The live objects of one class by their fields: a plain dict of
+    `weakref.ref`s. A dead object keeps its entry until the table has
+    doubled since its last sweep, which drops every dead entry, so a table
+    holds about twice its live objects at most. A `WeakValueDictionary`
+    drops each entry as its object dies, but pays for that in Python on
+    every miss."""
 
-    __slots__ = ("name", "__weakref__")
-    name: str
+    __slots__ = ("limit",)
 
-    def __new__(cls, name: str) -> "Var":
-        v = _VARS.get(name)
-        if v is None:
-            v = object.__new__(cls)
-            object.__setattr__(v, "name", name)
-            _VARS[name] = v
-        return v
+    def __init__(self) -> None:
+        super().__init__()
+        self.limit = _FIRST_SWEEP
+
+    def enter(self, key: object, obj: object) -> None:
+        self[key] = weakref.ref(obj)
+        if len(self) >= self.limit:
+            for k in [k for k, ref in self.items() if ref() is None]:
+                del self[k]
+            self.limit = max(2 * len(self), _FIRST_SWEEP)
+
+
+class _Gone:
+    __slots__ = ("__weakref__",)
+
+
+# A reference whose object is gone. `table.get(key, _DEAD)()` is the live
+# object with the key, or None, in one lookup.
+_DEAD = weakref.ref(_Gone())
+
+
+# Make an object and assign its fields, past the classes' `__setattr__`.
+_new = object.__new__
+_set = object.__setattr__
+
+
+class _Interned:
+    """Base of the term and atom classes. Each is hash-consed: `__new__`
+    returns the live object with the given fields, so there is one object
+    per value for as long as any reference to it is alive. Fields cannot be
+    assigned. `__match_args__` names the fields, which `repr` shows as a
+    dataclass would. Copies and pickles come back as the live object with
+    the same fields, or as a new one in another process: addresses differ
+    between processes, so no output may depend on the order of a set or
+    dict keyed by terms."""
+
+    __slots__ = ("__weakref__",)
+    __match_args__: ClassVar[tuple[str, ...]] = ()
 
     def __setattr__(self, attr: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {attr!r}")
@@ -55,10 +89,33 @@ class Var:
         raise AttributeError(f"cannot delete field {attr!r}")
 
     def __reduce__(self) -> tuple:
-        return Var, (self.name,)
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
     def __repr__(self) -> str:
-        return f"Var(name={self.name!r})"
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({shown})"
+
+
+# ---------------------------------------------------------------- expressions
+
+
+class Var(_Interned):
+    """A variable, one object per name, so equality is identity and the
+    hash is the address: both computed in C on every dict and set probe.
+    The table of live variables holds them weakly, so it shrinks as names
+    die."""
+
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+    name: str
+
+    def __new__(cls, name: str) -> "Var":
+        v = _VARS.get(name)
+        if v is None:
+            v = _new(cls)
+            _set(v, "name", name)
+            _VARS[name] = v
+        return v
 
     def __str__(self) -> str:
         return self.name
@@ -67,15 +124,33 @@ class Var:
 _VARS: "weakref.WeakValueDictionary[str, Var]" = weakref.WeakValueDictionary()
 
 
-@dataclass(frozen=True)
-class Null:
+class Null(_Interned):
+    """The null pointer: one object, `NULL`."""
+
+    __slots__ = ()
+
+    def __new__(cls) -> "Null":
+        return NULL
+
     def __str__(self) -> str:
         return "null"
 
 
-@dataclass(frozen=True)
-class IntLit:
+class IntLit(_Interned):
+    __slots__ = ("value",)
+    __match_args__ = ("value",)
+    _table = _Table()
     value: int
+
+    def __new__(cls, value: int) -> "IntLit":
+        # keyed by the value's type too: 1 == True, but they print apart
+        key = (type(value), value)
+        lit = cls._table.get(key, _DEAD)()
+        if lit is None:
+            lit = _new(cls)
+            _set(lit, "value", value)
+            cls._table.enter(key, lit)
+        return lit
 
     def __str__(self) -> str:
         return str(self.value)
@@ -83,7 +158,7 @@ class IntLit:
 
 Expr = Union[Var, Null, IntLit]
 
-NULL = Null()
+NULL: Null = _new(Null)
 
 # A substitution maps variable names to expressions.
 Subst = Mapping[str, Expr]
@@ -107,30 +182,42 @@ def is_fresh_name(name: str) -> bool:
 # ---------------------------------------------------------------- pure atoms
 
 
-class _SymmetricAtom:
-    """Mixin giving order-insensitive equality/hash over (lhs, rhs).
+class _SymmetricAtom(_Interned):
+    """Base of the atoms whose equality and hash ignore operand order.
 
-    The operands keep the order they were written in, so atoms print as
-    given; the hash is computed once at construction because pure parts are
-    probed by hash on every normalization step. It hashes the kind and the
-    two operand hashes in sorted order. A XOR of them would be symmetric
-    too, but variables hash by address, and the XOR of aligned addresses
-    cancels into few distinct values: in the proof of `chain_sequent(60)`
-    it left between 959 and 1,186 distinct hashes, depending on the run,
-    for the 1,892 atoms of the largest pure part.
+    An atom is interned by its operands in the order they were written, so
+    it prints as given, and `y!=x` is another object than `x!=y`. The two
+    are equal, with one hash, computed at construction because pure parts
+    are probed by hash on every normalization step. It hashes the kind and
+    the two operand hashes in sorted order. A XOR of them would be
+    symmetric too, but terms hash by address, and the XOR of aligned
+    addresses cancels into few distinct values: in the proof of
+    `chain_sequent(60)` it left between 959 and 1,186 distinct hashes,
+    depending on the run, for the 1,892 atoms of the largest pure part.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("lhs", "rhs", "_hash")
+    __match_args__ = ("lhs", "rhs")
+    _table: ClassVar[_Table]
     lhs: Expr
     rhs: Expr
     _hash: int
 
-    def __post_init__(self) -> None:
-        a, b = hash(self.lhs), hash(self.rhs)
-        key = (type(self), a, b) if a <= b else (type(self), b, a)
-        object.__setattr__(self, "_hash", hash(key))
+    def __new__(cls, lhs: Expr, rhs: Expr) -> "_SymmetricAtom":
+        key = (lhs, rhs)
+        atom = cls._table.get(key, _DEAD)()
+        if atom is None:
+            atom = _new(cls)
+            _set(atom, "lhs", lhs)
+            _set(atom, "rhs", rhs)
+            a, b = hash(lhs), hash(rhs)
+            _set(atom, "_hash", hash((cls, a, b) if a <= b else (cls, b, a)))
+            cls._table.enter(key, atom)
+        return atom
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if type(other) is not type(self):
             return NotImplemented
         if self._hash != other._hash:
@@ -142,42 +229,47 @@ class _SymmetricAtom:
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce__(self) -> tuple:
-        # rebuild rather than restore: variable addresses differ between processes
-        return type(self), (self.lhs, self.rhs)
 
-
-@dataclass(frozen=True, eq=False, slots=True)
 class PtrEq(_SymmetricAtom):
-    lhs: Expr
-    rhs: Expr
+    __slots__ = ()
+    _table = _Table()
 
     def __str__(self) -> str:
         return f"{self.lhs}={self.rhs}"
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class PtrNeq(_SymmetricAtom):
-    lhs: Expr
-    rhs: Expr
+    __slots__ = ()
+    _table = _Table()
 
     def __str__(self) -> str:
         return f"{self.lhs}!={self.rhs}"
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class ArithEq(_SymmetricAtom):
-    lhs: Expr
-    rhs: Expr
+    __slots__ = ()
+    _table = _Table()
 
     def __str__(self) -> str:
         return f"{self.lhs}={self.rhs}"
 
 
-@dataclass(frozen=True)
-class ArithLeq:
+class ArithLeq(_Interned):
+    __slots__ = ("lhs", "rhs")
+    __match_args__ = ("lhs", "rhs")
+    _table = _Table()
     lhs: Expr
     rhs: Expr
+
+    def __new__(cls, lhs: Expr, rhs: Expr) -> "ArithLeq":
+        key = (lhs, rhs)
+        atom = cls._table.get(key, _DEAD)()
+        if atom is None:
+            atom = _new(cls)
+            _set(atom, "lhs", lhs)
+            _set(atom, "rhs", rhs)
+            cls._table.enter(key, atom)
+        return atom
 
     def __str__(self) -> str:
         return f"{self.lhs}<={self.rhs}"
@@ -210,11 +302,26 @@ def subst_pure(atoms: Iterable[PureAtom], sub: Subst) -> tuple[PureAtom, ...]:
 # -------------------------------------------------------------- spatial atoms
 
 
-@dataclass(frozen=True)
-class PointsTo:
+class PointsTo(_Interned):
+    __slots__ = ("root", "sort", "fields")
+    __match_args__ = ("root", "sort", "fields")
+    _table = _Table()
+    # a cell is its own key (`_match_key`)
+    key: ClassVar[None] = None
     root: Expr
     sort: str
     fields: tuple[Expr, ...]
+
+    def __new__(cls, root: Expr, sort: str, fields: tuple[Expr, ...]) -> "PointsTo":
+        key = (root, sort, fields)
+        cell = cls._table.get(key, _DEAD)()
+        if cell is None:
+            cell = _new(cls)
+            _set(cell, "root", root)
+            _set(cell, "sort", sort)
+            _set(cell, "fields", fields)
+            cls._table.enter(key, cell)
+        return cell
 
     def subst(self, sub: Subst) -> "PointsTo":
         return PointsTo(
@@ -233,18 +340,38 @@ class PointsTo:
         return f"{self.root}->{self.sort}({', '.join(map(str, self.fields))})"
 
 
-@dataclass(frozen=True)
-class PredOcc:
+class PredOcc(_Interned):
+    """An occurrence of a predicate, with the number of times the search
+    has unfolded it.
+
+    Two fields are derived on construction. `root` is argument 0: every
+    definition takes its root parameter first (defs.role_problem rejects
+    any other layout), and proof search reads it on every root scan. `key`
+    is the same occurrence with unfolding number 0, or None when this one
+    has it: an atom that held itself would be a reference cycle, which only
+    the cycle collector frees."""
+
+    __slots__ = ("pred", "args", "unfold", "root", "key")
+    __match_args__ = ("pred", "args", "unfold")
+    _table = _Table()
     pred: str
     args: tuple[Expr, ...]
-    unfold: int = 0
-    # Argument 0: every definition takes its root parameter first
-    # (defs.role_problem rejects any other layout). Stored, not a property:
-    # proof search reads it on every root scan.
-    root: Expr = field(init=False, repr=False, compare=False)
+    unfold: int
+    root: Expr
+    key: Optional["PredOcc"]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "root", self.args[0])
+    def __new__(cls, pred: str, args: tuple[Expr, ...], unfold: int = 0) -> "PredOcc":
+        key = (pred, args, unfold)
+        occ = cls._table.get(key, _DEAD)()
+        if occ is None:
+            occ = _new(cls)
+            _set(occ, "pred", pred)
+            _set(occ, "args", args)
+            _set(occ, "unfold", unfold)
+            _set(occ, "root", args[0])
+            _set(occ, "key", cls(pred, args) if unfold else None)
+            cls._table.enter(key, occ)
+        return occ
 
     def subst(self, sub: Subst) -> "PredOcc":
         return PredOcc(self.pred, tuple(subst_expr(a, sub) for a in self.args), self.unfold)
@@ -269,15 +396,16 @@ class PredOcc:
 SpatialAtom = Union[PointsTo, PredOcc]
 
 
-def _match_key(a: SpatialAtom) -> object:
-    """An atom up to its unfolding annotation: an occurrence's predicate
-    and arguments, or the whole cell."""
-    return (a.pred, a.args) if isinstance(a, PredOcc) else a
+def _match_key(a: SpatialAtom) -> SpatialAtom:
+    """An atom up to its unfolding annotation: the occurrence with
+    unfolding number 0, or the cell itself. Interned, so keys compare by
+    identity and hash by address."""
+    return a.key or a
 
 
 def same_atom_mod_unfold(a: SpatialAtom, b: SpatialAtom) -> bool:
     """Structural equality ignoring unfolding annotations."""
-    return _match_key(a) == _match_key(b)
+    return _match_key(a) is _match_key(b)
 
 
 def _match_identical(
@@ -292,7 +420,7 @@ def _match_identical(
     so a call costs the two lengths, not their product."""
     if not rhs:
         return {}
-    free: dict[object, list[int]] = {}
+    free: dict[SpatialAtom, list[int]] = {}
     for i in range(len(lhs) - 1, -1, -1):
         free.setdefault(_match_key(lhs[i]), []).append(i)
     out: dict[int, int] = {}

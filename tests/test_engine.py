@@ -921,6 +921,23 @@ class TestInputValidation:
         with pytest.raises(UnsupportedFragment, match="literal 4 used as a pointer"):
             prove(ent, registry)
 
+    @pytest.mark.parametrize(
+        "ent",
+        [
+            Entailment(
+                heap((PointsTo(x, "c1", (y,)),), (PtrNeq(x, NULL), ArithLeq(y, IntLit(3)))),
+                heap((PointsTo(x, "c1", (y,)),)),
+            ),
+            Entailment(heap((PointsTo(x, "c2", (y, y)),), (PtrNeq(x, NULL),)), heap()),
+        ],
+        ids=["pointer-field-and-order", "both-fields"],
+    )
+    def test_variable_of_both_kinds_rejected(self, registry, ent):
+        # both parsers refuse these; built by hand, the first was VALID and
+        # the second INVALID
+        with pytest.raises(UnsupportedFragment, match="mixed pointer/integer use of 'y'"):
+            prove(ent, registry)
+
     def test_root_second_registry_rejected(self, registry):
         # the root-second list ll(seg F, root r), built by hand: the rules
         # read an occurrence's root as argument 0, so it must be refused

@@ -839,6 +839,8 @@ def _ref_assignments(cells, pure_atoms, stack_names, kinds, bound):
     env = {}
     n = len(cells)
     for i, c in enumerate(cells):
+        if isinstance(c.root, IntLit):
+            raise OracleError(f"integer literal {c.root} in pointer position")
         if not isinstance(c.root, Var) or c.root.name in env:
             return
         env[c.root.name] = i + 1
@@ -1044,6 +1046,16 @@ def test_wrong_kind_constant_in_a_premise_cell_raises(registry):
     want = _outcome(lambda: list(ref_models_of(h, registry, SMALL)))
     assert want == ("OracleError", _INT_IN_PTR)
     assert _outcome(lambda: list(models_of(h, registry, SMALL))) == want
+
+
+def test_integer_literal_as_a_premise_root_raises(registry):
+    # 2->c1(null) |- emp was bounded-valid: the premise had no model
+    h = heap([PointsTo(IntLit(1), "c1", (NULL,))])
+    want = _outcome(lambda: list(ref_models_of(h, registry, SMALL)))
+    assert want == ("OracleError", _INT_IN_PTR)
+    assert _outcome(lambda: list(models_of(h, registry, SMALL))) == want
+    with pytest.raises(OracleError, match="integer literal 2 in pointer position"):
+        oracle_entails(ent(heap([PointsTo(IntLit(2), "c1", (NULL,))]), heap([])), registry, Bound(2, 3))
 
 
 # ----------------------------------------------- each model once, none kept
