@@ -169,9 +169,15 @@ def role_problem(name: str, params: tuple[Param, ...]) -> Optional[str]:
 
 
 def check_def(reg: Registry, d: InductiveDef) -> list[str]:
-    """The template, C1 and C2 violations of one definition. They depend
-    on the definition, the declaration of its head cell's sort and the
-    parameters of the other predicates in its matrix."""
+    """The template, C1, C2 and kind violations of one definition. They
+    depend on the definition, the declaration of its head cell's sort and
+    the parameters of the other predicates in its matrix.
+
+    Each term must stand at the kind of its position: head fields take
+    their sort's kinds, the arguments of the recursive and matrix
+    occurrences those of their predicate's parameters, and the operands of
+    the order and arithmetic atoms are data. A parameter has its declared
+    kind, an existential the kind of its first position."""
     out: list[str] = []
     problem = role_problem(d.name, d.params)
     if problem is not None:
@@ -182,27 +188,36 @@ def check_def(reg: Registry, d: InductiveDef) -> list[str]:
         out.append(f"{d.name}: duplicate parameter names")
         return out
 
+    kinds: dict[str, Optional[Kind]] = {}
     for p in d.params:
+        kinds[p.name] = p.kind
         if p.role in (Role.ROOT, Role.SEG) and p.kind != "ptr":
             out.append(f"{d.name}: {p.name} must be pointer-sorted")
         if p.role in (Role.SRC, Role.TGT) and p.kind != "int":
             out.append(f"{d.name}: {p.name} must be integer-sorted")
 
+    # Most terms are variables at their first kind. Each loop below tests
+    # that inline and calls `_misuse` for the rest only: a call per term
+    # showed in the cost of every `prove`.
     rb = d.rec
-    root = Var(names[0])
-    if rb.head.root != root:
+    head = rb.head
+    if type(head.root) is not Var or head.root.name != names[0]:
         out.append(f"{d.name}: head cell must be rooted at the root parameter")
-    if rb.head.sort not in reg.sorts:
-        out.append(f"{d.name}: unknown sort {rb.head.sort}")
+    decl = reg.sorts.get(head.sort)
+    if decl is None:
+        out.append(f"{d.name}: unknown sort {head.sort}")
     else:
-        decl = reg.sorts[rb.head.sort]
-        if len(decl.fields) != len(rb.head.fields):
+        if len(decl.fields) != len(head.fields):
             out.append(f"{d.name}: head cell arity differs from sort {decl.name}")
+        for (_, target), f in zip(decl.fields, head.fields):
+            k: Kind = "int" if target == "int" else "ptr"
+            if type(f) is not Var or kinds.setdefault(f.name, k) != k:
+                _misuse(out, d.name, f, k, head, kinds)
 
     ex = set(rb.exists)
     if len(rb.exists) != len(ex):
         out.append(f"{d.name}: duplicate existentials")
-    head_ex = [n for f in rb.head.fields if (n := _expr_name(f)) in ex]
+    head_ex = [f.name for f in head.fields if type(f) is Var and f.name in ex]
     if len(head_ex) != len(set(head_ex)):
         out.append(f"{d.name}: an existential occurs twice among head fields")
     head_ex_set = set(head_ex)
@@ -219,23 +234,23 @@ def check_def(reg: Registry, d: InductiveDef) -> list[str]:
     elif len(rb.rec.args) != len(d.params):
         out.append(f"{d.name}: recursive occurrence arity mismatch")
     else:
-        for i, p in enumerate(d.params):
-            arg = rb.rec.args[i]
-            if p.role == Role.ROOT:
-                n = _expr_name(arg)
-                if n not in head_ex_set:
+        # An argument passed unchanged has its parameter's kind; the root
+        # and the src take their parameter's kind here.
+        for p, arg in zip(d.params, rb.rec.args):
+            n = arg.name if type(arg) is Var else None
+            if p.role == Role.ROOT or p.role == Role.SRC:
+                if n is None or kinds.setdefault(n, p.kind) != p.kind:
+                    _misuse(out, d.name, arg, p.kind, rb.rec, kinds)
+                if p.role == Role.ROOT and n not in head_ex_set:
                     out.append(
                         f"{d.name}: recursive root must be a head-field existential"
                     )
-            elif p.role == Role.SRC:
-                n = _expr_name(arg)
-                if n not in ex:
+                if p.role == Role.SRC and n not in ex:
                     out.append(f"{d.name}: recursive src must be an existential")
-            else:
-                if arg != Var(p.name):
-                    out.append(
-                        f"{d.name}: recursive occurrence must pass {p.name} unchanged"
-                    )
+            elif n != p.name:
+                out.append(
+                    f"{d.name}: recursive occurrence must pass {p.name} unchanged"
+                )
 
     # C2: matrix occurrences sit at head-field existentials.
     matrix_roots = {_expr_name(m.root) for m in rb.matrix}
@@ -248,33 +263,69 @@ def check_def(reg: Registry, d: InductiveDef) -> list[str]:
             out.append(f"{d.name}: matrix occurrence {m.pred} arity mismatch")
             continue
         rname = _expr_name(m.root)
+        k = target.params[0].kind
+        if rname is None or kinds.setdefault(rname, k) != k:
+            _misuse(out, d.name, m.root, k, m, kinds)
         if rname not in head_ex_set:
             out.append(
                 f"{d.name}: C2 violated, matrix root {m.root} is not a head field"
             )
-        for a in m.args[1:]:
-            n = _expr_name(a)
+        for p, a in zip(target.params[1:], m.args[1:]):
+            n = a.name if type(a) is Var else None
+            if n is None or kinds.setdefault(n, p.kind) != p.kind:
+                _misuse(out, d.name, a, p.kind, m, kinds)
             if n is not None and n in ex and n not in head_ex_set:
                 out.append(f"{d.name}: C2 violated, matrix argument {n} not a head field")
             if n is not None and n not in head_ex_set and n in matrix_roots:
                 out.append(f"{d.name}: C2 violated, matrix argument {n} is a matrix root")
 
     # Order atom must relate the src parameter and the src existential.
+    order = rb.order
     if d.order_pair is not None:
-        if rb.order is None:
+        if order is None:
             out.append(f"{d.name}: src/tgt pair requires an order atom")
         else:
-            sc = Var(names[d.order_pair[0]])
-            ops = {rb.order.lhs, rb.order.rhs}
-            if sc not in ops or (src_ex is None or Var(src_ex) not in ops):
+            ops = {_expr_name(order.lhs), _expr_name(order.rhs)}
+            if names[d.order_pair[0]] not in ops or src_ex is None or src_ex not in ops:
                 out.append(f"{d.name}: order atom must relate src and its existential")
-    elif rb.order is not None:
+    elif order is not None:
         out.append(f"{d.name}: order atom without a src/tgt pair")
+    # An order atom that relates the src parameter and the src existential
+    # reads both as data, the kind the recursive occurrence gives them.
     for a in rb.arith:
         if isinstance(a, (PtrEq, PtrNeq)):
             out.append(f"{d.name}: unexpected pointer atom {a} in recursive branch")
+        else:
+            for e in (a.lhs, a.rhs):
+                if type(e) is not Var or kinds.setdefault(e.name, "int") != "int":
+                    _misuse(out, d.name, e, "int", a, kinds)
 
     return out
+
+
+def _misuse(
+    out: list[str], owner: str, e: Expr, kind: Kind, atom: object, kinds: dict[str, Optional[Kind]]
+) -> None:
+    """Append to `out` why the term of the atom cannot stand at a position
+    of this kind, if it cannot, after the name of the definition that owns
+    the atom, if any. A variable takes the kind `kinds` holds for it, or
+    else this one, which is recorded; a variable found at both kinds is
+    reported once and then recorded as None."""
+    if type(e) is Var:
+        seen = kinds.setdefault(e.name, kind)
+        if seen == kind or seen is None:
+            return
+        kinds[e.name] = None
+        problem = f"mixed pointer/integer use of {e.name!r}"
+    elif kind == "ptr":
+        if type(e) is not IntLit:
+            return
+        problem = f"integer literal {e} used as a pointer"
+    elif type(e) is Null:
+        problem = "null used as an integer"
+    else:
+        return
+    out.append(f"{owner}: {problem} in {atom}" if owner else f"{problem} in {atom}")
 
 
 def _check_c3(reg: Registry) -> list[str]:
@@ -303,62 +354,55 @@ def _check_c3(reg: Registry) -> list[str]:
     return []
 
 
-def shape_problems(heap: SymbolicHeap, reg: Registry) -> list[str]:
-    """The atoms of the heap the registry cannot interpret: cells of an
-    undeclared sort or with another number of fields than their sort has,
-    and occurrences of an undeclared predicate or with another number of
-    arguments than its parameters."""
+def input_problems(lhs: SymbolicHeap, rhs: SymbolicHeap, reg: Registry) -> list[str]:
+    """What keeps the registry from reading the entailment lhs |- rhs, in
+    three stages, each reported only when the ones before it pass:
+    conclusion variables missing from the premise; atoms the registry
+    cannot interpret (cells of an undeclared sort or with another number
+    of fields than their sort has, occurrences of an undeclared predicate
+    or with another number of arguments than its parameters); and terms
+    that stand where the other kind goes (an integer literal as a pointer,
+    null as an integer, a variable used as both, once per variable over
+    both sides)."""
+    extra = sorted(rhs.fv() - lhs.fv())
+    if extra:
+        return [f"conclusion variables missing from the premise: {', '.join(extra)}"]
+    shapes: list[str] = []
     out: list[str] = []
-    for a in heap.spatial:
-        if isinstance(a, PointsTo):
-            decl = reg.sorts.get(a.sort)
-            if decl is None:
-                out.append(f"unknown sort {a.sort!r}")
-            elif len(a.fields) != len(decl.fields):
-                out.append(f"{a.sort} has {len(decl.fields)} fields")
-        else:
-            d = reg.preds.get(a.pred)
-            if d is None:
-                out.append(f"unknown predicate {a.pred!r}")
-            elif len(a.args) != len(d.params):
-                out.append(f"{a.pred} expects {len(d.params)} arguments")
-    return out
-
-
-def constant_problems(heaps: Iterable[SymbolicHeap], reg: Registry) -> list[str]:
-    """The terms of the heaps that stand where the other kind goes: an
-    integer literal as an operand of a pointer `=` or `!=`, as a cell root
-    or pointer field, or as a pointer argument of an occurrence, null as an
-    integer, and a variable used as both, once per variable over all the
-    heaps. Reads atoms that `shape_problems` passes."""
-    out: list[str] = []
-    kinds: dict[str, Kind] = {}
-    mixed: set[str] = set()
-
-    def check(e: Expr, kind: Kind, atom: object) -> None:
-        if isinstance(e, Var):
-            if kinds.setdefault(e.name, kind) != kind and e.name not in mixed:
-                mixed.add(e.name)
-                out.append(f"mixed pointer/integer use of {e.name!r} in {atom}")
-        elif kind == "ptr" and isinstance(e, IntLit):
-            out.append(f"integer literal {e} used as a pointer in {atom}")
-        elif kind == "int" and isinstance(e, Null):
-            out.append(f"null used as an integer in {atom}")
-
-    for heap in heaps:
+    # As in `check_def`, a variable at its first kind is passed inline.
+    kinds: dict[str, Optional[Kind]] = {}
+    for heap in (lhs, rhs):
         for a in heap.spatial:
-            if isinstance(a, PointsTo):
-                check(a.root, "ptr", a)
-                for (_, target), f in zip(reg.sorts[a.sort].fields, a.fields):
-                    check(f, "int" if target == "int" else "ptr", a)
+            if type(a) is PointsTo:
+                decl = reg.sorts.get(a.sort)
+                if decl is None:
+                    shapes.append(f"unknown sort {a.sort!r}")
+                elif len(a.fields) != len(decl.fields):
+                    shapes.append(f"{a.sort} has {len(decl.fields)} fields")
+                else:
+                    e = a.root
+                    if type(e) is not Var or kinds.setdefault(e.name, "ptr") != "ptr":
+                        _misuse(out, "", e, "ptr", a, kinds)
+                    for (_, target), e in zip(decl.fields, a.fields):
+                        k: Kind = "int" if target == "int" else "ptr"
+                        if type(e) is not Var or kinds.setdefault(e.name, k) != k:
+                            _misuse(out, "", e, k, a, kinds)
             else:
-                for p, arg in zip(reg.preds[a.pred].params, a.args):
-                    check(arg, p.kind, a)
+                d = reg.preds.get(a.pred)
+                if d is None:
+                    shapes.append(f"unknown predicate {a.pred!r}")
+                elif len(a.args) != len(d.params):
+                    shapes.append(f"{a.pred} expects {len(d.params)} arguments")
+                else:
+                    for p, e in zip(d.params, a.args):
+                        if type(e) is not Var or kinds.setdefault(e.name, p.kind) != p.kind:
+                            _misuse(out, "", e, p.kind, a, kinds)
         for a in heap.pure:
-            kind: Kind = "ptr" if isinstance(a, (PtrEq, PtrNeq)) else "int"
-            check(a.lhs, kind, a)
-            check(a.rhs, kind, a)
-    return out
+            k = "ptr" if type(a) is PtrEq or type(a) is PtrNeq else "int"
+            for e in (a.lhs, a.rhs):
+                if type(e) is not Var or kinds.setdefault(e.name, k) != k:
+                    _misuse(out, "", e, k, a, kinds)
+    return shapes or out
 
 
 # -------------------------------------------------------------------- unfolding

@@ -33,12 +33,11 @@ from .defs import (
     Registry,
     base_of,
     check_wellformed,
-    constant_problems,
     guard_of,
+    input_problems,
     order_of,
     rec_instance,
     seg_of,
-    shape_problems,
 )
 from .normalize import Edge, RuleChoice, case_split, in_place, spliced_fwd
 from .normalize import normalize_step  # perfbench/tracer.py wraps it here
@@ -735,14 +734,7 @@ def _validate_input(ent: Entailment, reg: Registry) -> None:
         raise UnsupportedFragment(
             f"reserved variable names in input: {', '.join(marked)}"
         )
-    extra = sorted(ent.rhs.fv() - ent.lhs.fv())
-    if extra:
-        raise UnsupportedFragment(
-            f"conclusion variables missing from the premise: {', '.join(extra)}"
-        )
-    problems = shape_problems(ent.lhs, reg) + shape_problems(ent.rhs, reg)
-    if not problems:
-        problems = constant_problems((ent.lhs, ent.rhs), reg)
+    problems = input_problems(ent.lhs, ent.rhs, reg)
     if problems:
         raise UnsupportedFragment("; ".join(problems))
 

@@ -24,18 +24,15 @@ shapes are enumerated alone, with the data variables left unassigned, and
 the right side is walked over each with every data value left as its
 variable's name. A walk ends in the comparisons it could not decide, or
 gives up: where it fails, and where it needs the data to go on (a choice
-point, a name in a root or segment position, a failed lookup). When every
-walk leaves only comparisons that follow from the unfolding's own `<=` and
-`=` atoms (a chain of such steps, a literal stepping to any literal not
-below it), the right side holds in every model of the unfolding, and the
-unfolding is skipped whole. Its models would refute nothing and raise
-nothing. Every model of an unfolding that does not settle is checked in
-full, one by one, so the first countermodel and every error are the ones
-a model-by-model search finds. A model's dangling locations can differ
-from its shape's, since a data value can use up a fresh location (below).
-A right side that reads each variable at the premise's kind, itself and
-in the definitions it reaches, cannot tell the two apart; for any other,
-an unfolding settles only if no shape has a dangling location.
+point). When every walk leaves only comparisons that follow from the
+unfolding's own `<=` and `=` atoms (a chain of such steps, a literal
+stepping to any literal not below it), the right side holds in every model
+of the unfolding, and the unfolding is skipped whole. Its models would
+refute nothing. Every model of an unfolding that does not settle is checked
+in full, one by one, so the first countermodel is the one a model-by-model
+search finds. A model's dangling locations can differ from its shape's,
+since a data value can use up a fresh location (below), but the right side
+compares locations only with locations, so it cannot tell the two apart.
 
 Model enumeration is canonical: allocated cells take locations 1..n in
 expansion order and dangling values use fresh locations in first-use
@@ -52,6 +49,11 @@ model. Only an unfolding with such a variable keeps the models it has
 yielded, and only while it is enumerated, so the enumerator holds at most
 one unfolding's models. An unfolding whose equalities contradict its own
 disequalities has no models and is skipped.
+
+`models_of`, `oracle_entails` and `confirm_countermodel` refuse what `prove`
+refuses, with ValueError when called, before any model (`_check_input`).
+`holds` checks no more than it compiles: it refuses a constant of the wrong
+kind for its position.
 """
 
 from __future__ import annotations
@@ -66,11 +68,13 @@ from .defs import (
     Kind,
     Registry,
     base_instance,
+    input_problems,
     known_problems,
     rec_instance,
-    shape_problems,
 )
 from .syntax import (
+    EMP,
+    FRESH_MARK,
     ArithEq,
     ArithLeq,
     Entailment,
@@ -174,42 +178,32 @@ Value = Union[int, str]
 # ---------------------------------------------------------------- compiled terms
 
 
-class _Wrong(NamedTuple):
-    """A constant of the wrong kind for its position: the error its
-    evaluation raises."""
-
-    message: str
-
-
-# A term compiled for evaluation: a variable name, a constant, or a constant
-# of the wrong kind. Its value is `o if type(o) is int else env[o]`, so a
-# wrong-kind constant is looked up like a variable and, bound in no
-# environment, fails as an unbound variable does; `_lookup_error` turns
-# either KeyError into its OracleError.
-Operand = Union[str, int, _Wrong]
+# A term compiled for evaluation: a variable name or a constant. Its value
+# is `o if type(o) is int else env[o]`.
+Operand = Union[str, int]
 
 
 def _operand(e: Expr, ptr: bool) -> Operand:
+    """The term compiled for a pointer (`ptr`) or a data position; a
+    constant of the other kind raises."""
     # Callers that compile many terms test for a variable before calling:
     # a call per term showed in the cost of one-off `holds` calls.
     if type(e) is Var:
         return e.name
     if ptr:
-        return 0 if isinstance(e, Null) else _Wrong(f"integer literal {e} in pointer position")
-    return e.value if isinstance(e, IntLit) else _Wrong("null in arithmetic position")
-
-
-def _lookup_error(key: object) -> OracleError:
-    if type(key) is _Wrong:
-        return OracleError(key.message)
-    return OracleError(f"unbound variable {key}")
+        if type(e) is Null:
+            return 0
+        raise OracleError(f"integer literal {e} in pointer position")
+    if type(e) is IntLit:
+        return e.value
+    raise OracleError("null in arithmetic position")
 
 
 # A pure atom compiled for evaluation: a comparison and its two operands.
 Check = tuple[Callable[[int, int], bool], Operand, Operand]
-# `_implication`'s answer: a test of compared pairs, None when an arithmetic
-# atom has null in it, False when the atoms have no model
-Implication = Union[Callable[[Check], bool], None, Literal[False]]
+# `_implication`'s answer: a test of compared pairs, or False when the atoms
+# have no model
+Implication = Union[Callable[[Check], bool], Literal[False]]
 
 _COMPARE = {PtrEq: operator.eq, PtrNeq: operator.ne, ArithEq: operator.eq, ArithLeq: operator.le}
 
@@ -237,7 +231,7 @@ def _all_hold(checks: tuple[Check, ...] | list[Check], env: Env) -> bool:
             ):
                 return False
     except KeyError as e:
-        raise _lookup_error(e.args[0]) from None
+        raise OracleError(f"unbound variable {e.args[0]}") from None
     return True
 
 
@@ -306,30 +300,13 @@ def _compile_atom(a: SpatialAtom, reg: Registry, steps: dict[str, _Step]) -> _Ce
     if step is None:
         step = steps[a.pred] = _Step()
         _compile_step(step, d, reg, steps)
-    args = a.args
     ops = tuple(
-        [e.name if type(e) is Var else _operand(e, p.kind == "ptr") for p, e in zip(d.params, args)]
+        [e.name if type(e) is Var else _operand(e, p.kind == "ptr") for p, e in zip(d.params, a.args)]
     )
-    # Root and segment are read as pointers, the order pair as data,
-    # whatever kinds the parameters declare.
-    seg = d.seg_index
     pair = d.order_pair
     if pair is not None:
-        src, tgt = pair
-        pair = (
-            ops[src] if type(args[src]) is Var else _operand(args[src], False),
-            ops[tgt] if type(args[tgt]) is Var else _operand(args[tgt], False),
-        )
-    return _new_tuple(
-        _Occ,
-        (
-            step,
-            ops[0] if type(args[0]) is Var else _operand(args[0], True),
-            ops[seg] if type(args[seg]) is Var else _operand(args[seg], True),
-            pair,
-            ops,
-        ),
-    )
+        pair = (ops[pair[0]], ops[pair[1]])
+    return _new_tuple(_Occ, (step, ops[0], ops[d.seg_index], pair, ops))
 
 
 def _compile_step(step: _Step, d: InductiveDef, reg: Registry, steps: dict[str, _Step]) -> None:
@@ -370,7 +347,7 @@ def holds(
     model: HeapModel, heap: SymbolicHeap, reg: Registry, bound: Bound = DEFAULT_BOUND
 ) -> bool:
     """Does the model satisfy the symbolic heap (exact heap cover)?  The
-    heap is compiled for this one call."""
+    heap is compiled for this one call; a wrong-kind constant raises then."""
     return _holds(_compile_heap(heap, reg), model, bound)
 
 
@@ -379,7 +356,7 @@ def _holds(heap: _Compiled, model: HeapModel, bound: Bound) -> bool:
     try:
         return _covers(heap, model.stack, model.heap, bound, None)
     except KeyError as e:
-        raise _lookup_error(e.args[0]) from None
+        raise OracleError(f"unbound variable {e.args[0]}") from None
 
 
 class _Undecided(Exception):
@@ -395,7 +372,7 @@ def _residual(heap: _Compiled, shape: HeapModel, bound: Bound) -> Optional[tuple
     try:
         if _covers(heap, shape.stack, shape.heap, bound, residual):
             return tuple(residual)
-    except (KeyError, _Undecided):
+    except _Undecided:
         pass
     return None
 
@@ -453,10 +430,10 @@ def _covers(
 
     On a concrete model `residual` is None. On a pointer shape it is a list:
     a comparison with a name in it is appended there and taken to hold, and
-    a name in a root or segment position or a choice point raises
-    `_Undecided`. Without choice points the walk fails at its first false
-    comparison, so on any model of the shape it answers as it does here
-    with the residual's comparisons decided in order.
+    a choice point raises `_Undecided`. A name is a data value, never a
+    root or a segment. Without choice points the walk fails at its first
+    false comparison, so on any model of the shape it answers as it does
+    here with the residual's comparisons decided in order.
     """
     pure, spatial = heap
     if not _decide(pure, stack, residual):
@@ -478,8 +455,6 @@ def _covers(
                 loc = root if type(root) is int else env[root]
                 cell = cells.get(loc)
                 if loc == 0 or cell is None or loc in used or cell.sort != sort:
-                    if type(loc) is not int:
-                        raise _Undecided
                     ok = False
                     break
                 for o, v in zip(fields, cell.values):
@@ -496,8 +471,6 @@ def _covers(
             step, root, seg, pair, args = atom
             rootv = root if type(root) is int else env[root]
             segv = seg if type(seg) is int else env[seg]
-            if type(rootv) is not int or type(segv) is not int:
-                raise _Undecided
             if rootv == segv:
                 if pair is not None:
                     src, tgt = pair
@@ -590,38 +563,31 @@ def kinds_of(heap: SymbolicHeap, reg: Registry) -> dict[str, Kind]:
     return kinds
 
 
-def _kinds_read(heap: SymbolicHeap, reg: Registry) -> Optional[dict[str, Kind]]:
-    """The kind `kinds_of` gives each variable of the heap, when the heap
-    and the nonempty step of every definition it reaches each read every
-    variable at one kind; else None. A step passes its parameters on to
-    its recursive occurrence, so it reads them at their declared kinds."""
-    try:
-        kinds = kinds_of(heap, reg)
-        todo = [a.pred for a in heap.spatial if type(a) is not PointsTo]
-        seen: set[str] = set()
-        while todo:
-            name = todo.pop()
-            if name not in seen:
-                seen.add(name)
-                rb = reg.preds[name].rec
-                side = tuple([a for a in (rb.order,) + rb.arith if a is not None])
-                kinds_of(SymbolicHeap((rb.head, rb.rec) + rb.matrix, side), reg)
-                todo.extend(m.pred for m in rb.matrix)
-    except OracleError:
-        return None
-    return kinds
-
-
 # ----------------------------------------------------------- model enumeration
 
 
-def _check_input(reg: Registry, *heaps: SymbolicHeap) -> None:
-    """Refuse a registry outside the template, as `prove` does: the
-    semantics here reads an occurrence's root as its argument 0 too. Refuse
-    atoms of the heaps that the registry cannot interpret, too."""
+# The tag of the names `_assigned` draws. The prover's fresh names carry no
+# tag and `base_of`'s carry `b`, so an input may hold either, but no name
+# with this one: none with `_TAGGED`, as a name's first marker starts its
+# suffix.
+_TAG = "o"
+_TAGGED = FRESH_MARK + _TAG
+
+
+def _check_input(reg: Registry, premise: SymbolicHeap, conclusion: SymbolicHeap = EMP) -> None:
+    """Refuse with ValueError what `prove` refuses: a registry outside the
+    template (the semantics here reads an occurrence's root as its argument
+    0 too), and the `defs.input_problems` of premise |- conclusion: atoms
+    the registry cannot interpret, terms at the other kind, conclusion
+    variables missing from the premise. Refuse a premise variable that
+    carries the tag of the enumeration's fresh names, too."""
     problems = known_problems(reg)
-    for heap in heaps:
-        problems += shape_problems(heap, reg)
+    if not problems:
+        tagged = sorted([n for n in premise.fv() if _TAGGED in n])
+        if tagged:
+            problems = [f"reserved variable names in input: {', '.join(tagged)}"]
+        else:
+            problems = input_problems(premise, conclusion, reg)
     if problems:
         raise ValueError("; ".join(problems))
 
@@ -634,8 +600,8 @@ def models_of(
     the models do not show (an existential no head field binds) can yield
     a model again. Only such an unfolding keeps the models it has yielded,
     until it is done, so at most one unfolding's models are kept. The
-    registry and the heap are checked when this is called, not when it is
-    iterated."""
+    registry and the heap are checked as `prove` checks its premise
+    (`_check_input`), when this is called, not when it is iterated."""
     _check_input(reg, heap)
     return (u.model(env) for env, u in _assigned(heap, reg, bound))
 
@@ -650,7 +616,7 @@ def _assigned(
     its unfolding. The assignment is one dict, updated in place between
     yields. An unfolding that `settled` answers True for is passed over
     before its first assignment."""
-    fresh = FreshNames()
+    fresh = FreshNames(_TAG)
     stack_names = tuple(sorted(heap.fv()))
     # A stack variable an unfolding drops keeps the kind the input gives it.
     input_kinds = kinds_of(heap, reg)
@@ -724,7 +690,7 @@ class _Unfolding:
         kinds: dict[str, Kind],
         reg: Registry,
         hides: bool,
-        implied: Implication,
+        implied: Callable[[Check], bool],
     ) -> None:
         self.cells = cells
         self.pure_atoms = pure_atoms
@@ -761,35 +727,22 @@ class _Unfolding:
         """The model the assignment makes. Each variable of `keep` stands
         for its value as its name, so with the variables of `data` this
         is the model's pointer shape."""
-        try:
-            return HeapModel(
-                {n: n if n in keep else env[n] for n in self.stack_names},
-                {
-                    loc: _new_tuple(
-                        Cell,
-                        (sort, tuple([o if type(o) is int or o in keep else env[o] for o in ops])),
-                    )
-                    for loc, sort, ops in self.layout
-                },
-                self.ptr_vars,
-            )
-        except KeyError as e:
-            raise _lookup_error(e.args[0]) from None
+        return HeapModel(
+            {n: n if n in keep else env[n] for n in self.stack_names},
+            {
+                loc: _new_tuple(
+                    Cell, (sort, tuple([o if type(o) is int or o in keep else env[o] for o in ops]))
+                )
+                for loc, sort, ops in self.layout
+            },
+            self.ptr_vars,
+        )
 
 
 def _refuted(pure_atoms: tuple[PureAtom, ...], implied: Implication) -> bool:
     """Do the atoms have no model: do the equalities force together the two
     sides of a disequality, or do the order chains put a literal below a
-    smaller one (`implied`, the atoms' `_implication`, is False)?
-
-    A constant of the wrong kind (an integer in a pointer atom, null in an
-    arithmetic one) answers False, because evaluating that atom raises and
-    skipping its variant would hide it.
-    """
-    for a in pure_atoms:
-        wrong = IntLit if isinstance(a, (PtrEq, PtrNeq)) else Null
-        if isinstance(a.lhs, wrong) or isinstance(a.rhs, wrong):
-            return False
+    smaller one (`implied`, the atoms' `_implication`, is False)?"""
     if implied is False:
         return True
     parent: dict[Expr, Expr] = {}
@@ -858,8 +811,7 @@ def _assignments(
     """Every satisfying stack, as one dict updated in place between yields.
 
     Cell roots take locations 1..n in order. A cell rooted at null makes no
-    stack, and one rooted at an integer literal raises, as `holds` does on
-    such a cell. The remaining variables are assigned in first-use order by
+    stack. The remaining variables are assigned in first-use order by
     an odometer; a pointer variable ranges over null, the cells and the
     next unused fresh location, and an atom is checked as soon as its last
     variable is assigned.
@@ -872,8 +824,6 @@ def _assignments(
     env: Env = {}
     n = len(cells)
     for i, c in enumerate(cells):
-        if isinstance(c.root, IntLit):
-            raise _lookup_error(_operand(c.root, True))
         if not isinstance(c.root, Var) or c.root.name in env:
             return
         env[c.root.name] = i + 1
@@ -962,9 +912,8 @@ def _assignments(
 
 def _implication(atoms: tuple[PureAtom, ...]) -> Implication:
     """Which data comparisons the atoms' `<=` and `=` imply, as a test of
-    a compared pair (op, u, v), each side a variable name or an int; None
-    when an arithmetic atom has null in it, and False when the atoms order
-    a literal below a smaller one and so have no model.
+    a compared pair (op, u, v), each side a variable name or an int; False
+    when the atoms order a literal below a smaller one and so have no model.
 
     u <= v is implied by a chain of `<=` and `=` steps from u to v, in
     which a literal steps to any literal not below it; u = v by chains
@@ -973,12 +922,7 @@ def _implication(atoms: tuple[PureAtom, ...]) -> Implication:
     succ: dict[Value, list[Value]] = {}
     for a in atoms:
         if type(a) is ArithLeq or type(a) is ArithEq:
-            u, v = [
-                e.name if type(e) is Var else e.value if type(e) is IntLit else None
-                for e in (a.lhs, a.rhs)
-            ]
-            if u is None or v is None:
-                return None
+            u, v = [e.name if type(e) is Var else e.value for e in (a.lhs, a.rhs)]
             succ.setdefault(u, []).append(v)
             if type(a) is ArithEq:
                 succ.setdefault(v, []).append(u)
@@ -1012,44 +956,28 @@ def _implication(atoms: tuple[PureAtom, ...]) -> Implication:
     return implied
 
 
-def _settled(
-    rhs: _Compiled, renamable: Callable[[dict[str, Kind]], bool], u: _Unfolding, bound: Bound
-) -> bool:
+def _settled(rhs: _Compiled, u: _Unfolding, bound: Bound) -> bool:
     """Does the right side hold in every model of the unfolding, by its
     pointer shapes alone?  Each shape is walked once (`_residual`); the
     answer is True when every residual's comparisons follow from the
     unfolding's own arithmetic atoms, which each of its models satisfies.
 
     A model's shape is one of the stacks `_assignments` gives without
-    ints, once its dangling locations are renamed in first-use order. When
-    the right side reads every variable at the kind the unfolding gives it
-    (`renamable` of the unfolding's kinds), its walk compares locations
-    only with locations, for equality, and cannot tell the two apart.
-    Otherwise no shape may have a dangling location, which makes the
-    renaming the identity: a right side that reads a data variable as a
-    pointer, or a pointer as data, sees where a data value equals a
-    location. An error, or a shape the walk fails or cannot decide on,
-    answers False, and so do an unfolding whose models show no data and
-    one whose `implied` is no test.
+    ints, once its dangling locations are renamed in first-use order. The
+    right side reads every variable at the kind the premise gives it
+    (`_check_input`), so its walk compares locations only with locations,
+    for equality, and cannot tell the two apart. A shape the walk fails or
+    cannot decide on answers False, and so does an unfolding whose models
+    show no data.
     """
     data = u.data()
     if not data:
         return False
     implied = u.implied
-    if not implied:
-        return False
-    n = len(u.cells)
-    try:
-        for env in _assignments(
-            u.cells, u.pure_atoms, u.stack_names, u.kinds, bound, ints=False
-        ):
-            if any([v > n for v in env.values()]) and not renamable(u.kinds):
-                return False
-            residual = _residual(rhs, u.model(env, data), bound)
-            if residual is None or not all(map(implied, residual)):
-                return False
-    except (OracleError, KeyError):
-        return False
+    for env in _assignments(u.cells, u.pure_atoms, u.stack_names, u.kinds, bound, ints=False):
+        residual = _residual(rhs, u.model(env, data), bound)
+        if residual is None or not all(map(implied, residual)):
+            return False
     return True
 
 
@@ -1067,18 +995,11 @@ def oracle_entails(
     each unfolding that `_settled` shows the right side holds in, and the
     right side, compiled once, is checked on each of them in full. The
     first model that fails it is the countermodel, as if every model were
-    checked in turn."""
-    _check_input(reg, ent.rhs)
-    _check_input(reg, ent.lhs)
+    checked in turn. The entailment is checked as `prove` checks it
+    (`_check_input`) before any model."""
+    _check_input(reg, ent.lhs, ent.rhs)
     rhs = _compile_heap(ent.rhs, reg)
-    reads: list[Optional[dict[str, Kind]]] = []  # `_kinds_read` of the right side, once asked
-
-    def renamable(kinds: dict[str, Kind]) -> bool:
-        if not reads:
-            reads.append(_kinds_read(ent.rhs, reg))
-        return reads[0] is not None and all([kinds.get(v) == k for v, k in reads[0].items()])
-
-    for env, u in _assigned(ent.lhs, reg, bound, lambda u: _settled(rhs, renamable, u, bound)):
+    for env, u in _assigned(ent.lhs, reg, bound, lambda u: _settled(rhs, u, bound)):
         model = u.model(env)
         if not _holds(rhs, model, bound):
             return OracleVerdict(False, model)

@@ -32,7 +32,7 @@ def _p(name):
 
 
 # Atoms `make_registry()` cannot interpret, one per shape, each with the
-# problem `defs.shape_problems` reports; the parsers refuse them all.
+# problem `defs.input_problems` reports; the parsers refuse them all.
 MALFORMED_ATOMS = {
     "field-count": (
         PointsTo(Var("x"), "c1", (Var("y"), Var("z"))),

@@ -1,6 +1,7 @@
 """Definition template conformance and unfolding."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,24 @@ from sepent.defs import (
     known_problems,
     rec_instance,
 )
-from sepent.syntax import FreshNames, PointsTo, PredOcc, PtrEq, PtrNeq, NULL, Var
+from sepent.engine import UnsupportedFragment, prove
+from sepent.parser import parse_native
+from sepent.slcomp import parse_slcomp
+from sepent.syntax import (
+    ArithLeq,
+    Entailment,
+    FreshNames,
+    IntLit,
+    PointsTo,
+    PredOcc,
+    PtrEq,
+    PtrNeq,
+    NULL,
+    SymbolicHeap,
+    Var,
+)
+
+from conftest import NATIVE_CORPUS
 
 r, F, X, w = Var("r"), Var("F"), Var("X"), Var("w")
 
@@ -122,6 +140,77 @@ def test_matrix_root_must_be_head_field(registry):
     reg = Registry(sorts=dict(registry.sorts), preds={"ll": registry.preds["ll"], "q": bad})
     problems = check_wellformed(reg)
     assert any("C2" in p for p in problems)
+
+
+def _border_list(name, head, matrix=(), arith=(), kind="ptr"):
+    """A list segment of c3 cells with a border parameter p of `kind`."""
+    return InductiveDef(
+        name,
+        (Param("r", Role.ROOT), Param("F", Role.SEG), Param("p", Role.BORDER, kind)),
+        RecBranch(
+            exists=("X", "Z"),
+            head=PointsTo(r, head[0], head[1]),
+            matrix=matrix,
+            rec=PredOcc(name, (X, F, Var("p"))),
+            order=None,
+            arith=arith,
+        ),
+    )
+
+
+p_, Z = Var("p"), Var("Z")
+ILL_KINDED = {
+    # the pointer parameter p read as data
+    "pointer-read-as-data": (
+        _border_list("q", ("c3", (X, Z)), (PredOcc("ll", (Z, NULL)),), (ArithLeq(p_, IntLit(2)),)),
+        "q: mixed pointer/integer use of 'p' in p<=2",
+    ),
+    # the data parameter p stored in c3's pointer field down
+    "head-field": (
+        _border_list("q", ("c3", (X, p_)), kind="int"),
+        "q: mixed pointer/integer use of 'p' in r->c3(X, p)",
+    ),
+    # the data parameter p passed on as the border of a list of lists
+    "matrix-argument": (
+        _border_list("q", ("c3", (X, Z)), (PredOcc("nll", (Z, NULL, p_)),), kind="int"),
+        "q: mixed pointer/integer use of 'p' in nll(Z, null, p)",
+    ),
+    # constants of the other kind: an integer in a pointer field, null as data
+    "constants": (
+        _border_list("q", ("c2", (IntLit(1), NULL))),
+        "q: integer literal 1 used as a pointer in r->c2(1, null)",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(ILL_KINDED))
+def test_ill_kinded_definition_refused(registry, shape):
+    q, msg = ILL_KINDED[shape]
+    reg = Registry(sorts=dict(registry.sorts), preds={**registry.preds, "q": q})
+    assert check_wellformed(reg)[0] == msg
+    x = Var("x")
+    e = Entailment(SymbolicHeap((PredOcc("q", (x, NULL, p_)),)), SymbolicHeap())
+    with pytest.raises(UnsupportedFragment, match=re.escape(msg)):
+        prove(e, reg)
+
+
+def _bundled_registries():
+    """The registry of the bundled corpus and of each file under
+    tests/data, in native and in SL-COMP syntax, that the readers accept."""
+    data = Path(__file__).parent / "data"
+    out = [pytest.param(parse_native(NATIVE_CORPUS + "check emp |- emp\n").registry, id="corpus")]
+    for path in sorted(data.glob("*.sep")) + sorted(data.glob("*.smt2")):
+        read = parse_native if path.suffix == ".sep" else parse_slcomp
+        try:
+            out.append(pytest.param(read(path.read_text()).registry, id=path.name))
+        except ValueError:
+            assert path.name == "wand.smt2"  # outside the fragment
+    return out
+
+
+@pytest.mark.parametrize("reg", _bundled_registries())
+def test_bundled_definitions_are_well_kinded(reg):
+    assert check_wellformed(reg) == []
 
 
 def test_known_problems_follow_the_entries(registry):

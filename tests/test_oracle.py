@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import MALFORMED_ATOMS, entailments, make_registry, parse_query
@@ -33,7 +33,7 @@ from sepent.defs import (
     base_of,
 )
 from sepent.counter import bad_model
-from sepent.engine import prove
+from sepent.engine import ResourceLimit, UnsupportedFragment, prove
 from sepent.oracle import (
     Bound,
     Cell,
@@ -190,6 +190,29 @@ def test_base_underapproximates(registry, occ):
     assert verdict.bounded_valid
 
 
+@pytest.mark.parametrize("name", ["Y1", "X#1", "X#b1"])
+def test_proof_fresh_names_are_apart_from_the_oracles(registry, name):
+    # X#1 is the name the prover gives the first existential it unfolds,
+    # X#b1 one `base_of` gives; the unfolding of ll(x, null) draws its own,
+    # which once was X#1 too and captured the cell's root
+    X = Var(name)
+    lhs = heap([PredOcc("ll", (x, NULL)), PointsTo(X, "c1", (NULL,))])
+    e = ent(lhs, heap([PointsTo(X, "c1", (NULL,))], [PtrEq(x, NULL)]))
+    assert oracle_entails(e, registry, Bound(4, 6)).counter.stack == {"x": 1, name: 2}
+    models = [m.key() for m in models_of(lhs, registry, Bound(2, 4))]
+    assert [dict(stack)[name] for stack, _ in models] == [1, 2, 3]
+    assert models == [m.key() for m in ref_models_of(lhs, registry, Bound(2, 4))]
+
+
+def test_oracle_fresh_names_refused_in_input(registry):
+    lhs = heap([PointsTo(Var("X#o1"), "c1", (NULL,))])
+    msg = "reserved variable names in input: X#o1"
+    with pytest.raises(ValueError, match=msg):
+        models_of(lhs, registry)
+    with pytest.raises(ValueError, match=msg):
+        oracle_entails(ent(lhs, heap([])), registry)
+
+
 # ------------------------------------------------------------ independence
 
 
@@ -313,8 +336,6 @@ def test_enumeration_is_deterministic(registry):
         ((PtrNeq(x, x),), True),
         ((ArithLeq(a_, b), ArithLeq(b, a_), PtrNeq(a_, b)), False),
         ((ArithEq(a_, IntLit(1)), ArithLeq(a_, IntLit(0))), True),
-        ((PtrEq(x, y), PtrNeq(x, y), PtrEq(x, IntLit(1))), False),
-        ((PtrEq(x, y), PtrNeq(x, y), ArithLeq(a_, NULL)), False),
     ],
     ids=[
         "eq-neq",
@@ -323,8 +344,6 @@ def test_enumeration_is_deterministic(registry):
         "self-neq",
         "order-only",
         "leq-below-literal",
-        "int-in-ptr-atom",
-        "null-in-arith-atom",
     ],
 )
 def test_refuted_variants(atoms, refuted):
@@ -472,13 +491,16 @@ def test_implication_of_arithmetic_atoms(check, implied):
     assert _implied(check) is implied
 
 
-def test_implication_refuses_null_in_arithmetic():
-    assert oracle._implication((ArithLeq(a_, b), ArithLeq(NULL, a_))) is None
+def test_implication_refuses_null_in_arithmetic(registry):
+    # an unfolding never has null in an arithmetic atom: the input that
+    # would put one there is refused at the call
+    h = heap([], [ArithLeq(a_, b), ArithLeq(NULL, a_)])
+    with pytest.raises(ValueError, match=re.escape("null used as an integer in null<=a")):
+        models_of(h, registry)
 
 
 def test_implication_refuses_atoms_without_a_model():
-    # 5 <= a <= b = 2: the unfolding has no model, which is not the answer
-    # for null in arithmetic (None)
+    # 5 <= a <= b = 2: the unfolding has no model
     atoms = (ArithLeq(IntLit(5), a_), ArithLeq(a_, b), ArithEq(IntLit(2), b))
     assert oracle._implication(atoms) is False
     assert oracle._implication(atoms[:2])
@@ -522,9 +544,12 @@ def test_long_premise_enumerates_without_deep_recursion(registry):
 
 
 def test_ill_kinded_atom_still_raises(registry):
+    # the equalities contradict the disequality, so no variant of the
+    # premise has a model; the integer literal is refused all the same, at
+    # the call, before any variant is looked at
     h = heap([], [PtrEq(x, y), PtrNeq(x, y), PtrEq(x, IntLit(1))])
-    with pytest.raises(OracleError, match="integer literal 1 in pointer position"):
-        list(models_of(h, registry))
+    with pytest.raises(ValueError, match="integer literal 1 used as a pointer in x=1"):
+        models_of(h, registry)
 
 
 def test_tree_premise_with_contradicted_segment(registry):
@@ -812,7 +837,7 @@ def ref_models_of(heap, reg, bound):
     stack_names = tuple(sorted(heap.fv()))
     input_kinds = oracle.kinds_of(heap, reg)
     seen = set()
-    for cells, pure_atoms in oracle._expand(heap, reg, bound, FreshNames()):
+    for cells, pure_atoms in oracle._expand(heap, reg, bound, FreshNames(oracle._TAG)):
         kinds = input_kinds | oracle.kinds_of(SymbolicHeap(cells, pure_atoms), reg)
         for env in _ref_assignments(cells, pure_atoms, stack_names, kinds, bound):
             hp = {}
@@ -1013,16 +1038,17 @@ _NULL_IN_ARITH = "null in arithmetic position"
         ([PredOcc("ll", (IntLit(1), NULL))], [], _NO_CELLS, ("OracleError", _INT_IN_PTR)),
         # null in arithmetic position
         ([], [ArithLeq(NULL, a_)], _NO_CELLS, ("OracleError", _NULL_IN_ARITH)),
-        # a wrong-kind constant in a right-side cell, raised once reached
+        # a wrong-kind constant in a right-side cell
         ([PointsTo(x, "c4", (NULL, NULL))], [], _ONE_C4, ("OracleError", _NULL_IN_ARITH)),
         ([PointsTo(x, "c4", (IntLit(1), a_))], [], _ONE_C4, ("OracleError", _INT_IN_PTR)),
-        ([PointsTo(x, "c4", (x, NULL))], [], _ONE_C4, False),
-        # a wrong-kind constant in a predicate argument: the segment and the
-        # order pair are read on the empty branch, the rest on a nonempty step
+        # the walk fails at the first field that differs
+        ([PointsTo(x, "c4", (x, a_))], [], _ONE_C4, False),
+        # a wrong-kind constant in a predicate argument
         ([PredOcc("ll", (x, IntLit(1)))], [], _NO_CELLS, ("OracleError", _INT_IN_PTR)),
         ([PredOcc("lls", (x, NULL, NULL, a_))], [], _NO_CELLS, ("OracleError", _NULL_IN_ARITH)),
         ([PredOcc("llb", (x, NULL, NULL))], [], _ONE_C4, ("OracleError", _NULL_IN_ARITH)),
-        ([PredOcc("llb", (x, NULL, NULL))], [], _NO_CELLS, True),
+        # the empty branch reads no border
+        ([PredOcc("llb", (x, NULL, a_))], [], _NO_CELLS, True),
         # an unbound variable
         ([], [PtrNeq(x, w)], _NO_CELLS, ("OracleError", "unbound variable w")),
         ([PointsTo(x, "c4", (w, a_))], [], _ONE_C4, ("OracleError", "unbound variable w")),
@@ -1041,11 +1067,30 @@ def test_cover_edge_cases_agree_with_reference(registry, spatial, pure, model, o
     assert _outcome(lambda: ref_holds(model, h, registry)) == outcome
 
 
+@pytest.mark.parametrize(
+    "spatial,model,lazy",
+    [
+        ([PointsTo(x, "c4", (x, NULL))], _ONE_C4, False),
+        ([PredOcc("llb", (x, NULL, NULL))], _NO_CELLS, True),
+    ],
+    ids=["cell-field", "unread-border"],
+)
+def test_holds_refuses_a_wrong_kind_constant_before_the_walk(registry, spatial, model, lazy):
+    # The reference walk stops before it reads null as data; `holds`
+    # refuses it when it compiles the heap.
+    h = heap(spatial)
+    assert ref_holds(model, h, registry) is lazy
+    with pytest.raises(OracleError, match=_NULL_IN_ARITH):
+        holds(model, h, registry)
+
+
 def test_wrong_kind_constant_in_a_premise_cell_raises(registry):
+    # the reference raises once it enumerates; the oracle at the call
     h = heap([PointsTo(x, "c4", (IntLit(1), a_))])
     want = _outcome(lambda: list(ref_models_of(h, registry, SMALL)))
     assert want == ("OracleError", _INT_IN_PTR)
-    assert _outcome(lambda: list(models_of(h, registry, SMALL))) == want
+    with pytest.raises(ValueError, match=re.escape("integer literal 1 used as a pointer in x->c4(1, a)")):
+        models_of(h, registry, SMALL)
 
 
 def test_integer_literal_as_a_premise_root_raises(registry):
@@ -1053,8 +1098,9 @@ def test_integer_literal_as_a_premise_root_raises(registry):
     h = heap([PointsTo(IntLit(1), "c1", (NULL,))])
     want = _outcome(lambda: list(ref_models_of(h, registry, SMALL)))
     assert want == ("OracleError", _INT_IN_PTR)
-    assert _outcome(lambda: list(models_of(h, registry, SMALL))) == want
-    with pytest.raises(OracleError, match="integer literal 2 in pointer position"):
+    with pytest.raises(ValueError, match="integer literal 1 used as a pointer"):
+        models_of(h, registry, SMALL)
+    with pytest.raises(ValueError, match="integer literal 2 used as a pointer"):
         oracle_entails(ent(heap([PointsTo(IntLit(2), "c1", (NULL,))]), heap([])), registry, Bound(2, 3))
 
 
@@ -1069,20 +1115,16 @@ def _lsx_problem(sequent):
     return pf.query, pf.registry
 
 
-# A premise data variable against a literal, then null as an order target,
-# read only once the cell has matched: the first model, d the least data
-# value, is a countermodel, unless the data range starts at 3 and reading
-# the target raises.
+# Entailments that use a term at the other kind than its position's, each
+# well-kinded on its own premise: `prove` refuses them all, and so does the
+# oracle, with the same message, before any model.
 d_ = Var("d")
+# null as the order target of lls
 C4_NULL_TARGET = ent(
     heap([PointsTo(x, "c4", (NULL, d_))]),
     heap([PointsTo(x, "c4", (NULL, IntLit(3))), PredOcc("lls", (x, x, IntLit(1), NULL))]),
 )
-
-# A premise data variable in a pointer position of the conclusion: a pointer
-# shape knows it only by name, so its walk cannot place the root. The first
-# model, d the least data value, satisfies each conclusion; the second
-# refutes it.
+# a premise data variable as a root of the conclusion
 DATA_AS_ROOT = ent(
     heap([PointsTo(x, "c4", (NULL, d_))]),
     heap([PointsTo(x, "c4", (NULL, d_)), PredOcc("ll", (d_, x))]),
@@ -1093,9 +1135,8 @@ DATA_AS_CELL = ent(
 )
 
 # A data variable first used before a pointer variable: a=2 takes the next
-# fresh location, so y can be 2 or 3 after it. The conclusion reads y as
-# data, so it tells the two apart: y=3 is the countermodel, while the
-# pointer shapes enumerated without the data (y null or 2) satisfy it.
+# fresh location, so y can be 2 or 3 after it. The conclusion reads the
+# premise's pointer y as data.
 DATA_BEFORE_POINTER = ent(
     heap([PointsTo(x, "c1", (NULL,))], [ArithLeq(a_, IntLit(3)), PtrNeq(y, x)]),
     heap([PointsTo(x, "c1", (NULL,))], [ArithLeq(y, IntLit(2))]),
@@ -1135,12 +1176,46 @@ SETTLED_THEN_REFUTED = parse_query(
     "lls(y, null, 2, c) * ll(x, null) |- llb(y, null, 2) * ll(x, null) /\\ c<=2"
 )
 
-# The empty unfolding satisfies the conclusion whatever b is; the next one
-# reads the null border on a nonempty step and raises.
+# null as the border of llb
 SETTLED_THEN_RAISES = ent(
     heap([PredOcc("llb", (x, NULL, b))], [ArithLeq(IntLit(0), b)]),
     heap([PredOcc("llb", (x, NULL, NULL))]),
 )
+
+MIXED_KINDS = {
+    "C4_NULL_TARGET": (C4_NULL_TARGET, make_registry(), "null used as an integer in lls(x, x, 1, null)"),
+    "DATA_AS_ROOT": (DATA_AS_ROOT, make_registry(), "mixed pointer/integer use of 'd' in ll(d, x)"),
+    "DATA_AS_CELL": (DATA_AS_CELL, make_registry(), "mixed pointer/integer use of 'd' in d->c1(null)"),
+    "DATA_BEFORE_POINTER": (
+        DATA_BEFORE_POINTER,
+        make_registry(),
+        "mixed pointer/integer use of 'y' in y<=2",
+    ),
+    "POINTER_READ_AS_DATA": (*POINTER_READ_AS_DATA, "q: mixed pointer/integer use of 'p' in p<=2"),
+    "SETTLED_THEN_RAISES": (
+        SETTLED_THEN_RAISES,
+        make_registry(),
+        "null used as an integer in llb(x, null, null)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_KINDS))
+def test_mixed_kinds_refused_by_prover_and_oracle_alike(name, monkeypatch):
+    e, reg, msg = MIXED_KINDS[name]
+    enumerated = _count_calls(monkeypatch, "_expand")
+    with pytest.raises(UnsupportedFragment) as proved:
+        prove(e, reg)
+    assert str(proved.value) == msg
+    model = HeapModel({"x": 1}, {}, frozenset("x"))
+    for check in (
+        lambda: oracle_entails(e, reg, SMALL),
+        lambda: confirm_countermodel(model, e, reg, SMALL),
+    ):
+        with pytest.raises(ValueError) as refused:
+            check()
+        assert type(refused.value) is ValueError and str(refused.value) == msg
+    assert enumerated == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -1149,14 +1224,7 @@ SETTLED_THEN_RAISES = ent(
 # range cost seconds here
 @example(_lsx_problem(LSX_CONCAT), SMALL, None)
 @example(_lsx_problem(LSX_CONCAT), Bound(3, 4, 0, 2), None)
-@example((C4_NULL_TARGET, make_registry()), SMALL, WIDE)
-@example((C4_NULL_TARGET, make_registry()), Bound(3, 3, 3, 4), WIDE)
-@example((DATA_AS_ROOT, make_registry()), Bound(3, 3, 1, 3), WIDE)
-@example((DATA_AS_CELL, make_registry()), Bound(3, 3, 2, 3), WIDE)
-@example((DATA_BEFORE_POINTER, make_registry()), Bound(1, 3, 0, 3), WIDE)
-@example(POINTER_READ_AS_DATA, Bound(1, 3, 0, 3), WIDE)
 @example((SETTLED_THEN_REFUTED, make_registry()), SMALL, WIDE)
-@example((SETTLED_THEN_RAISES, make_registry()), SMALL, WIDE)
 def test_models_match_reference_key_for_key(problem, bound, wide):
     # The enumerator keeps no set across unfoldings, the reference keeps
     # one over all of them: equal sequences of distinct keys show that no
@@ -1182,10 +1250,17 @@ def test_data_on_the_next_fresh_location_widens_later_pointers(registry):
 
 
 def test_kinds_read_by_the_conclusion(registry):
-    assert oracle._kinds_read(DATA_BEFORE_POINTER.rhs, registry) == {"x": "ptr", "y": "int"}
-    e, reg = POINTER_READ_AS_DATA
-    assert oracle._kinds_read(e.rhs, reg) is None
-    assert oracle._kinds_read(heap([], [PtrEq(a_, x), ArithLeq(a_, b)]), registry) is None
+    # The conclusion reads every variable at the premise's kind, itself and
+    # through the definitions it reaches, or the entailment is refused.
+    _, _, msg = MIXED_KINDS["DATA_BEFORE_POINTER"]
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        oracle_entails(DATA_BEFORE_POINTER, registry)
+    e, reg, msg = MIXED_KINDS["POINTER_READ_AS_DATA"]
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        oracle_entails(e, reg)
+    mixed = heap([], [PtrEq(a_, x), ArithLeq(a_, b)])
+    with pytest.raises(ValueError, match=re.escape("mixed pointer/integer use of 'a' in a<=b")):
+        models_of(mixed, registry)
 
 
 def _settlements(monkeypatch):
@@ -1199,43 +1274,125 @@ def _settlements(monkeypatch):
 
 
 def test_settled_unfoldings_keep_the_first_countermodel_and_error(registry, monkeypatch):
-    # The unfoldings the pass skips come before the one that refutes, or
-    # raises; the outcome is the reference's, as the property checks.
+    # The unfoldings the pass skips come before the one that refutes; the
+    # outcome is the reference's, as the property checks. An entailment
+    # that reads a constant at the other kind is refused before the pass.
     answers = _settlements(monkeypatch)
     v = oracle_entails(SETTLED_THEN_REFUTED, registry, SMALL)
     assert answers == [True] * 4 + [False]
     assert v.counter.stack == {"c": 3, "x": 0, "y": 1}
     answers.clear()
-    with pytest.raises(OracleError, match=_NULL_IN_ARITH):
+    with pytest.raises(ValueError, match=re.escape(MIXED_KINDS["SETTLED_THEN_RAISES"][2])):
         oracle_entails(SETTLED_THEN_RAISES, registry, SMALL)
-    assert answers == [True, False]
+    assert answers == []
 
 
 def test_dangling_shapes_settle_only_for_a_conclusion_read_at_premise_kinds(
     registry, monkeypatch
 ):
-    # y can dangle in x->c1(null) /\ a<=3 /\ y!=x. A conclusion that reads
-    # y as data, itself or in a definition, leaves the unfolding to the
-    # model loop, which finds y=3; one that reads each variable at its
-    # premise kind settles it.
+    # y can dangle in x->c1(null) /\ a<=3 /\ y!=x, and a=2 can shift it.
+    # Every conclusion the oracle accepts reads y as a pointer, itself and
+    # in its definitions, so it cannot tell the shifted location apart, and
+    # the unfolding settles; one that reads y as data is refused.
     answers = _settlements(monkeypatch)
     bound = Bound(1, 3, 0, 3)
     for e, reg in [(DATA_BEFORE_POINTER, registry), POINTER_READ_AS_DATA]:
-        assert oracle_entails(e, reg, bound).counter.stack == {"a": 2, "x": 1, "y": 3}
-    e = ent(DATA_BEFORE_POINTER.lhs, heap([PointsTo(x, "c1", (NULL,))], [ArithLeq(a_, IntLit(3))]))
-    assert oracle_entails(e, registry, bound).bounded_valid
-    assert answers == [False, False, True]
+        with pytest.raises(ValueError, match="mixed pointer/integer use"):
+            oracle_entails(e, reg, bound)
+    assert answers == []
+    for rhs in (
+        heap([PointsTo(x, "c1", (NULL,))], [ArithLeq(a_, IntLit(3))]),
+        heap([PointsTo(x, "c1", (NULL,))], [ArithLeq(a_, IntLit(3)), PtrNeq(y, x)]),
+    ):
+        assert oracle_entails(ent(DATA_BEFORE_POINTER.lhs, rhs), registry, bound).bounded_valid
+    assert answers == [True, True]
 
 
 def test_null_order_target_outcomes(registry):
-    # the data comparison d=3 goes to the residual, and the shape's walk
-    # stops at the null order target, so the unfolding does not settle and
-    # every model is checked in full
-    v = oracle_entails(C4_NULL_TARGET, registry, SMALL)
-    assert not v.bounded_valid
-    assert v.counter.stack == {"d": -1, "x": 1}
-    with pytest.raises(OracleError, match=_NULL_IN_ARITH):
-        oracle_entails(C4_NULL_TARGET, registry, Bound(3, 3, 3, 4))
+    # null as an order target is refused whatever the data range, before
+    # any model: it once raised only where the walk read it
+    _, _, msg = MIXED_KINDS["C4_NULL_TARGET"]
+    for bound in (SMALL, Bound(3, 3, 3, 4)):
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            oracle_entails(C4_NULL_TARGET, registry, bound)
+
+
+def _slot_kinds(a, reg):
+    """The kind of each term of the atom, in the order `_with_terms` takes."""
+    if type(a) is PointsTo:
+        return ["ptr"] + ["int" if t == "int" else "ptr" for _, t in reg.sorts[a.sort].fields]
+    if type(a) is PredOcc:
+        return [p.kind for p in reg.preds[a.pred].params]
+    return ["ptr", "ptr"] if type(a) in (PtrEq, PtrNeq) else ["int", "int"]
+
+
+def _with_terms(a, terms):
+    if type(a) is PointsTo:
+        return PointsTo(terms[0], a.sort, tuple(terms[1:]))
+    if type(a) is PredOcc:
+        return PredOcc(a.pred, tuple(terms))
+    return type(a)(*terms)
+
+
+def _terms(a):
+    if type(a) is PointsTo:
+        return [a.root, *a.fields]
+    if type(a) is PredOcc:
+        return list(a.args)
+    return [a.lhs, a.rhs]
+
+
+@st.composite
+def ill_kinded(draw):
+    """An entailment of `entailments` with one term replaced by one of the
+    other kind: an integer literal or a data variable where a pointer goes,
+    null or a pointer variable where data goes. A variable used nowhere
+    else takes its new kind, so the result can be well-kinded."""
+    e = draw(entailments())
+    reg = make_registry()
+    sides = [list(e.lhs.spatial + e.lhs.pure), list(e.rhs.spatial + e.rhs.pure)]
+    slots = [
+        (side, i, j, kind)
+        for side, atoms in enumerate(sides)
+        for i, a in enumerate(atoms)
+        for j, kind in enumerate(_slot_kinds(a, reg))
+    ]
+    assume(slots)
+    side, i, j, kind = draw(st.sampled_from(slots))
+    other = [IntLit(1), a_, b] if kind == "ptr" else [NULL, x, y]
+    terms = _terms(sides[side][i])
+    terms[j] = draw(st.sampled_from(other))
+    sides[side][i] = _with_terms(sides[side][i], terms)
+    heaps = []
+    for atoms, h in zip(sides, (e.lhs, e.rhs)):
+        n = len(h.spatial)
+        heaps.append(SymbolicHeap(tuple(atoms[:n]), tuple(atoms[n:])))
+    return Entailment(*heaps)
+
+
+def _refusal(fn, refused):
+    """The message of the `refused` exception `fn` raises, or None."""
+    try:
+        fn()
+    except refused as exc:
+        return str(exc)
+    except ResourceLimit:
+        pass
+    return None
+
+
+@seed(30)
+@settings(max_examples=150, deadline=None, database=None)
+@given(ill_kinded())
+def test_prover_and_oracle_refuse_the_same_input(e):
+    reg = make_registry()
+    bound = Bound(1, 2, 0, 1)
+    refused = _refusal(lambda: prove(e, reg), UnsupportedFragment)
+    assert _refusal(lambda: oracle_entails(e, reg, bound), ValueError) == refused
+    premise = Entailment(e.lhs, SymbolicHeap())
+    refused = _refusal(lambda: prove(premise, reg), UnsupportedFragment)
+    # at the call: the generator is not iterated
+    assert _refusal(lambda: models_of(e.lhs, reg, bound), ValueError) == refused
 
 
 def test_unshown_existential_models_are_told_apart():
@@ -1333,7 +1490,7 @@ def _odd_heads_registry():
         "shorter": define("shorter", ("X", "d"), (X,), (ArithLeq(u, d),)),
         "shadow": define("shadow", ("X", "u"), (X, u)),
         "twice": define("twice", ("X",), (X, X)),
-        "consts": define("consts", ("X", "d"), (IntLit(1), NULL), (ArithEq(d, u),)),
+        "consts": define("consts", ("X", "d"), (NULL, IntLit(1)), (ArithEq(d, u),)),
     }
     return Registry(sorts, preds)
 
@@ -1360,14 +1517,15 @@ def test_compiled_steps_match_the_cover_plan(reg):
         assert oracle._bindings(d) == ([name for _, name in plan.head], plan.unbound)
         assert step.side == tuple(oracle._compile(a) for a in plan.side)
         assert step.pushed == tuple(oracle._compile_atom(m, reg, steps) for m in plan.pushed)
-        # parameter kinds: a constant argument compiles as its parameter's kind
-        for const in (NULL, IntLit(1)):
-            args = (Var("x"),) + (const,) * (len(d.params) - 1)
-            occ = oracle._compile_atom(PredOcc(d.name, args), reg, steps)
-            assert occ.args == tuple(
-                e.name if type(e) is Var else oracle._operand(e, ptr)
-                for (_, ptr), e in zip(plan.params, args)
-            )
+        # parameter kinds: a constant argument compiles as its parameter's
+        # kind, and one of the other kind is refused
+        args = (Var("x"),) + tuple(NULL if ptr else IntLit(1) for _, ptr in plan.params[1:])
+        occ = oracle._compile_atom(PredOcc(d.name, args), reg, steps)
+        assert occ.args == ("x",) + tuple(0 if ptr else 1 for _, ptr in plan.params[1:])
+        for i, (_, ptr) in enumerate(plan.params[1:], 1):
+            wrong = args[:i] + (IntLit(1) if ptr else NULL,) + args[i + 1 :]
+            with pytest.raises(OracleError, match="in pointer position" if ptr else "null in"):
+                oracle._compile_atom(PredOcc(d.name, wrong), reg, steps)
 
 
 def test_odd_heads_bind_as_the_cover_plan_did():
